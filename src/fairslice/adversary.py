@@ -18,6 +18,11 @@ rich or critical leaf needs, and *any* claimed heavy piece can be refuted
 by completing the labeling with light edges along the claim's leaves and
 exhibiting the resulting low value.
 
+The session answers through the tree walks that hashed trees and
+completions use, with a label source that reveals nodes as the walks reach
+them; a completion keeps every revealed label, so it replays the session's
+answers exactly.  Each reveal also updates the per-answer heavy-edge trace.
+
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
 """
@@ -36,12 +41,13 @@ from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
 from .valuation import encode_real
 from .valuetree import (
     HEAVY,
-    LIGHT,
-    THIRD,
+    BalancedValueTree,
     PathLike,
     TernaryTreeValuation,
     TreeParams,
+    _HEAVY_AT,
     _digits,
+    _leaf_range,
     digits_of_index,
     leaf_digits,
 )
@@ -80,9 +86,12 @@ class AdversarySession:
 
     def __init__(self, params: TreeParams):
         self.params = params
-        self.revealed: dict[tuple[int, ...], Kinds] = {}
+        self._tree = _SessionTree(params)  # the label source the walks reveal into
+        self.revealed: dict[tuple[int, ...], Kinds] = self._tree.revealed
         self.m = 0  # queries answered so far
         self.log: list[SessionRecord] = []
+        #: max_revealed_heavy() after each answered query
+        self.heavy_trace: list[int] = []
 
     # -- constants -------------------------------------------------------
 
@@ -93,165 +102,44 @@ class AdversarySession:
         raw = math.floor((math.log(self.params.n) / 6.0 - 1.0) / 2.0)
         return max(raw, 0)
 
-    def _label_value(self, kind: str) -> float:
-        if kind == HEAVY:
-            return self.params.heavy_label
-        if kind == LIGHT:
-            return self.params.light_label
-        return 1.0 / 3.0
-
-    # -- reveal bookkeeping ------------------------------------------------
-
-    def _reveal(self, path: tuple[int, ...], kinds: Kinds, sink: list[Reveal]) -> None:
-        self.revealed[path] = kinds
-        sink.append(Reveal(path, kinds))
-
-    def _reveal_point_path(self, t: Fraction, sink: list[Reveal]) -> None:
-        """Reveal the root path of t's leaf, keeping every on-path edge light."""
-        prefix: tuple[int, ...] = ()
-        for c in leaf_digits(t, self.params.depth):
-            if prefix not in self.revealed:
-                kinds = [LIGHT, LIGHT, LIGHT]
-                heavy_at = min(j for j in (0, 1, 2) if j != c)
-                kinds[heavy_at] = HEAVY
-                self._reveal(prefix, tuple(kinds), sink)
-            prefix += (c,)
-
-    def _revealed_prefix(self, t: Fraction) -> float:
-        """Mass of [0, t], readable from revealed labels only."""
-        if t <= 0:
-            return 0.0
-        if t >= 1:
-            return 1.0
-        mass = 0.0
-        value = 1.0
-        prefix: tuple[int, ...] = ()
-        index = 0
-        for c in leaf_digits(t, self.params.depth):
-            kinds = self.revealed[prefix]  # guaranteed by prior reveals
-            for j in range(c):
-                mass += value * self._label_value(kinds[j])
-            value *= self._label_value(kinds[c])
-            prefix += (c,)
-            index = index * 3 + c
-        leaf_left = Fraction(index, self.params.n)
-        within = (t - leaf_left) * self.params.n
-        return mass + value * float(within)
-
     # -- queries ----------------------------------------------------------
 
-    def answer_eval(self, x, y) -> float:
-        x, y = as_scalar(x), as_scalar(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
-        reveals: list[Reveal] = []
-        self._reveal_point_path(x, reveals)
-        self._reveal_point_path(y, reveals)
-        answer = max(self._revealed_prefix(y) - self._revealed_prefix(x), 0.0)
+    def _record(self, kind: str, args: tuple, answer: Optional[float]) -> Optional[float]:
+        tree = self._tree
+        reveals, tree.reveals = tree.reveals, []
         self.m += 1
-        self.log.append(SessionRecord("eval", (x, y), answer, tuple(reveals)))
+        self.log.append(SessionRecord(kind, args, answer, tuple(reveals)))
+        self.heavy_trace.append(tree.heavy)
         return answer
+
+    def answer_eval(self, x, y) -> float:
+        answer = self._tree.eval(x, y)
+        return self._record("eval", (as_scalar(x), as_scalar(y)), answer)
 
     def answer_cut(self, x, r) -> Optional[float]:
-        x = as_scalar(x)
-        if not (ZERO <= x <= ONE):
-            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
-        r = float(r)
-        if r < 0:
-            raise ValueError(f"cut needs r >= 0, got {r}")
-        reveals: list[Reveal] = []
-        self._reveal_point_path(x, reveals)
-        if r == 0:
-            answer: Optional[float] = float(x)
-        else:
-            target = self._revealed_prefix(x) + r
-            if target > 1.0 + 1e-12:
-                answer = None
-            else:
-                answer = self._descend_revealing(min(target, 1.0), reveals)
-        self.m += 1
-        self.log.append(SessionRecord("cut", (x, r), answer, tuple(reveals)))
-        return answer
-
-    def _descend_revealing(self, target: float, sink: list[Reveal]) -> float:
-        """Walk down to the leftmost point with prefix mass ``target``,
-        revealing labels by the gamma rule where none exist yet.
-
-        The remaining mass is tracked incrementally so that the reveal
-        decision (gamma vs. beta/3) and the child choice are one and the
-        same float comparison; computing them differently lets ulp-level
-        disagreement route the walk through a heavy edge.
-        """
-        remaining = target
-        value = 1.0
-        prefix: tuple[int, ...] = ()
-        left = ZERO
-        width = ONE
-        for _ in range(self.params.depth):
-            kinds = self.revealed.get(prefix)
-            if kinds is None:
-                # gamma > beta/3, phrased exactly like the child test below
-                if value * self.params.heavy_label < remaining:
-                    kinds = (HEAVY, LIGHT, LIGHT)
-                else:
-                    kinds = (LIGHT, LIGHT, HEAVY)
-                self._reveal(prefix, kinds, sink)
-            chosen = 2
-            for c in (0, 1):
-                child_mass = value * self._label_value(kinds[c])
-                if child_mass >= remaining:
-                    chosen = c
-                    break
-                remaining -= child_mass
-            value *= self._label_value(kinds[chosen])
-            prefix += (chosen,)
-            width /= 3
-            left += chosen * width
-        within = remaining / value if value > 0 else 0.0
-        within = min(max(within, 0.0), 1.0)
-        return float(left) + float(width) * within
+        answer = self._tree.cut(x, r)
+        return self._record("cut", (as_scalar(x), float(r)), answer)
 
     # -- invariants (verification helpers) ------------------------------------
 
     def max_revealed_heavy(self) -> int:
         """Maximum number of revealed heavy edges on any root-to-leaf path
-        (unrevealed subtrees contribute nothing)."""
-        best = 0
-        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
-        while stack:
-            path, heavies = stack.pop()
-            kinds = self.revealed.get(path)
-            if kinds is None:
-                best = max(best, heavies)
-                continue
-            for c, kind in enumerate(kinds):
-                stack.append((path + (c,), heavies + (1 if kind == HEAVY else 0)))
-        return best
+        (unrevealed subtrees contribute nothing): the last entry of
+        :attr:`heavy_trace`."""
+        return self.heavy_trace[-1] if self.heavy_trace else 0
 
     def revealed_is_connected(self) -> bool:
         """Every revealed node's parent is revealed (or it is the root)."""
         return all(path == () or path[:-1] in self.revealed for path in self.revealed)
 
     def revealed_critical_nodes(self) -> list[tuple[int, ...]]:
-        """Revealed nodes whose density test says critical.
+        """Revealed nodes whose density test says critical, in reveal order.
 
         Empty while the heavy-edge budget holds; the reveal strategy never
         labels a node's edges as thirds, so a critical node here means the
         session was driven past its guarantee.
         """
-        out = []
-        stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-        probe = _SessionProbe(self.params)
-        while stack:
-            path, h, q = stack.pop()
-            kinds = self.revealed.get(path)
-            if kinds is None:
-                continue
-            if probe.critical_counts(h, q):
-                out.append(path)
-            for c, kind in enumerate(kinds):
-                stack.append((path + (c,), h + (1 if kind == HEAVY else 0), q + (1 if kind == LIGHT else 0)))
-        return out
+        return list(self._tree.critical)
 
     def transcript_lines(self) -> list[str]:
         return [json.dumps(rec.to_json_obj(), separators=(",", ":")) for rec in self.log]
@@ -328,22 +216,57 @@ class AdversarySession:
         )
 
 
-class _SessionProbe(TernaryTreeValuation):
-    """Internal: gives the session access to the guarded density tests."""
+class _SessionTree(TernaryTreeValuation):
+    """The session's label source for the shared tree walks: revealed
+    labels are binding, and a walk reveals any other node it reaches by the
+    module's rule for its step -- an eval endpoint's path walk, or a cut
+    answer's mass descent."""
 
-    def labels_for(self, path, h, q, critical):  # pragma: no cover - never queried
-        raise NotImplementedError
+    def __init__(self, params: TreeParams):
+        super().__init__(params)
+        self.revealed: dict[tuple[int, ...], Kinds] = {}
+        self.reveals: list[Reveal] = []  # not yet attached to an answer
+        self.heavy = 0  # most revealed heavy edges on a root path
+        self.critical: list[tuple[int, ...]] = []  # revealed critical nodes
+
+    def labels_for(self, path, h, q, critical):
+        return self.revealed[path]
+
+    def _path_labels(self, path, h, q, critical, digit):
+        return self._reveal(path, h, q, _HEAVY_AT[1 if digit == 0 else 0])
+
+    def _descent_labels(self, path, h, q, critical, value, remaining):
+        # gamma > beta/3, phrased exactly like the descent's child test
+        heavy_at = 0 if value * self.params.heavy_label < remaining else 2
+        return self._reveal(path, h, q, _HEAVY_AT[heavy_at])
+
+    def _reveal(self, path: tuple[int, ...], h: int, q: int, kinds: Kinds) -> Kinds:
+        """The binding labels at ``path``: those revealed before, or else
+        ``kinds``, revealed now.  ``h`` and ``q`` count the heavy and light
+        edges on the node's root path."""
+        known = self.revealed.get(path)
+        if known is not None:
+            return known
+        self.revealed[path] = kinds
+        self.reveals.append(Reveal(path, kinds))
+        # the node's parent is revealed, so its deepest heavy count is new
+        # only through its own heavy edge
+        self.heavy = max(self.heavy, h + (HEAVY in kinds))
+        if self.critical_counts(h, q):
+            self.critical.append(path)
+        return kinds
+
+    def _prefix(self, t: Fraction) -> float:
+        if 0 < t < 1:
+            return super()._prefix(t)
+        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
+        self._walk(leaf_digits(t, self.params.depth))
+        return float(t)
 
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[tuple[int, ...]]:
     """Digit paths of every leaf the piece overlaps with positive width."""
-    n = params.n
-    leaves: set[int] = set()
-    for iv in piece.intervals:
-        lo = math.floor(iv.left * n)
-        hi = math.ceil(iv.right * n) - 1
-        for index in range(max(lo, 0), min(hi, n - 1) + 1):
-            leaves.add(index)
+    leaves = {i for iv in piece.intervals for i in _leaf_range(iv, params.n)}
     return [digits_of_index(i, params.depth) for i in sorted(leaves)]
 
 
@@ -367,35 +290,22 @@ class CompletedTree(TernaryTreeValuation):
         super().__init__(params)
         self.revealed = revealed
         self.seed = seed
-        self._seed_key = (seed & (2**64 - 1)).to_bytes(8, "little")
+        self._hashed = BalancedValueTree(params, seed)
         self._light_prefixes: set[tuple[int, ...]] = set()
         for leaf in light_leaves:
             digits = _digits(leaf)
             for i in range(1, len(digits) + 1):
                 self._light_prefixes.add(digits[:i])
 
-    def _hash_heavy_position(self, path: tuple[int, ...]) -> int:
-        from hashlib import blake2b
-
-        digest = blake2b(bytes(path), key=self._seed_key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") % 3
-
     def labels_for(self, path, h, q, critical):
         kinds = self.revealed.get(path)
         if kinds is not None:
             return kinds
-        if critical:
-            return (THIRD, THIRD, THIRD)
-        if self._light_prefixes:
+        if self._light_prefixes and not critical:
             protected = [c for c in (0, 1, 2) if path + (c,) in self._light_prefixes]
             if protected and len(protected) < 3:
-                heavy_at = min(c for c in (0, 1, 2) if c not in protected)
-                kinds = [LIGHT, LIGHT, LIGHT]
-                kinds[heavy_at] = HEAVY
-                return tuple(kinds)
-        kinds = [LIGHT, LIGHT, LIGHT]
-        kinds[self._hash_heavy_position(path)] = HEAVY
-        return tuple(kinds)
+                return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
+        return self._hashed.labels_for(path, h, q, critical)
 
 
 @dataclass(frozen=True)
@@ -566,13 +476,6 @@ def run_heavy_piece_game(
     claim = STRATEGIES[strategy](session, budget, seed)
     if session.m > budget:
         raise RuntimeError(f"strategy {strategy} used {session.m} > {budget} queries")
-    # Reconstruct max_revealed_heavy after each query from the reveal log.
-    trace = []
-    probe = AdversarySession(params)
-    for rec in session.log:
-        for r in rec.reveals:
-            probe.revealed[r.path] = r.kinds
-        trace.append(probe.max_revealed_heavy())
     outcome = session.refute_claim(claim)
     return GameReport(
         depth=params.depth,
@@ -582,5 +485,5 @@ def run_heavy_piece_game(
         queries_used=session.m,
         claim=claim,
         outcome=outcome,
-        max_revealed_heavy_trace=tuple(trace),
+        max_revealed_heavy_trace=tuple(session.heavy_trace),
     )

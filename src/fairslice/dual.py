@@ -241,7 +241,8 @@ def reduction_pipeline(
         for iv in piece.intervals:
             a = base_referee.cut(i, ZERO, iv.left)
             b = base_referee.cut(i, ZERO, iv.right)
-            assert a is not None and b is not None
+            if a is None or b is None:
+                raise ProtocolViolation(f"player {i}: a dual endpoint has no base cut point")
             images.append(Interval(as_scalar(a), as_scalar(b)))
         image = normalize_piece(images)
         width = image.width

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PartitionViolation
+from .errors import PartitionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar, normalize_piece
 from .referee import QueryReferee
 from .valuation import Real, Valuation, encode_real
@@ -173,7 +173,10 @@ def cut_and_choose(referee: QueryReferee, mode: str) -> Allocation:
         raise ValueError("cut and choose is a two-player protocol")
     half = Fraction(1, 2)
     m = referee.cut(0, ZERO, half)
-    assert m is not None, "a normalized valuation always has a half-value point"
+    if m is None:
+        raise ProtocolViolation(
+            "player 0 has no half-value point, which a normalized valuation always has"
+        )
     m = as_scalar(m)
     left_value = referee.eval(1, ZERO, m)
     if mode == "cake":
@@ -217,7 +220,11 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
         for player in players:
             target = values[player] * k / size
             mark = referee.cut(player, a, target)
-            assert mark is not None, "mark target never exceeds the block value"
+            if mark is None:
+                raise ProtocolViolation(
+                    f"player {player} has no mark for {target} from {a}; "
+                    "the mark target never exceeds the block value"
+                )
             marks[player] = as_scalar(mark)
         if mode == "cake":
             ordered = sorted(players, key=lambda p: (marks[p], p))
@@ -258,12 +265,19 @@ def last_diminisher(referee: QueryReferee, mode: str = "cake") -> Allocation:
     while len(active) > 1:
         holder = active[0]
         edge = referee.cut(holder, start, share)
-        assert edge is not None, "every remaining player values the rest at >= 1/n"
+        if edge is None:
+            raise ProtocolViolation(
+                f"player {holder} cannot slice 1/{n} from {start}; "
+                "every remaining player values the rest at >= 1/n"
+            )
         edge = as_scalar(edge)
         for player in active[1:]:
             if referee.eval(player, start, edge) > share:
                 trimmed = referee.cut(player, start, share)
-                assert trimmed is not None
+                if trimmed is None:
+                    raise ProtocolViolation(
+                        f"player {player} values the piece above 1/{n} but cannot trim it"
+                    )
                 edge = as_scalar(trimmed)
                 holder = player
         pieces[holder] = _single(start, edge)

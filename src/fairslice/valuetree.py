@@ -16,6 +16,12 @@ runs build density quickly: a leaf can only reach density >= 1/2 (or
 criticality) when its path carries more than ``ln(n)/6 - 1`` heavy edges.
 That threshold is what the adversary module exploits.
 
+Node profiles and values, prefix masses, eval and cut all come from two
+walks of :class:`TernaryTreeValuation`: a path walk along known digits and
+a descent to a target prefix mass.  Hashed trees, completions and the
+adversary session differ only in their label source, so on shared labels
+they give the same floats by construction.
+
 Values here are irrational, so node arithmetic runs in floats with
 comparisons done in log space; any classification within 1e-9 of a
 threshold raises :class:`NumericalAmbiguity` instead of guessing.  At the
@@ -41,6 +47,9 @@ LN3 = math.log(3.0)
 HEAVY = "H"
 LIGHT = "L"
 THIRD = "T"
+
+#: label kinds of an ordinary node whose heavy edge is child i
+_HEAVY_AT = ((HEAVY, LIGHT, LIGHT), (LIGHT, HEAVY, LIGHT), (LIGHT, LIGHT, HEAVY))
 
 #: side length of the comparison guard band in log space
 AMBIGUITY_GUARD = 1e-9
@@ -123,6 +132,15 @@ class TreeParams:
         return Fraction(1, self.n)
 
 
+def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
+    """margin > 0, refused when the margin is inside the guard band."""
+    if abs(margin) < AMBIGUITY_GUARD:
+        raise NumericalAmbiguity(
+            f"{test} test at h={h}, q={q} within {AMBIGUITY_GUARD} of the threshold"
+        )
+    return margin > 0
+
+
 def leaf_digits(t: Fraction, depth: int) -> tuple[int, ...]:
     """Base-3 digit path of the leaf whose cell contains t (t=1 maps to the
     last leaf)."""
@@ -131,6 +149,13 @@ def leaf_digits(t: Fraction, depth: int) -> tuple[int, ...]:
     if index >= n:
         index = n - 1
     return digits_of_index(index, depth)
+
+
+def _leaf_range(interval: Interval, n: int) -> range:
+    """Indices of the leaf cells an interval overlaps with positive width."""
+    lo = math.floor(interval.left * n)
+    hi = math.ceil(interval.right * n) - 1
+    return range(max(lo, 0), min(hi, n - 1) + 1)
 
 
 def digits_of_index(index: int, depth: int) -> tuple[int, ...]:
@@ -166,12 +191,10 @@ class NodePath:
         return NodePath(self.digits + (digit,))
 
     def left(self) -> Fraction:
-        acc = ZERO
-        width = ONE
+        index = 0
         for d in self.digits:
-            width /= 3
-            acc += d * width
-        return acc
+            index = index * 3 + d
+        return Fraction(index, 3**len(self.digits))
 
     def width(self) -> Fraction:
         return Fraction(1, 3**len(self.digits))
@@ -226,7 +249,11 @@ class TernaryTreeValuation(Valuation, ABC):
 
     Subclasses decide the label kinds of a node's child edges via
     :meth:`labels_for`; everything else (profiles, densities, prefix
-    masses, query answering) is derived here.
+    masses, query answering) is derived here from two walks: :meth:`_walk`
+    follows a known digit path and :meth:`_descend` a target prefix mass.
+    Both read labels through a hook that also gets the walk's step
+    (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings ignore
+    it, and the adversary session decides unrevealed nodes from it.
     """
 
     def __init__(self, params: TreeParams):
@@ -259,37 +286,44 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def critical_counts(self, h: int, q: int) -> bool:
         cached = self._crit_cache.get((h, q))
-        if cached is not None:
-            return cached
-        margin = self.critical_margin(h, q)
-        if abs(margin) < AMBIGUITY_GUARD:
-            raise NumericalAmbiguity(
-                f"criticality test at h={h}, q={q} within {AMBIGUITY_GUARD} of the threshold"
-            )
-        result = margin > 0
-        self._crit_cache[(h, q)] = result
-        return result
+        if cached is None:
+            cached = _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
+            self._crit_cache[(h, q)] = cached
+        return cached
 
     def rich_counts(self, h: int, q: int) -> bool:
         """Density >= 1/2 in log space, with the same ambiguity guard."""
-        margin = self._log_density(h, q) + LN2
-        if abs(margin) < AMBIGUITY_GUARD:
-            raise NumericalAmbiguity(
-                f"richness test at h={h}, q={q} within {AMBIGUITY_GUARD} of the threshold"
-            )
-        return margin > 0
+        return _guarded_sign(self._log_density(h, q) + LN2, "richness", h, q)
 
-    # -- node walks ----------------------------------------------------------
+    # -- the two walks -------------------------------------------------------
 
-    def _walk(self, digits: tuple[int, ...]) -> tuple[int, int, int, bool, float]:
-        """(h, q, z, node-critical, node-value) for the node at ``digits``."""
+    def _path_labels(self, path, h, q, critical, digit: int):
+        """Labels a path walk reads at ``path`` before stepping to ``digit``."""
+        return self.labels_for(path, h, q, critical)
+
+    def _descent_labels(self, path, h, q, critical, value: float, remaining: float):
+        """Labels a mass descent reads at a node of value ``value`` with
+        ``remaining`` mass still to pass."""
+        return self.labels_for(path, h, q, critical)
+
+    def _walk(self, digits: tuple[int, ...], visit=None) -> tuple[float, int, int, int, bool, float]:
+        """(prefix mass, h, q, z, critical, value) of the node at ``digits``.
+
+        The prefix mass is the value of everything left of the node.
+        ``visit(path, critical, kinds)``, when given, sees every node passed.
+        """
+        mass = 0.0
+        value = 1.0
         h = q = z = 0
         critical = False
-        value = 1.0
-        prefix: tuple[int, ...] = ()
-        for c in digits:
+        for i, c in enumerate(digits):
             critical = critical or self.critical_counts(h, q)
-            kinds = self.labels_for(prefix, h, q, critical)
+            path = digits[:i]
+            kinds = self._path_labels(path, h, q, critical, c)
+            if visit is not None:
+                visit(path, critical, kinds)
+            for j in range(c):
+                mass += value * self.label_value(kinds[j])
             kind = kinds[c]
             if kind == HEAVY:
                 h += 1
@@ -298,110 +332,25 @@ class TernaryTreeValuation(Valuation, ABC):
             else:
                 z += 1
             value *= self.label_value(kind)
-            prefix += (c,)
         critical = critical or self.critical_counts(h, q)
-        return h, q, z, critical, value
+        return mass, h, q, z, critical, value
 
-    def node_profile(self, path: PathLike) -> NodeProfile:
-        h, q, z, critical, _ = self._walk(_digits(path))
-        return NodeProfile(h, q, z, critical)
-
-    def node_value(self, path: PathLike) -> float:
-        """Direct product of the edge labels on the node's root path."""
-        return self._walk(_digits(path))[4]
-
-    def node_density(self, path: PathLike) -> float:
-        """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
-        h, q, _, _, _ = self._walk(_digits(path))
-        return math.exp(self._log_density(h, q))
-
-    def is_critical(self, path: PathLike) -> bool:
-        return self.node_profile(path).critical
-
-    def classify_leaf(self, path: PathLike) -> str:
-        """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
-        digits = _digits(path)
-        if len(digits) != self.params.depth:
-            raise ValueError(f"not a leaf path: depth {len(digits)} != {self.params.depth}")
-        h, q, _, critical, _ = self._walk(digits)
-        if critical:
-            return "critical"
-        return "rich" if self.rich_counts(h, q) else "neither"
-
-    # -- valuation interface ---------------------------------------------------
-
-    @property
-    def is_positive(self) -> bool:
-        return True  # all edge labels are positive
-
-    def _prefix(self, t: Fraction) -> float:
-        """Mass of [0, t]."""
-        if t <= 0:
-            return 0.0
-        if t >= 1:
-            return 1.0
-        digits = leaf_digits(t, self.params.depth)
-        mass = 0.0
-        value = 1.0
-        h = q = 0
-        critical = False
-        prefix: tuple[int, ...] = ()
-        index = 0
-        for c in digits:
-            critical = critical or self.critical_counts(h, q)
-            kinds = self.labels_for(prefix, h, q, critical)
-            for j in range(c):
-                mass += value * self.label_value(kinds[j])
-            kind = kinds[c]
-            if kind == HEAVY:
-                h += 1
-            elif kind == LIGHT:
-                q += 1
-            value *= self.label_value(kind)
-            prefix += (c,)
-            index = index * 3 + c
-        leaf_left = Fraction(index, self.params.n)
-        within = (t - leaf_left) * self.params.n  # exact fraction of the cell
-        return mass + value * float(within)
-
-    def eval(self, x, y) -> float:
-        x, y = as_scalar(x), as_scalar(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
-        return max(self._prefix(y) - self._prefix(x), 0.0)
-
-    def cut(self, x, r) -> Optional[float]:
-        x = as_scalar(x)
-        if not (ZERO <= x <= ONE):
-            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
-        r = float(r)
-        if r < 0:
-            raise ValueError(f"cut needs r >= 0, got {r}")
-        if r == 0:
-            return float(x)
-        target = self._prefix(x) + r
-        if target > 1.0 + 1e-12:
-            return None
-        target = min(target, 1.0)
-        return self._descend_to_mass(target)
-
-    def _descend_to_mass(self, target: float) -> float:
+    def _descend(self, target: float) -> float:
         """Leftmost point whose prefix mass is ``target``.
 
-        Tracks the remaining mass incrementally (same arithmetic as the
-        adversary's revealing descent, so completions replay session
-        answers bit-for-bit on shared labels).
+        Tracks the remaining mass incrementally; the child test
+        ``value * label >= remaining`` is the only comparison, so a lazy
+        labeling that decides a node from (value, remaining) by the same
+        test routes the descent exactly where it intends.
         """
         remaining = target
         value = 1.0
         h = q = 0
         critical = False
-        prefix: tuple[int, ...] = ()
-        left = ZERO
-        width = ONE
+        digits: list[int] = []
         for _ in range(self.params.depth):
             critical = critical or self.critical_counts(h, q)
-            kinds = self.labels_for(prefix, h, q, critical)
+            kinds = self._descent_labels(tuple(digits), h, q, critical, value, remaining)
             chosen = 2
             for c in (0, 1):
                 child_mass = value * self.label_value(kinds[c])
@@ -415,12 +364,77 @@ class TernaryTreeValuation(Valuation, ABC):
             elif kind == LIGHT:
                 q += 1
             value *= self.label_value(kind)
-            prefix += (chosen,)
-            width /= 3
-            left += chosen * width
+            digits.append(chosen)
         within = remaining / value if value > 0 else 0.0
         within = min(max(within, 0.0), 1.0)
-        return float(left) + float(width) * within
+        leaf = NodePath(tuple(digits))
+        return float(leaf.left()) + float(leaf.width()) * within
+
+    def node_profile(self, path: PathLike) -> NodeProfile:
+        _, h, q, z, critical, _ = self._walk(_digits(path))
+        return NodeProfile(h, q, z, critical)
+
+    def node_value(self, path: PathLike) -> float:
+        """Direct product of the edge labels on the node's root path."""
+        return self._walk(_digits(path))[5]
+
+    def node_density(self, path: PathLike) -> float:
+        """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
+        _, h, q, _, _, _ = self._walk(_digits(path))
+        return math.exp(self._log_density(h, q))
+
+    def is_critical(self, path: PathLike) -> bool:
+        return self.node_profile(path).critical
+
+    def classify_leaf(self, path: PathLike) -> str:
+        """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
+        digits = _digits(path)
+        if len(digits) != self.params.depth:
+            raise ValueError(f"not a leaf path: depth {len(digits)} != {self.params.depth}")
+        _, h, q, _, critical, _ = self._walk(digits)
+        if critical:
+            return "critical"
+        return "rich" if self.rich_counts(h, q) else "neither"
+
+    # -- valuation interface ---------------------------------------------------
+
+    @property
+    def is_positive(self) -> bool:
+        return True  # all edge labels are positive
+
+    def _prefix(self, t: Fraction) -> float:
+        """Mass of [0, t], walked along the root path of t's leaf."""
+        if t <= 0:
+            return 0.0
+        if t >= 1:
+            return 1.0
+        n = self.params.n
+        index = math.floor(t * n)
+        mass, _, _, _, _, value = self._walk(digits_of_index(index, self.params.depth))
+        within = (t - Fraction(index, n)) * n  # exact fraction of the cell
+        return mass + value * float(within)
+
+    def eval(self, x, y) -> float:
+        x, y = as_scalar(x), as_scalar(y)
+        if not (ZERO <= x <= y <= ONE):
+            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+        start = self._prefix(x)
+        return max(self._prefix(y) - start, 0.0)
+
+    def cut(self, x, r) -> Optional[float]:
+        x = as_scalar(x)
+        if not (ZERO <= x <= ONE):
+            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
+        r = float(r)
+        if r < 0:
+            raise ValueError(f"cut needs r >= 0, got {r}")
+        start = self._prefix(x)  # walked even for r == 0: the session reveals x's path
+        if r == 0:
+            return float(x)
+        target = start + r
+        if target > 1.0 + 1e-12:
+            return None
+        return self._descend(min(target, 1.0))
 
     # -- whole-tree enumeration --------------------------------------------------
 
@@ -489,15 +503,10 @@ class TernaryTreeValuation(Valuation, ABC):
             piece.intervals,
             key=lambda iv: self.eval(iv.left, iv.right) / float(iv.width),
         )
-        lo = math.floor(best.left * n)
-        hi = math.ceil(best.right * n) - 1
-        candidates = range(max(lo, 0), min(hi, n - 1) + 1)
-        chosen = max(candidates, key=lambda i: self._leaf_log_density(i))
-        return NodePath.from_index(chosen, self.params.depth)
-
-    def _leaf_log_density(self, index: int) -> float:
-        h, q, _, _, _ = self._walk(digits_of_index(index, self.params.depth))
-        return self._log_density(h, q)
+        depth = self.params.depth
+        leaves = _leaf_range(best, n)
+        chosen = max(leaves, key=lambda i: self.node_density(digits_of_index(i, depth)))
+        return NodePath.from_index(chosen, depth)
 
 
 class BalancedValueTree(TernaryTreeValuation):
@@ -518,9 +527,7 @@ class BalancedValueTree(TernaryTreeValuation):
     def labels_for(self, path, h, q, critical):
         if critical:
             return (THIRD, THIRD, THIRD)
-        kinds = [LIGHT, LIGHT, LIGHT]
-        kinds[self._heavy_position(path)] = HEAVY
-        return tuple(kinds)
+        return _HEAVY_AT[self._heavy_position(path)]
 
     def to_json(self) -> dict:
         return {
@@ -591,12 +598,10 @@ def low_heavy_density_cap(depth: int) -> float:
     depth-``depth`` tree; increasing in depth with limit
     :data:`LOW_HEAVY_DENSITY_LIMIT` (~0.426), hence always below 1/2.
     """
-    ln_n = depth * LN3
-    ln_beta = 6.0 * LN2 / ln_n
-    ln_light_density = math.log1p(-math.expm1(ln_beta) / 2.0)
-    exponent = depth - ln_n / 6.0
+    params = TreeParams.from_depth(depth, permissive=True)
+    exponent = depth - depth * LN3 / 6.0
     # beta ** (ln_n / 6) == 2 exactly
-    return 2.0 * math.exp(exponent * ln_light_density)
+    return 2.0 * math.exp(exponent * params.ln_light_density)
 
 
 def verify_labeling(
@@ -620,30 +625,22 @@ def verify_labeling(
     all_paths = [_digits(p) for p in paths]
     for _ in range(sample_count):
         all_paths.append(digits_of_index(rng.randrange(params.n), params.depth))
+
+    def check(path, critical, kinds):
+        values = [source.label_value(k) for k in kinds]
+        if abs(sum(values) - 1.0) > 1e-12:
+            raise ValueError(f"labels at {path} sum to {sum(values)}, not 1")
+        if critical:
+            if kinds != (THIRD, THIRD, THIRD):
+                raise ValueError(f"critical node {path} not labeled (1/3,1/3,1/3): {kinds}")
+        else:
+            if sorted(kinds) != [HEAVY, LIGHT, LIGHT]:
+                raise ValueError(
+                    f"non-critical node {path} needs one heavy and two light edges: {kinds}"
+                )
+
     checked = 0
     for digits in all_paths:
-        h = q = 0
-        critical = False
-        prefix: tuple[int, ...] = ()
-        for c in digits:
-            critical = critical or source.critical_counts(h, q)
-            kinds = source.labels_for(prefix, h, q, critical)
-            values = [source.label_value(k) for k in kinds]
-            if abs(sum(values) - 1.0) > 1e-12:
-                raise ValueError(f"labels at {prefix} sum to {sum(values)}, not 1")
-            if critical:
-                if kinds != (THIRD, THIRD, THIRD):
-                    raise ValueError(f"critical node {prefix} not labeled (1/3,1/3,1/3): {kinds}")
-            else:
-                if sorted(kinds) != [HEAVY, LIGHT, LIGHT]:
-                    raise ValueError(
-                        f"non-critical node {prefix} needs one heavy and two light edges: {kinds}"
-                    )
-            kind = kinds[c]
-            if kind == HEAVY:
-                h += 1
-            elif kind == LIGHT:
-                q += 1
-            prefix += (c,)
-            checked += 1
+        source._walk(digits, visit=check)
+        checked += len(digits)
     return checked

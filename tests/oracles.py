@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own integration/inversion logic:
 ``grid_integral`` is a plain midpoint Riemann sum over the raw segment
-description, ``bisect_cut`` inverts it by bisection, and
-``leaf_sum_value`` re-derives tree values from per-leaf densities.  Slow
-and approximate by design; exact expected values asserted in tests were
-first cross-checked against these.
+description, ``bisect_cut`` inverts it by bisection,
+``leaf_sum_value`` re-derives tree values from per-leaf densities, and
+``max_revealed_heavy`` / ``revealed_critical_nodes`` recount an adversary
+session's revealed labels by full traversal.  Slow and approximate by
+design; exact expected values asserted in tests were first cross-checked
+against these.
 """
 
 from __future__ import annotations
@@ -98,3 +100,40 @@ def leaf_sum_value(tree, x, y):
         if hi > lo:
             total += densities[index] * float(hi - lo)
     return total
+
+
+def max_revealed_heavy(revealed):
+    """Maximum number of revealed heavy edges on any root-to-leaf path, by a
+    full traversal of the revealed labels (unrevealed subtrees contribute
+    nothing).  ``revealed`` maps digit-tuple paths to label-kind triples."""
+    best = 0
+    stack = [((), 0)]
+    while stack:
+        path, heavies = stack.pop()
+        kinds = revealed.get(path)
+        if kinds is None:
+            best = max(best, heavies)
+            continue
+        for c, kind in enumerate(kinds):
+            stack.append((path + (c,), heavies + (1 if kind == "H" else 0)))
+    return best
+
+
+def revealed_critical_nodes(revealed, params):
+    """Revealed nodes whose density D satisfies D * beta > 2, by a
+    traversal that counts heavy and light edges from the root and applies
+    the density formula directly."""
+    ln_beta = math.log(params.beta)
+    ln_light = math.log(1.5 - params.beta / 2.0)
+    out = set()
+    stack = [((), 0, 0)]
+    while stack:
+        path, h, q = stack.pop()
+        kinds = revealed.get(path)
+        if kinds is None:
+            continue
+        if (h + 1) * ln_beta + q * ln_light > math.log(2.0):
+            out.add(path)
+        for c, kind in enumerate(kinds):
+            stack.append((path + (c,), h + (kind == "H"), q + (kind == "L")))
+    return out

@@ -16,6 +16,8 @@ from fairslice.adversary import (
 from fairslice.geometry import Piece
 from fairslice.valuetree import HEAVY, LIGHT, TreeParams, verify_labeling
 
+import oracles
+
 P60 = TreeParams.from_depth(60)
 P11 = TreeParams.from_depth(11)
 
@@ -157,6 +159,64 @@ class TestInvariants:
             prefix += (digit,)
 
 
+class TestOracles:
+    """The session keeps its heavy-edge maximum and critical nodes as it
+    reveals; full traversals of the revealed labels must agree."""
+
+    @staticmethod
+    def assert_heavy_matches(session):
+        expected = oracles.max_revealed_heavy(session.revealed)
+        assert session.max_revealed_heavy() == expected
+        assert session.heavy_trace[-1] == expected
+        assert len(session.heavy_trace) == session.m
+
+    def test_seeded_sessions(self):
+        rng = random.Random(4242)
+        for _ in range(8):
+            session = AdversarySession(P60)
+            for _ in range(30):
+                random_queries(session, 1, rng)
+                self.assert_heavy_matches(session)
+
+    def test_ulp_boundary_cuts(self):
+        # the drive of TestInvariants.test_ulp_boundary_cut_masses
+        rng = random.Random(8)
+        for _ in range(25):
+            session = AdversarySession(P60)
+            x = Fraction(rng.randrange(1, 3**10), 3**10)
+            mass = session.answer_eval(0, x)
+            self.assert_heavy_matches(session)
+            for eps in (0.0, 5e-17, -5e-17, 1e-15):
+                if mass + eps >= 0:
+                    session.answer_cut(0, mass + eps)
+                    self.assert_heavy_matches(session)
+
+    def test_depth_200_session(self):
+        session = AdversarySession(TreeParams.from_depth(200))
+        rng = random.Random(12)
+        grid = 3**12
+        for _ in range(15):
+            if rng.random() < 0.5:
+                a, b = sorted(Fraction(rng.randrange(0, grid + 1), grid) for _ in range(2))
+                session.answer_eval(a, b)
+            else:
+                session.answer_cut(Fraction(rng.randrange(0, grid + 1), grid), rng.random())
+            self.assert_heavy_matches(session)
+
+    def test_critical_nodes_past_threshold(self):
+        params = TreeParams.from_depth(11)
+        rng = random.Random(77)
+        session = AdversarySession(params)
+        for _ in range(40):
+            random_queries(session, 1, rng)
+            self.assert_heavy_matches(session)
+        expected = oracles.revealed_critical_nodes(session.revealed, params)
+        assert expected, "the drive should reach critical nodes"
+        found = session.revealed_critical_nodes()
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+
 def iter_path_digits(t, depth):
     from fairslice.valuetree import leaf_digits
 
@@ -177,6 +237,17 @@ class TestCompletions:
         for seed in range(20):
             completion = session.complete_labeling(seed=seed)
             assert replay_transcript(session.log, completion)
+
+    def test_completions_replay_answers_exactly(self):
+        # sessions, completions and hashed trees share one walk, so on the
+        # revealed labels a completion gives the session's floats bit for bit
+        for depth, seed in ((11, 1), (60, 2), (200, 3)):
+            rng = random.Random(seed)
+            session = AdversarySession(TreeParams.from_depth(depth))
+            random_queries(session, 20, rng)
+            for completion_seed in range(3):
+                completion = session.complete_labeling(seed=completion_seed)
+                assert replay_transcript(session.log, completion, tol=0.0)
 
     def test_snapshot_isolated_from_later_queries(self):
         rng = random.Random(23)
