@@ -7,12 +7,15 @@ description, ``bisect_cut`` inverts it by bisection,
 ``max_revealed_heavy`` / ``revealed_critical_nodes`` recount an adversary
 session's revealed labels by full traversal.  Slow and approximate by
 design; exact expected values asserted in tests were first cross-checked
-against these.
+against these.  ``scan_eval`` and ``scan_cut`` are the exception: exact
+segment-by-segment scans of a step valuation, kept as the reference its
+table lookups must match answer for answer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -24,18 +27,65 @@ def grid_integral(segments, x, y, steps=200_000):
     x, y = float(x), float(y)
     if y <= x:
         return 0.0
+    segments = [(float(left), float(right), float(density)) for left, right, density in segments]
     width = (y - x) / steps
     total = 0.0
     for k in range(steps):
         t = x + (k + 0.5) * width
         for left, right, density in segments:
-            if float(left) <= t < float(right):
-                total += float(density) * width
+            if left <= t < right:
+                total += density * width
                 break
         else:
-            if t >= float(segments[-1][1]):  # t == 1 edge
-                total += float(segments[-1][2]) * width
+            if t >= segments[-1][1]:  # t == 1 edge
+                total += segments[-1][2] * width
     return total
+
+
+def scan_eval(valuation, x, y):
+    """Exact value of [x, y] under a step valuation, summed one segment
+    at a time from the segment holding x."""
+    bps, dens = valuation.breakpoints, valuation.densities
+    x, y = Fraction(x), Fraction(y)
+    if x == y:
+        return Fraction(0)
+    i = min(bisect_right(bps, x) - 1, len(dens) - 1)
+    total = Fraction(0)
+    while i < len(dens) and bps[i] < y:
+        lo = max(bps[i], x)
+        hi = min(bps[i + 1], y)
+        if hi > lo:
+            total += dens[i] * (hi - lo)
+        i += 1
+    return total
+
+
+def scan_cut(valuation, x, r):
+    """Smallest y with scan_eval(valuation, x, y) == r, or None, by a scan
+    that accumulates segment masses from the segment holding x."""
+    bps, dens = valuation.breakpoints, valuation.densities
+    x, r = Fraction(x), Fraction(r)
+    acc = Fraction(0)
+    # Zero-density runs advance position without advancing mass; the
+    # smallest answer sits at the start of such a run.
+    earliest = x
+    i = min(bisect_right(bps, x) - 1, len(dens) - 1)
+    while i < len(dens):
+        lo = max(bps[i], x)
+        hi = bps[i + 1]
+        density = dens[i]
+        if density > 0 and hi > lo:
+            if acc == r:
+                return earliest
+            gain = density * (hi - lo)
+            if acc + gain >= r:
+                return lo + (r - acc) / density
+            acc += gain
+            earliest = hi
+        i += 1
+    if acc == r:
+        return earliest
+    return None
 
 
 def bisect_cut(segments, x, r, tol=1e-12):

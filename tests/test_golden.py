@@ -1,10 +1,11 @@
-"""Bit-for-bit golden digests of tree answers, adversary transcripts and
-game reports.
+"""Bit-for-bit golden digests of tree answers, adversary transcripts, game
+reports, step-valuation answers, division reports and reduction reports.
 
 The replay checks elsewhere allow 1e-9; these pin the exact float answers
 (via ``repr``), every reveal and its order, and every report byte, so a
-refactor of the tree walks can show it changed nothing.  Each digest is the
-sha256 of the newline-joined lines a helper below produces.
+refactor of the tree walks or the step queries can show it changed nothing.
+Each digest is the sha256 of the newline-joined lines a helper below
+produces.
 """
 
 import hashlib
@@ -15,6 +16,10 @@ from fractions import Fraction
 import pytest
 
 from fairslice.adversary import STRATEGIES, AdversarySession, run_heavy_piece_game
+from fairslice.dual import reduction_pipeline
+from fairslice.protocols import check_proportional, even_paz
+from fairslice.referee import QueryReferee
+from fairslice.valuation import DensityBounds, PiecewiseConstantValuation, random_dense_valuation
 from fairslice.valuetree import BalancedValueTree, TreeParams, digits_of_index
 
 
@@ -142,3 +147,110 @@ COMPLETION_DIGESTS = {
 def test_completed_tree_answers(depth):
     completion, rng = completion_for(depth, seed=depth + 1)
     assert digest(answer_lines(completion, rng, 60)) == COMPLETION_DIGESTS[depth]
+
+
+def dense_valuations(n: int, segments: int, bounds: DensityBounds, seed: int):
+    rng = random.Random(seed)
+    return [random_dense_valuation(segments, bounds, seed=rng.randrange(2**63)) for _ in range(n)]
+
+
+def divide_lines(n: int, seed: int) -> list[str]:
+    """Even-Paz cake and chore: allocation, proportionality report, counts
+    and the referee log of each run."""
+    valuations = dense_valuations(n, 6, DensityBounds(Fraction(1, 2), Fraction(2)), seed)
+    lines = []
+    for mode in ("cake", "chore"):
+        referee = QueryReferee(valuations)
+        allocation = even_paz(referee, mode)
+        report = check_proportional(allocation, valuations, mode)
+        payload = {
+            "allocation": allocation.to_json(),
+            "proportionality": report.to_json(),
+            "per_player": referee.counts,
+        }
+        lines.append(json.dumps(payload, sort_keys=True))
+        lines.extend(referee.log_lines())
+    return lines
+
+
+def reduction_lines(seed: int) -> list[str]:
+    """reduction_pipeline at n=27 on 64-segment (0,2)-dense steps: the
+    report, then the dual referee's log, then the base referee's log."""
+    valuations = dense_valuations(27, 64, DensityBounds(Fraction(0), Fraction(2)), seed)
+    referees = []
+
+    def protocol(referee, mode):
+        referees.append(referee)
+        return even_paz(referee, mode)
+
+    report = reduction_pipeline(valuations, protocol)
+    dual_referee = referees[0]
+    base_referee = dual_referee.valuation(0).base._referee
+    return [json.dumps(report.to_json(), sort_keys=True), *dual_referee.log_lines(), *base_referee.log_lines()]
+
+
+def random_step(rng: random.Random) -> PiecewiseConstantValuation:
+    """A normalized step valuation of 1..12 segments whose breakpoints have
+    mixed denominators and whose densities include zeros."""
+    den = rng.choice((2, 7, 64, 3**5, 10**6 + 3))
+    k = rng.randint(1, min(12, den))
+    interior = sorted(Fraction(i, den) for i in rng.sample(range(1, den), k - 1))
+    bps = [Fraction(0), *interior, Fraction(1)]
+    weights = [Fraction(rng.choice((0, 0, 1, 2, 5, 13)), rng.choice((1, 3, 11))) for _ in range(k)]
+    if not any(weights):
+        weights[rng.randrange(k)] = Fraction(1)
+    total = sum(w * (b - a) for a, b, w in zip(bps, bps[1:], weights))
+    return PiecewiseConstantValuation(bps, [w / total for w in weights])
+
+
+def step_point(rng: random.Random, v: PiecewiseConstantValuation) -> Fraction:
+    roll = rng.random()
+    if roll < 0.15:
+        return Fraction(rng.choice((0, 1)))
+    if roll < 0.45:
+        return rng.choice(v.breakpoints)
+    if roll < 0.75:
+        return Fraction(rng.randrange(0, 3**20 + 1), 3**20)
+    return Fraction(rng.randrange(0, 1000 + 1), 1000)
+
+
+def step_answer_lines(seed: int, count: int) -> list[str]:
+    """repr of eval and cut answers: zero cuts, cuts of the exact remaining
+    mass and cuts just past it included."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        v = random_step(rng)
+        for _ in range(8):
+            a, b = sorted(step_point(rng, v) for _ in range(2))
+            lines.append(repr(v.eval(a, b)))
+            x = step_point(rng, v)
+            rest = v.eval(x, 1)
+            r = rng.choice((Fraction(0), rest, rest + Fraction(1, 3**20), rest * Fraction(rng.randrange(101), 100)))
+            lines.append(f"{v.cut(x, r)!r} {v.cut(x, rng.random())!r}")
+    return lines
+
+
+DIVIDE_DIGESTS = {
+    27: "234abac1325e5e81abaeac0fa89750e5e6dc8019b06cd00a5792d073d75bd29a",
+    243: "5d0b39ae2552655681ca400c92e00070e4af5cce3f6f8239182420972f30a2e0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIVIDE_DIGESTS))
+def test_even_paz_step_reports(n):
+    assert digest(divide_lines(n, seed=n)) == DIVIDE_DIGESTS[n]
+
+
+REDUCTION_DIGEST = "cc7e07604d90bd0fa5cc8a58393f85595b65849c2e66810c6f349a19117f5290"
+
+
+def test_reduction_report_and_logs():
+    assert digest(reduction_lines(seed=64)) == REDUCTION_DIGEST
+
+
+STEP_ANSWER_DIGEST = "412f0b18fbde6d90fc300c24d2876d762ac090e447836e8608e5843779c23bd7"
+
+
+def test_step_answers():
+    assert digest(step_answer_lines(seed=5, count=60)) == STEP_ANSWER_DIGEST
