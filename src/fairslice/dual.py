@@ -219,12 +219,22 @@ def reduction_pipeline(
     base_protocol = base_referee.total
 
     # The reduction guarantee rests on the protocol's proportionality;
-    # verify it exactly (against the closed-form duals, off the meter)
-    # rather than returning vacuous certificates.
+    # verify it exactly, off the meter, rather than returning vacuous
+    # certificates.  The closed-form dual's value of [a, b] is
+    # F^-1(b) - F^-1(a) for the base prefix mass F(t) = v(0, t), read from
+    # v's own tables; the overridable v.cut is not consulted.
     verify_partition(allocation)
     chore_bound = Fraction(1, n)
     for i, piece in enumerate(allocation.pieces):
-        cost = dual_pwc_closed_form(valuations[i]).value_of_piece(piece)
+        inverse = valuations[i]._inverse
+        cost = sum(
+            (
+                inverse(iv.right.numerator, iv.right.denominator)
+                - inverse(iv.left.numerator, iv.left.denominator)
+                for iv in piece.intervals
+            ),
+            ZERO,
+        )
         if cost > chore_bound:
             raise ProtocolViolation(
                 f"player {i}: chore cost {cost} exceeds 1/{n}; "

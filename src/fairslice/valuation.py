@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .geometry import ONE, ZERO, Piece, ScalarLike, as_scalar, scalar_str
@@ -98,9 +101,17 @@ class PiecewiseConstantValuation(Valuation):
     ``breakpoints`` runs ``0 = b_0 < b_1 < ... < b_k = 1`` and segment ``i``
     carries constant density ``densities[i-1]``.  The densities must
     integrate to exactly 1; this is checked at construction.
+
+    The check leaves two integer tables behind, and every query is answered
+    from them: ``_bkey[i] = b_i * G`` over the common denominator ``G`` of
+    the breakpoints, and ``_ckey[i] = eval(0, b_i) * L`` over the common
+    denominator ``L`` of the segment masses (``_ckey[-1] == L`` is the mass
+    check).  The prefix mass ``F(t) = eval(0, t)`` is linear between table
+    entries, so ``eval`` and ``cut`` each take one ``bisect`` and build one
+    ``Fraction``, with no loop over segments.
     """
 
-    __slots__ = ("breakpoints", "densities")
+    __slots__ = ("breakpoints", "densities", "_bkey", "_ckey", "_positive")
 
     def __init__(self, breakpoints: Sequence[ScalarLike], densities: Sequence[ScalarLike]):
         bps = tuple(as_scalar(b) for b in breakpoints)
@@ -109,15 +120,23 @@ class PiecewiseConstantValuation(Valuation):
             raise ValueError("need exactly one more breakpoint than densities")
         if bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        common = lcm(*(b.denominator for b in bps))
+        bkey = tuple(b.numerator * (common // b.denominator) for b in bps)
+        if any(a >= b for a, b in zip(bkey, bkey[1:])):
             raise ValueError("breakpoints must be strictly ascending")
-        if any(d < 0 for d in dens):
+        lowest = min(dens)
+        if lowest < 0:
             raise ValueError("densities must be non-negative")
-        mass = sum((d * (b - a) for a, b, d in zip(bps, bps[1:], dens)), ZERO)
-        if mass != ONE:
-            raise ValueError(f"total mass must be exactly 1, got {mass}")
+        masses = [d * (b - a) for a, b, d in zip(bps, bps[1:], dens)]
+        common = lcm(*(m.denominator for m in masses))
+        ckey = (0, *accumulate(m.numerator * (common // m.denominator) for m in masses))
+        if ckey[-1] != common:
+            raise ValueError(f"total mass must be exactly 1, got {Fraction(ckey[-1], common)}")
         self.breakpoints = bps
         self.densities = dens
+        self._bkey = bkey
+        self._ckey = ckey
+        self._positive = lowest > 0
 
     @classmethod
     def from_segments(cls, segments: Iterable[tuple[ScalarLike, ScalarLike]]) -> "PiecewiseConstantValuation":
@@ -134,29 +153,42 @@ class PiecewiseConstantValuation(Valuation):
 
     @property
     def is_positive(self) -> bool:
-        return all(d > 0 for d in self.densities)
+        return self._positive
 
     def segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """(left, right, density) triples."""
         return list(zip(self.breakpoints, self.breakpoints[1:], self.densities))
 
+    def _prefix(self, t: Fraction) -> tuple[int, int]:
+        """``eval(0, t)`` as an unreduced (numerator, denominator) pair."""
+        p, q = t.numerator, t.denominator
+        bkey, ckey = self._bkey, self._ckey
+        # Segment i holds t: bkey[i] <= t * G < bkey[i + 1], or the last one.
+        i = bisect_right(bkey, p * bkey[-1] // q, 0, len(bkey) - 1) - 1
+        left, width = bkey[i], bkey[i + 1] - bkey[i]
+        mass = ckey[i + 1] - ckey[i]
+        return ckey[i] * width * q + mass * (p * bkey[-1] - left * q), ckey[-1] * width * q
+
+    def _inverse(self, num: int, den: int) -> Optional[Fraction]:
+        """Smallest t with ``eval(0, t) == num/den``, or None past the total
+        mass; needs ``num/den > 0``, or a first segment of positive mass."""
+        bkey, ckey = self._bkey, self._ckey
+        # The first breakpoint k whose prefix mass reaches the target ends
+        # segment k - 1, which has positive mass and holds the answer.
+        k = bisect_left(ckey, -(-num * ckey[-1] // den), 1)
+        if k == len(ckey):
+            return None
+        left, width = bkey[k - 1], bkey[k] - bkey[k - 1]
+        mass = ckey[k] - ckey[k - 1]
+        return Fraction(left * mass * den + width * (num * ckey[-1] - ckey[k - 1] * den), bkey[-1] * mass * den)
+
     def eval(self, x: ScalarLike, y: ScalarLike) -> Fraction:
         x, y = as_scalar(x), as_scalar(y)
         if not (ZERO <= x <= y <= ONE):
             raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
-        if x == y:
-            return ZERO
-        # First segment whose interior can intersect [x, y].
-        i = bisect_right(self.breakpoints, x) - 1
-        i = min(i, len(self.densities) - 1)
-        total = ZERO
-        while i < len(self.densities) and self.breakpoints[i] < y:
-            lo = max(self.breakpoints[i], x)
-            hi = min(self.breakpoints[i + 1], y)
-            if hi > lo:
-                total += self.densities[i] * (hi - lo)
-            i += 1
-        return total
+        xn, xd = self._prefix(x)
+        yn, yd = self._prefix(y)
+        return Fraction(yn * xd - xn * yd, yd * xd)
 
     def cut(self, x: ScalarLike, r: Real) -> Optional[Fraction]:
         x = as_scalar(x)
@@ -165,29 +197,11 @@ class PiecewiseConstantValuation(Valuation):
             raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
         if r < 0:
             raise ValueError(f"cut needs r >= 0, got {r}")
-        acc = ZERO
-        # Earliest position achieving the accumulated mass `acc`; zero-density
-        # runs advance position without advancing mass, and the smallest
-        # valid answer sits at the start of such a run.
-        earliest = x
-        i = bisect_right(self.breakpoints, x) - 1
-        i = min(i, len(self.densities) - 1)
-        while i < len(self.densities):
-            lo = max(self.breakpoints[i], x)
-            hi = self.breakpoints[i + 1]
-            density = self.densities[i]
-            if density > 0 and hi > lo:
-                if acc == r:
-                    return earliest
-                gain = density * (hi - lo)
-                if acc + gain >= r:
-                    return lo + (r - acc) / density
-                acc += gain
-                earliest = hi
-            i += 1
-        if acc == r:
-            return earliest
-        return None
+        if r == 0:
+            # x itself, even where a zero-density run ends at x.
+            return x
+        xn, xd = self._prefix(x)
+        return self._inverse(xn * r.denominator + r.numerator * xd, xd * r.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseConstantValuation):
@@ -241,6 +255,13 @@ def verify_dense(valuation: PiecewiseConstantValuation, bounds: DensityBounds) -
     return all(bounds.admits(d) for d in valuation.densities)
 
 
+@lru_cache(maxsize=8)
+def _grid_points(grid: int) -> tuple[Fraction, ...]:
+    """``Fraction(k, grid)`` for k = 0..grid, shared by every valuation drawn
+    on that grid rather than rebuilt for each one."""
+    return tuple(Fraction(k, grid) for k in range(grid + 1))
+
+
 def random_dense_valuation(
     n_segments: int,
     bounds: DensityBounds,
@@ -259,13 +280,14 @@ def random_dense_valuation(
         raise ValueError("need at least one segment")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
+    points = _grid_points(grid)
     low = 0 if (not positive and bounds.alpha == 0) else 60
     for _ in range(_max_attempts):
         if n_segments == 1:
             bps = (ZERO, ONE)
         else:
             interior = sorted(rng.sample(range(1, grid), n_segments - 1))
-            bps = (ZERO, *(Fraction(k, grid) for k in interior), ONE)
+            bps = (ZERO, *(points[k] for k in interior), ONE)
         raw = [Fraction(rng.randint(low, 140)) for _ in range(n_segments)]
         total = sum(r * (b - a) for a, b, r in zip(bps, bps[1:], raw))
         if total == 0:
