@@ -227,14 +227,9 @@ def reduction_pipeline(
     chore_bound = Fraction(1, n)
     for i, piece in enumerate(allocation.pieces):
         inverse = valuations[i]._inverse
-        cost = sum(
-            (
-                inverse(iv.right.numerator, iv.right.denominator)
-                - inverse(iv.left.numerator, iv.left.denominator)
-                for iv in piece.intervals
-            ),
-            ZERO,
-        )
+        cost = ZERO
+        for iv in piece.intervals:
+            cost += inverse(iv.right.numerator, iv.right.denominator) - inverse(iv.left.numerator, iv.left.denominator)
         if cost > chore_bound:
             raise ProtocolViolation(
                 f"player {i}: chore cost {cost} exceeds 1/{n}; "

@@ -120,18 +120,18 @@ class PiecewiseConstantValuation(Valuation):
             raise ValueError("need exactly one more breakpoint than densities")
         if bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        common = lcm(*(b.denominator for b in bps))
-        bkey = tuple(b.numerator * (common // b.denominator) for b in bps)
+        bden = lcm(*(b.denominator for b in bps))
+        bkey = tuple(b.numerator * (bden // b.denominator) for b in bps)
         if any(a >= b for a, b in zip(bkey, bkey[1:])):
             raise ValueError("breakpoints must be strictly ascending")
         lowest = min(dens)
         if lowest < 0:
             raise ValueError("densities must be non-negative")
         masses = [d * (b - a) for a, b, d in zip(bps, bps[1:], dens)]
-        common = lcm(*(m.denominator for m in masses))
-        ckey = (0, *accumulate(m.numerator * (common // m.denominator) for m in masses))
-        if ckey[-1] != common:
-            raise ValueError(f"total mass must be exactly 1, got {Fraction(ckey[-1], common)}")
+        mden = lcm(*(m.denominator for m in masses))
+        ckey = (0, *accumulate(m.numerator * (mden // m.denominator) for m in masses))
+        if ckey[-1] != mden:
+            raise ValueError(f"total mass must be exactly 1, got {Fraction(ckey[-1], mden)}")
         self.breakpoints = bps
         self.densities = dens
         self._bkey = bkey
@@ -198,7 +198,8 @@ class PiecewiseConstantValuation(Valuation):
         if r < 0:
             raise ValueError(f"cut needs r >= 0, got {r}")
         if r == 0:
-            # x itself, even where a zero-density run ends at x.
+            # x itself: the smallest t with eval(0, t) == eval(0, x) lies
+            # before x when a zero-density run ends at x.
             return x
         xn, xd = self._prefix(x)
         return self._inverse(xn * r.denominator + r.numerator * xd, xd * r.denominator)

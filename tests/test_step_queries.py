@@ -66,7 +66,7 @@ def masses(rest):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_answers_equal_scans(data):
     v = data.draw(step_valuations())
