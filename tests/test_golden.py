@@ -1,5 +1,6 @@
 """Bit-for-bit golden digests of tree answers, adversary transcripts, game
-reports, step-valuation answers, division reports and reduction reports.
+reports, step-valuation answers, division reports and reduction reports,
+plus whole-tree enumeration and leaf-profile tables.
 
 The replay checks elsewhere allow 1e-9; these pin the exact float answers
 (via ``repr``), every reveal and its order, and every report byte, so a
@@ -20,7 +21,7 @@ from fairslice.dual import reduction_pipeline
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee
 from fairslice.valuation import DensityBounds, PiecewiseConstantValuation, random_dense_valuation
-from fairslice.valuetree import BalancedValueTree, TreeParams, digits_of_index
+from fairslice.valuetree import BalancedValueTree, TreeParams, digits_of_index, leaf_profiles
 
 
 def digest(lines) -> str:
@@ -254,3 +255,62 @@ STEP_ANSWER_DIGEST = "412f0b18fbde6d90fc300c24d2876d762ac090e447836e8608e5843779
 
 def test_step_answers():
     assert digest(step_answer_lines(seed=5, count=60)) == STEP_ANSWER_DIGEST
+
+
+def tree_divide_lines(depth: int, seeds) -> list[str]:
+    """Even-Paz cake on hashed trees, each read back by its own
+    ``from_json`` (equal but distinct params): the report the CLI prints
+    and the referee log, for the given player order and its reverse."""
+    lines = []
+    for order in (list(seeds), list(reversed(seeds))):
+        trees = [BalancedValueTree.from_json({"type": "balanced_value_tree", "k": depth, "seed": s}) for s in order]
+        referee = QueryReferee(trees)
+        allocation = even_paz(referee, "cake")
+        report = check_proportional(allocation, trees, "cake", tol=1e-9)
+        payload = {
+            "allocation": allocation.to_json(),
+            "proportionality": report.to_json(),
+            "per_player": referee.counts,
+        }
+        lines.append(json.dumps(payload, sort_keys=True))
+        lines.extend(referee.log_lines())
+    return lines
+
+
+TREE_DIVIDE_DIGEST = "7e129acd7f346c37f8a3c2b920917b9113733d5de26ed7dd4bf70ffad9c42d9b"
+
+
+def test_tree_even_paz_reports():
+    assert digest(tree_divide_lines(60, seeds=[7 + 31 * i for i in range(9)])) == TREE_DIVIDE_DIGEST
+
+
+def iter_nodes_lines(tree) -> list[str]:
+    return [
+        f"{v.depth} {v.h} {v.q} {v.z} {v.critical} {v.value!r} {v.label_kinds}"
+        for v in tree.iter_nodes()
+    ]
+
+
+ITER_NODES_DIGEST = "6cb75e79881118e5a4bd96588e9760b48e09034910469f0c4dd9d49ac8a3824a"
+
+
+def test_iter_nodes_stream():
+    tree = BalancedValueTree(TreeParams.from_depth(11), seed=11)
+    assert digest(iter_nodes_lines(tree)) == ITER_NODES_DIGEST
+
+
+def test_max_leaf_density():
+    tree = BalancedValueTree(TreeParams.from_depth(11), seed=11)
+    assert repr(tree.max_leaf_density()) == "1.9903032297681105"
+
+
+LEAF_PROFILE_DIGESTS = {
+    11: "5dccd5adbe616fd040190800c0de66c4770258b98ddff21cf9f861702fc1003c",
+    60: "afeae1c27e4b9eb9541a13691818d2594e6f6efa3f340035d8260ab737890a22",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(LEAF_PROFILE_DIGESTS))
+def test_leaf_profiles(depth):
+    lines = [f"{p.h} {p.q} {p.z} {p.classification}" for p in leaf_profiles(TreeParams.from_depth(depth))]
+    assert digest(lines) == LEAF_PROFILE_DIGESTS[depth]
