@@ -22,6 +22,12 @@ a descent to a target prefix mass.  Hashed trees, completions and the
 adversary session differ only in their label source, so on shared labels
 they give the same floats by construction.
 
+Everything the walks need that depends only on the tree's size exists once
+per size: the label values and log constants are cached on
+:class:`TreeParams`, and one criticality table per params value is shared
+by every hashed tree, completion and session of that size.  A hashed tree
+builds its keyed blake2b state once and copies it for each node label.
+
 Values here are irrational, so node arithmetic runs in floats with
 comparisons done in log space; any classification within 1e-9 of a
 threshold raises :class:`NumericalAmbiguity` instead of guessing.  At the
@@ -34,6 +40,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from hashlib import blake2b
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -69,7 +76,11 @@ LOW_HEAVY_DENSITY_LIMIT = 2.0 ** (1.5 - 3.0 / LN3)
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Size-derived constants of a balanced value tree."""
+    """Size-derived constants of a balanced value tree.
+
+    The label values and log constants are computed on first use and kept
+    on the instance; equality and hashing see only the four fields.
+    """
 
     n: int
     depth: int
@@ -101,13 +112,18 @@ class TreeParams:
             raise ValueError(f"leaf count {n} is not a power of 3")
         return cls.from_depth(depth, permissive)
 
-    @property
+    @cached_property
     def heavy_label(self) -> float:
         return self.beta / 3.0
 
-    @property
+    @cached_property
     def light_label(self) -> float:
         return 0.5 - self.beta / 6.0
+
+    @cached_property
+    def label_values(self) -> dict[str, float]:
+        """Edge-label value of each label kind, read by the tree walks."""
+        return {HEAVY: self.heavy_label, LIGHT: self.light_label, THIRD: 1.0 / 3.0}
 
     @property
     def heavy_density(self) -> float:
@@ -119,17 +135,23 @@ class TreeParams:
         """Density multiplier of a light edge: 3/2 - beta/2."""
         return 1.5 - self.beta / 2.0
 
-    @property
+    @cached_property
     def ln_beta(self) -> float:
         return 6.0 * LN2 / (self.depth * LN3)
 
-    @property
+    @cached_property
     def ln_light_density(self) -> float:
         # light_density = 1 - (beta - 1)/2 with beta = exp(ln_beta)
         return math.log1p(-math.expm1(self.ln_beta) / 2.0)
 
     def leaf_width(self) -> Fraction:
         return Fraction(1, self.n)
+
+
+#: criticality verdicts by (h, q), one table per tree size.  Keyed by the
+#: params value, so trees read back separately (each with its own equal
+#: params) still share a table.  Ambiguous verdicts are never stored.
+_CRITICAL_TABLES: dict[TreeParams, dict[tuple[int, int], bool]] = {}
 
 
 def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
@@ -258,7 +280,7 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def __init__(self, params: TreeParams):
         self.params = params
-        self._crit_cache: dict[tuple[int, int], bool] = {}
+        self._crit_cache = _CRITICAL_TABLES.setdefault(params, {})
 
     # -- labeling ----------------------------------------------------------
 
@@ -269,11 +291,7 @@ class TernaryTreeValuation(Valuation, ABC):
         """Edge-label kinds (HEAVY/LIGHT/THIRD) of a node's three children."""
 
     def label_value(self, kind: str) -> float:
-        if kind == HEAVY:
-            return self.params.heavy_label
-        if kind == LIGHT:
-            return self.params.light_label
-        return 1.0 / 3.0
+        return self.params.label_values.get(kind, 1.0 / 3.0)
 
     # -- log-space classification -------------------------------------------
 
@@ -312,18 +330,23 @@ class TernaryTreeValuation(Valuation, ABC):
         The prefix mass is the value of everything left of the node.
         ``visit(path, critical, kinds)``, when given, sees every node passed.
         """
+        label_of = self.params.label_values
+        table = self._crit_cache
         mass = 0.0
         value = 1.0
         h = q = z = 0
         critical = False
         for i, c in enumerate(digits):
-            critical = critical or self.critical_counts(h, q)
+            if not critical:
+                critical = table.get((h, q))
+                if critical is None:
+                    critical = self.critical_counts(h, q)
             path = digits[:i]
             kinds = self._path_labels(path, h, q, critical, c)
             if visit is not None:
                 visit(path, critical, kinds)
             for j in range(c):
-                mass += value * self.label_value(kinds[j])
+                mass += value * label_of[kinds[j]]
             kind = kinds[c]
             if kind == HEAVY:
                 h += 1
@@ -331,7 +354,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 q += 1
             else:
                 z += 1
-            value *= self.label_value(kind)
+            value *= label_of[kind]
         critical = critical or self.critical_counts(h, q)
         return mass, h, q, z, critical, value
 
@@ -343,17 +366,22 @@ class TernaryTreeValuation(Valuation, ABC):
         labeling that decides a node from (value, remaining) by the same
         test routes the descent exactly where it intends.
         """
+        label_of = self.params.label_values
+        table = self._crit_cache
         remaining = target
         value = 1.0
         h = q = 0
         critical = False
         digits: list[int] = []
         for _ in range(self.params.depth):
-            critical = critical or self.critical_counts(h, q)
+            if not critical:
+                critical = table.get((h, q))
+                if critical is None:
+                    critical = self.critical_counts(h, q)
             kinds = self._descent_labels(tuple(digits), h, q, critical, value, remaining)
             chosen = 2
             for c in (0, 1):
-                child_mass = value * self.label_value(kinds[c])
+                child_mass = value * label_of[kinds[c]]
                 if child_mass >= remaining:
                     chosen = c
                     break
@@ -363,7 +391,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 h += 1
             elif kind == LIGHT:
                 q += 1
-            value *= self.label_value(kind)
+            value *= label_of[kind]
             digits.append(chosen)
         within = remaining / value if value > 0 else 0.0
         within = min(max(within, 0.0), 1.0)
@@ -446,12 +474,17 @@ class TernaryTreeValuation(Valuation, ABC):
                 f"use lazy node queries at depth {self.params.depth}"
             )
         depth_max = self.params.depth
+        label_of = self.params.label_values
+        table = self._crit_cache
         stack: list[tuple[tuple[int, ...], int, int, int, int, bool, float]] = [
             ((), 0, 0, 0, 0, False, 1.0)
         ]
         while stack:
-            path, depth, h, q, z, sticky, value = stack.pop()
-            critical = sticky or self.critical_counts(h, q)
+            path, depth, h, q, z, critical, value = stack.pop()
+            if not critical:
+                critical = table.get((h, q))
+                if critical is None:
+                    critical = self.critical_counts(h, q)
             if depth == depth_max:
                 yield NodeVisit(depth, h, q, z, critical, value, None)
                 continue
@@ -467,7 +500,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 else:
                     nz += 1
                 stack.append(
-                    (path + (c,), depth + 1, nh, nq, nz, critical, value * self.label_value(kind))
+                    (path + (c,), depth + 1, nh, nq, nz, critical, value * label_of[kind])
                 )
 
     def max_leaf_density(self) -> float:
@@ -513,21 +546,22 @@ class BalancedValueTree(TernaryTreeValuation):
     """Fully labeled tree: heavy-edge placement is a keyed hash of the node
     path, so trees are reproducible from (depth, seed) without storing any
     per-node state.
+
+    The keyed hash state is built once; each node label copies it and feeds
+    it the path, which gives the digest of a fresh keyed hash bit for bit.
     """
 
     def __init__(self, params: TreeParams, seed: int):
         super().__init__(params)
         self.seed = seed
-        self._seed_key = (seed & (2**64 - 1)).to_bytes(8, "little")
-
-    def _heavy_position(self, path: tuple[int, ...]) -> int:
-        digest = blake2b(bytes(path), key=self._seed_key, digest_size=8).digest()
-        return int.from_bytes(digest, "big") % 3
+        self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)
 
     def labels_for(self, path, h, q, critical):
         if critical:
             return (THIRD, THIRD, THIRD)
-        return _HEAVY_AT[self._heavy_position(path)]
+        state = self._keyed.copy()
+        state.update(bytes(path))
+        return _HEAVY_AT[int.from_bytes(state.digest(), "big") % 3]
 
     def to_json(self) -> dict:
         return {

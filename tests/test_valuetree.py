@@ -165,6 +165,29 @@ class TestCriticality:
             finally:
                 tree.critical_margin = original
 
+    def test_trees_of_one_size_share_one_table(self):
+        spec = {"type": "balanced_value_tree", "k": 11}
+        a = BalancedValueTree.from_json({**spec, "seed": 1})
+        b = BalancedValueTree.from_json({**spec, "seed": 2})
+        assert a.params is not b.params and a.params == b.params
+        assert a._crit_cache is b._crit_cache
+        a.eval(Fraction(1, 7), Fraction(5, 7))
+        assert b._crit_cache and b._crit_cache is a._crit_cache
+        assert build_tree(TreeParams.from_depth(12), seed=1)._crit_cache is not a._crit_cache
+
+    def test_ambiguous_verdict_raises_on_every_call(self):
+        params = TreeParams.from_depth(7, permissive=True)
+        tree, other = build_tree(params, seed=0), build_tree(params, seed=1)
+        tree.critical_margin = lambda h, q: 1e-12
+        # (50, 50) lies beyond every node of a depth-7 tree, so no walk
+        # has stored a verdict for it
+        for _ in range(2):
+            with pytest.raises(NumericalAmbiguity):
+                tree.critical_counts(50, 50)
+        assert (50, 50) not in other._crit_cache
+        assert other.critical_counts(50, 50) == (other.critical_margin(50, 50) > 0)
+        assert tree.critical_counts(50, 50) == other.critical_counts(50, 50)
+
 
 def _hq(tree, path):
     profile = tree.node_profile(path)
