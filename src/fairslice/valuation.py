@@ -272,10 +272,12 @@ def random_dense_valuation(
 ) -> PiecewiseConstantValuation:
     """Seeded generator of normalized step valuations inside a density band.
 
-    Draws random rational densities on a random breakpoint grid, rescales
+    Draws random integer densities on a random breakpoint grid, rescales
     exactly to total mass 1, and rejects draws that leave the band, so the
     result passes :func:`verify_dense` by construction.  Deterministic in
-    ``seed``.
+    ``seed``.  Breakpoint ``k / grid`` keeps its grid index ``k``, so the
+    total and the band test run in integers and only the answer is built
+    from ``Fraction``s.
     """
     if n_segments < 1:
         raise ValueError("need at least one segment")
@@ -283,21 +285,26 @@ def random_dense_valuation(
     grid = max(8 * n_segments, 16)
     points = _grid_points(grid)
     low = 0 if (not positive and bounds.alpha == 0) else 60
+    alpha, beta = bounds.alpha, bounds.beta
     for _ in range(_max_attempts):
         if n_segments == 1:
-            bps = (ZERO, ONE)
+            ks = (0, grid)
         else:
-            interior = sorted(rng.sample(range(1, grid), n_segments - 1))
-            bps = (ZERO, *(points[k] for k in interior), ONE)
-        raw = [Fraction(rng.randint(low, 140)) for _ in range(n_segments)]
-        total = sum(r * (b - a) for a, b, r in zip(bps, bps[1:], raw))
+            ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
+        raw = [rng.randint(low, 140) for _ in range(n_segments)]
+        # density i is raw[i] * grid / total: total * grid is the raw mass
+        total = sum(r * (b - a) for a, b, r in zip(ks, ks[1:], raw))
         if total == 0:
             continue
-        dens = [r / total for r in raw]
-        if positive and any(d == 0 for d in dens):
+        if positive and 0 in raw:
             continue
-        if all(bounds.admits(d) for d in dens):
-            return PiecewiseConstantValuation(bps, dens)
+        if min(raw) * grid * alpha.denominator < alpha.numerator * total:
+            continue
+        if beta is not None and max(raw) * grid * beta.denominator > beta.numerator * total:
+            continue
+        return PiecewiseConstantValuation(
+            [points[k] for k in ks], [Fraction(r * grid, total) for r in raw]
+        )
     raise ValueError(
         f"could not draw a valuation inside {bounds} after {_max_attempts} attempts"
     )

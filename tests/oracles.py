@@ -9,12 +9,15 @@ session's revealed labels by full traversal.  Slow and approximate by
 design; exact expected values asserted in tests were first cross-checked
 against these.  ``scan_eval`` and ``scan_cut`` are the exception: exact
 segment-by-segment scans of a step valuation, kept as the reference its
-table lookups must match answer for answer.
+table lookups must match answer for answer, and ``fraction_dense_draw`` is
+the step generator as first written in ``Fraction`` arithmetic, which the
+integer generator must match draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -86,6 +89,30 @@ def scan_cut(valuation, x, r):
     if acc == r:
         return earliest
     return None
+
+
+def fraction_dense_draw(n_segments, bounds, seed, positive=True, max_attempts=10_000):
+    """(breakpoints, densities) of ``random_dense_valuation``'s draw, with
+    the total mass, the rescaling and the band test done in ``Fraction``s."""
+    rng = random.Random(seed)
+    grid = max(8 * n_segments, 16)
+    low = 0 if (not positive and bounds.alpha == 0) else 60
+    for _ in range(max_attempts):
+        if n_segments == 1:
+            bps = (Fraction(0), Fraction(1))
+        else:
+            interior = sorted(rng.sample(range(1, grid), n_segments - 1))
+            bps = (Fraction(0), *(Fraction(k, grid) for k in interior), Fraction(1))
+        raw = [Fraction(rng.randint(low, 140)) for _ in range(n_segments)]
+        total = sum(r * (b - a) for a, b, r in zip(bps, bps[1:], raw))
+        if total == 0:
+            continue
+        dens = [r / total for r in raw]
+        if positive and any(d == 0 for d in dens):
+            continue
+        if all(bounds.admits(d) for d in dens):
+            return bps, tuple(dens)
+    raise ValueError(f"no draw inside {bounds} after {max_attempts} attempts")
 
 
 def bisect_cut(segments, x, r, tol=1e-12):

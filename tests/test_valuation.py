@@ -12,7 +12,7 @@ from fairslice.valuation import (
     verify_dense,
 )
 
-from oracles import bisect_cut, grid_integral
+from oracles import bisect_cut, fraction_dense_draw, grid_integral
 
 # The worked example used throughout: density 3/2 on [0, 1/2], 1/2 on [1/2, 1].
 STEP = PiecewiseConstantValuation.from_segments(
@@ -173,6 +173,24 @@ class TestGenerator:
                 found = True
                 break
         assert found
+
+    @pytest.mark.parametrize(
+        "segments,bounds,positive",
+        [
+            (1, DensityBounds(0, 2), True),
+            (6, DensityBounds(Fraction(1, 2), 2), True),
+            (6, DensityBounds(0, None), False),
+            (8, DensityBounds(0, 2), False),
+            (8, DensityBounds(Fraction(1, 2), None), True),
+            (64, DensityBounds(0, 2), True),
+            (64, DensityBounds(0, None), False),
+        ],
+    )
+    def test_integer_draw_matches_fraction_draw(self, segments, bounds, positive):
+        for seed in range(60 if segments < 64 else 15):
+            v = random_dense_valuation(segments, bounds, seed=seed, positive=positive)
+            bps, dens = fraction_dense_draw(segments, bounds, seed=seed, positive=positive)
+            assert v.breakpoints == bps and v.densities == dens
 
 
 class TestJson:
