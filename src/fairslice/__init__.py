@@ -26,6 +26,7 @@ from .errors import (
     PartitionViolation,
     PreconditionViolation,
     ProtocolViolation,
+    ReplayMismatch,
 )
 from .geometry import (
     Interval,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, ProtocolViolation, ReplayMismatch
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
 from .valuation import encode_real
 from .valuetree import (
@@ -351,7 +351,8 @@ class CannotRefute:
 def replay_transcript(
     session_log: Sequence[SessionRecord], completion: CompletedTree, tol: float = 1e-9
 ) -> bool:
-    """Check that a completion reproduces every logged answer within tol."""
+    """Check that a completion reproduces every logged answer within tol;
+    raises :class:`ReplayMismatch` at the first record it does not."""
     for i, rec in enumerate(session_log):
         if rec.kind == "eval":
             answer = completion.eval(*rec.args)
@@ -359,11 +360,11 @@ def replay_transcript(
             answer = completion.cut(*rec.args)
         if rec.answer is None or answer is None:
             if rec.answer is not None or answer is not None:
-                raise AssertionError(
+                raise ReplayMismatch(
                     f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replay {answer!r}"
                 )
         elif abs(answer - rec.answer) > tol:
-            raise AssertionError(
+            raise ReplayMismatch(
                 f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, "
                 f"replay {answer!r} (diff {abs(answer - rec.answer):.3e})"
             )
@@ -475,7 +476,7 @@ def run_heavy_piece_game(
     session = AdversarySession(params)
     claim = STRATEGIES[strategy](session, budget, seed)
     if session.m > budget:
-        raise RuntimeError(f"strategy {strategy} used {session.m} > {budget} queries")
+        raise ProtocolViolation(f"strategy {strategy} used {session.m} > {budget} queries")
     outcome = session.refute_claim(claim)
     return GameReport(
         depth=params.depth,

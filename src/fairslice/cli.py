@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .adversary import STRATEGIES, AdversarySession, run_heavy_piece_game
 from .dual import reduction_pipeline
-from .errors import FairsliceError, ProtocolViolation
+from .errors import FairsliceError, ProtocolViolation, ReplayMismatch
 from .protocols import PROTOCOLS, check_proportional
 from .referee import QueryReferee
 from .valuation import (
@@ -328,10 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except PropertyViolation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
-    except ProtocolViolation as exc:
+    except (PropertyViolation, ProtocolViolation, ReplayMismatch) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     except FairsliceError as exc:

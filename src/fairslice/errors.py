@@ -34,6 +34,14 @@ class ProtocolViolation(FairsliceError):
     """
 
 
+class ReplayMismatch(FairsliceError, AssertionError):
+    """Re-issuing a logged query gave a different answer than the log holds.
+
+    Also an ``AssertionError``, which replay raised before it had a type of
+    its own.
+    """
+
+
 class NonPositiveValuation(FairsliceError):
     """An operation that is only defined for positive valuations was given a
     valuation with a zero-density region."""

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, ReplayMismatch
 from .geometry import ScalarLike
 from .valuation import Real, Valuation, encode_real
 
@@ -135,7 +135,8 @@ def replay_log(records: Sequence[QueryRecord], valuations: Sequence[Valuation]) 
     """Re-issue a logged query sequence and demand identical answers.
 
     Exact equality: replay is meaningful for deterministic valuations only.
-    Returns True, or raises AssertionError naming the first divergence.
+    Returns True, or raises :class:`ReplayMismatch` naming the first
+    divergence.
     """
     for i, rec in enumerate(records):
         val = valuations[rec.player]
@@ -146,7 +147,7 @@ def replay_log(records: Sequence[QueryRecord], valuations: Sequence[Valuation]) 
         else:
             raise ValueError(f"record {i}: unknown kind {rec.kind!r}")
         if answer != rec.answer:
-            raise AssertionError(
+            raise ReplayMismatch(
                 f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replayed {answer!r}"
             )
     return True

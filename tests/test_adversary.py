@@ -13,6 +13,7 @@ from fairslice.adversary import (
     replay_transcript,
     run_heavy_piece_game,
 )
+from fairslice.errors import ProtocolViolation, ReplayMismatch
 from fairslice.geometry import Piece
 from fairslice.valuetree import HEAVY, LIGHT, TreeParams, verify_labeling
 
@@ -249,6 +250,15 @@ class TestCompletions:
                 completion = session.complete_labeling(seed=completion_seed)
                 assert replay_transcript(session.log, completion, tol=0.0)
 
+    def test_replay_divergence_is_a_typed_error(self):
+        rng = random.Random(29)
+        session = AdversarySession(P60)
+        random_queries(session, 6, rng)
+        other = AdversarySession(P60)
+        random_queries(other, 6, random.Random(30))
+        with pytest.raises(ReplayMismatch):
+            replay_transcript(session.log, other.complete_labeling(seed=0), tol=0.0)
+
     def test_snapshot_isolated_from_later_queries(self):
         rng = random.Random(23)
         session = AdversarySession(P60)
@@ -415,6 +425,16 @@ class TestStrategiesAndGame:
         for name in STRATEGIES:
             report = run_heavy_piece_game(P60, name, budget=4, seed=2)
             assert report.claim.width <= Fraction(1, P60.n)
+
+    def test_overspending_finder_is_a_protocol_violation(self, monkeypatch):
+        def overspend(session, budget, seed):
+            for _ in range(budget + 1):
+                session.answer_eval(0, Fraction(1, 3))
+            return STRATEGIES["blind"](session, budget, seed)
+
+        monkeypatch.setitem(STRATEGIES, "overspend", overspend)
+        with pytest.raises(ProtocolViolation, match="2 > 1 queries"):
+            run_heavy_piece_game(P60, "overspend", budget=1, seed=0)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

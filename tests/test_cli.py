@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from fairslice import cli
+from fairslice.adversary import STRATEGIES
 from fairslice.cli import main
+from fairslice.errors import ReplayMismatch
 from fairslice.valuation import PiecewiseConstantValuation
 
 
@@ -217,3 +220,25 @@ def test_deterministic_outputs(capsys):
     code2, out2, _ = run_cli(capsys, "reduce", "--n", "9", "--seed", "5")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_overspending_finder_exits_3(capsys, monkeypatch):
+    def overspend(session, budget, seed):
+        for _ in range(budget + 1):
+            session.answer_eval(0, Fraction(1, 3))
+        return STRATEGIES["blind"](session, budget, seed)
+
+    monkeypatch.setitem(STRATEGIES, "overspend", overspend)
+    code, _, err = run_cli(capsys, "adversary", "--k", "60", "--strategy", "overspend", "--budget", "2")
+    assert code == 3
+    assert "used 3 > 2 queries" in err
+
+
+def test_replay_mismatch_exits_3(capsys, monkeypatch):
+    def mismatch(*args):
+        raise ReplayMismatch("record 0 (eval (0, 1)): logged 1.0, replay 0.5")
+
+    monkeypatch.setattr(cli, "run_heavy_piece_game", mismatch)
+    code, _, err = run_cli(capsys, "adversary", "--k", "60", "--strategy", "blind")
+    assert code == 3
+    assert err.startswith("property violation: record 0")

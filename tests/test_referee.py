@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.errors import BudgetExhausted
+from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch
 from fairslice.referee import QueryReferee, replay_log
 from fairslice.valuation import PiecewiseConstantValuation
 
@@ -107,3 +107,11 @@ def test_replay_catches_divergence():
     ref.eval(0, 0, Fraction(1, 2))  # 1/2 for uniform, 3/4 for STEP
     with pytest.raises(AssertionError):
         replay_log(ref.log, [STEP])
+
+
+def test_replay_divergence_is_a_typed_error():
+    ref = QueryReferee([UNIFORM])
+    ref.cut(0, 0, Fraction(1, 2))
+    with pytest.raises(ReplayMismatch, match="record 0") as info:
+        replay_log(ref.log, [STEP])
+    assert isinstance(info.value, FairsliceError)
