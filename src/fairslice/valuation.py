@@ -292,7 +292,7 @@ def random_dense_valuation(
         else:
             ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
         raw = [rng.randint(low, 140) for _ in range(n_segments)]
-        # density i is raw[i] * grid / total: total * grid is the raw mass
+        # the raw mass is total / grid, so density i is raw[i] * grid / total
         total = sum(r * (b - a) for a, b, r in zip(ks, ks[1:], raw))
         if total == 0:
             continue
