@@ -21,6 +21,7 @@ from .dual import (
 from .errors import (
     BudgetExhausted,
     FairsliceError,
+    InvalidInput,
     NonPositiveValuation,
     NumericalAmbiguity,
     PartitionViolation,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import PreconditionViolation, ProtocolViolation, ReplayMismatch
+from .errors import InvalidInput, PreconditionViolation, ProtocolViolation, ReplayMismatch
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
 from .valuation import encode_real
 from .valuetree import (
@@ -472,7 +472,9 @@ def run_heavy_piece_game(
     """Play one game: the finder queries the adversary, claims a piece, and
     the adversary tries to refute the claim."""
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; have {sorted(STRATEGIES)}")
+        raise InvalidInput(f"unknown strategy {strategy!r}; have {sorted(STRATEGIES)}")
+    if budget < 0:
+        raise InvalidInput(f"budget must be non-negative, got {budget}")
     session = AdversarySession(params)
     claim = STRATEGIES[strategy](session, budget, seed)
     if session.m > budget:

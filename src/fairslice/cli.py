@@ -10,10 +10,13 @@ Four subcommands, all deterministic under a fixed configuration:
 * ``adversary`` -- play a heavy-piece finder against the adversarial
                    session and report the refutation outcome.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 property
-violation (a guarantee that should hold by construction failed -- a bug
-surfaced loudly).  Reports carry no timestamps, so repeated runs are
-byte-identical.
+Exit codes: 0 success; 3 property violation, on a ``ProtocolViolation``
+(a ``PartitionViolation`` among them) or a ``ReplayMismatch`` -- a guarantee
+that should hold by construction failed, a bug surfaced loudly; 2 on any
+other ``FairsliceError``, chiefly ``InvalidInput`` for a bad configuration
+or input file.  The library raises these where it finds the failure, and
+``main`` maps the type to the code; the commands convert nothing.  Reports
+carry no timestamps, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional, Sequence
 
 from .adversary import STRATEGIES, AdversarySession, run_heavy_piece_game
 from .dual import reduction_pipeline
-from .errors import FairsliceError, ProtocolViolation, ReplayMismatch
+from .errors import FairsliceError, InvalidInput, ProtocolViolation, ReplayMismatch
 from .protocols import PROTOCOLS, check_proportional
 from .referee import QueryReferee
 from .valuation import (
@@ -45,26 +48,18 @@ EXIT_INVALID = 2
 EXIT_PROPERTY = 3
 
 
-class ConfigError(Exception):
-    """Invalid configuration or input data (exit code 2)."""
-
-
-class PropertyViolation(Exception):
-    """A by-construction guarantee failed (exit code 3)."""
-
-
 def load_valuation(obj: dict, where: str) -> Valuation:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
+        raise InvalidInput(f"{where}: expected an object, got {type(obj).__name__}")
     kind = obj.get("type")
     try:
         if kind == "piecewise_constant":
             return PiecewiseConstantValuation.from_json(obj)
         if kind == "balanced_value_tree":
             return BalancedValueTree.from_json(obj)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown valuation type {kind!r}")
+    except InvalidInput as exc:
+        raise InvalidInput(f"{where}: {exc}") from exc
+    raise InvalidInput(f"{where}: unknown valuation type {kind!r}")
 
 
 def load_valuations_file(path: str) -> list[Valuation]:
@@ -72,15 +67,15 @@ def load_valuations_file(path: str) -> list[Valuation]:
         with open(path) as fp:
             data = json.load(fp)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise InvalidInput(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     if isinstance(data, dict) and "valuations" in data:
         data = data["valuations"]
     if not isinstance(data, list) or not data:
-        raise ConfigError(f"{path}: expected a non-empty list under 'valuations'")
+        raise InvalidInput(f"{path}: expected a non-empty list under 'valuations'")
     return [
         load_valuation(item, f"{path}: valuations[{i}]") for i, item in enumerate(data)
     ]
@@ -97,14 +92,14 @@ def _resolve_valuations(args, bounds: DensityBounds) -> list[Valuation]:
     if args.valuations:
         vals = load_valuations_file(args.valuations)
         if args.n is not None and args.n != len(vals):
-            raise ConfigError(
+            raise InvalidInput(
                 f"--n {args.n} disagrees with {len(vals)} valuations in {args.valuations}"
             )
         return vals
     if args.n is None:
-        raise ConfigError("need --valuations FILE or --n N")
+        raise InvalidInput("need --valuations FILE or --n N")
     if args.n < 1:
-        raise ConfigError("--n must be at least 1")
+        raise InvalidInput("--n must be at least 1")
     return _generated_valuations(args.n, args.seed, args.segments, bounds)
 
 
@@ -117,8 +112,6 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def cmd_divide(args) -> int:
-    if args.protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {args.protocol!r}; have {sorted(PROTOCOLS)}")
     valuations = _resolve_valuations(args, DensityBounds(Fraction(0), None))
     referee = QueryReferee(valuations, budget=args.budget)
     protocol = PROTOCOLS[args.protocol]
@@ -138,27 +131,17 @@ def cmd_divide(args) -> int:
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if not report.ok:
-        raise PropertyViolation("protocol output failed its proportionality bound")
+        raise ProtocolViolation("protocol output failed its proportionality bound")
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
     valuations = _resolve_valuations(args, DensityBounds(Fraction(0), Fraction(2)))
-    for i, v in enumerate(valuations):
-        if not isinstance(v, PiecewiseConstantValuation):
-            raise ConfigError(f"valuations[{i}]: reduction needs piecewise-constant valuations")
-    if args.protocol not in ("even-paz", "cut-and-choose"):
-        raise ConfigError(f"{args.protocol!r} is not a chore-capable protocol")
-    try:
-        report = reduction_pipeline(valuations, PROTOCOLS[args.protocol], budget=args.budget)
-    except ProtocolViolation as exc:
-        raise PropertyViolation(str(exc)) from exc
-    except (FairsliceError, TypeError, ValueError) as exc:
-        raise ConfigError(f"input rejected: {exc}") from exc
+    report = reduction_pipeline(valuations, PROTOCOLS[args.protocol], budget=args.budget)
     payload = {"command": "reduce", "protocol": args.protocol, **report.to_json()}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if len(report.certificates) < report.required_certificates:
-        raise PropertyViolation(
+        raise ProtocolViolation(
             f"only {len(report.certificates)} heavy certificates; "
             f"needed {report.required_certificates}"
         )
@@ -171,7 +154,7 @@ def cmd_scaling(args) -> int:
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     for name in protocols:
         if name not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {name!r}; have {sorted(PROTOCOLS)}")
+            raise InvalidInput(f"unknown protocol {name!r}; have {sorted(PROTOCOLS)}")
     rows = []
     for name in protocols:
         mode = args.mode
@@ -188,7 +171,7 @@ def cmd_scaling(args) -> int:
                 allocation = PROTOCOLS[name](referee, mode)
                 report = check_proportional(allocation, valuations, mode)
                 if not report.ok:
-                    raise PropertyViolation(f"{name} with n={n} broke proportionality")
+                    raise ProtocolViolation(f"{name} with n={n} broke proportionality")
                 q = referee.total
                 nlogn = n * math.ceil(math.log2(n)) if n > 1 else 1
                 rows.append(
@@ -219,12 +202,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    if args.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {args.strategy!r}; have {sorted(STRATEGIES)}")
-    try:
-        params = TreeParams.from_depth(args.k, permissive=args.permissive_n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = TreeParams.from_depth(args.k, permissive=args.permissive_n)
     budget = args.budget
     if budget is None:
         budget = AdversarySession(params).threshold
@@ -249,7 +227,7 @@ def cmd_adversary(args) -> int:
         g for g in games if g.queries_used <= g.threshold and not g.refuted
     ]
     if escaped:
-        raise PropertyViolation(
+        raise ProtocolViolation(
             f"{len(escaped)} claim(s) within the query threshold survived refutation"
         )
     return EXIT_OK
@@ -265,9 +243,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: expected comma-separated integers: {exc}") from exc
+        raise InvalidInput(f"{flag}: expected comma-separated integers: {exc}") from exc
     if not values:
-        raise ConfigError(f"{flag}: empty list")
+        raise InvalidInput(f"{flag}: empty list")
     return values
 
 
@@ -325,10 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (PropertyViolation, ProtocolViolation, ReplayMismatch) as exc:
+    except (ProtocolViolation, ReplayMismatch) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
     except FairsliceError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import NonPositiveValuation, ProtocolViolation
+from .errors import InvalidInput, NonPositiveValuation, ProtocolViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar, normalize_piece, scalar_str
 from .protocols import Allocation, verify_partition
 from .referee import QueryReferee
@@ -63,7 +63,7 @@ class DualValuation(Valuation):
     def eval(self, x, y) -> Real:
         x, y = as_scalar(x), as_scalar(y)
         if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
         cx = self.base.cut(ZERO, x)
         cy = self.base.cut(ZERO, y)
         if cx is None or cy is None:
@@ -76,9 +76,9 @@ class DualValuation(Valuation):
     def cut(self, x, r) -> Optional[Real]:
         x = as_scalar(x)
         if not (ZERO <= x <= ONE):
-            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
+            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
         if r < 0:
-            raise ValueError(f"cut needs r >= 0, got {r}")
+            raise InvalidInput(f"cut needs r >= 0, got {r}")
         cx = self.base.cut(ZERO, x)
         if cx is None:
             raise NonPositiveValuation(
@@ -204,11 +204,11 @@ def reduction_pipeline(
     bounds = DensityBounds(Fraction(0), Fraction(2))
     for i, v in enumerate(valuations):
         if not isinstance(v, PiecewiseConstantValuation):
-            raise TypeError(f"valuations[{i}]: pipeline needs piecewise-constant valuations")
+            raise InvalidInput(f"valuations[{i}] rejected: not piecewise-constant")
         if not v.is_positive:
-            raise NonPositiveValuation(f"valuations[{i}] is not positive")
+            raise NonPositiveValuation(f"valuations[{i}] rejected: not positive")
         if not verify_dense(v, bounds):
-            raise ValueError(f"valuations[{i}] is not (0,2)-dense")
+            raise InvalidInput(f"valuations[{i}] rejected: not (0,2)-dense")
     n = len(valuations)
     base_referee = QueryReferee(list(valuations), budget=budget)
     duals = [DualValuation(base_referee.view(i)) for i in range(n)]

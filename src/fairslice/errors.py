@@ -1,7 +1,11 @@
 """Exception types shared across the library.
 
 ``cut`` queries that have no answer are not errors: they return ``None``.
-The classes below mark genuine contract violations.
+The classes below mark genuine contract violations.  The type of an error
+is also its verdict: the CLI exits 3 on :class:`ProtocolViolation` (which
+includes :class:`PartitionViolation`) and :class:`ReplayMismatch`, since a
+guarantee that should hold by construction failed, and exits 2 on any
+other :class:`FairsliceError`, :class:`InvalidInput` above all.
 """
 
 
@@ -17,13 +21,13 @@ class BudgetExhausted(FairsliceError):
     """
 
 
-class PartitionViolation(FairsliceError):
-    """An allocation does not partition [0, 1]."""
+class InvalidInput(FairsliceError, ValueError):
+    """An argument, configuration or input document is malformed or out of
+    range.
 
-    def __init__(self, message, *, overlaps=(), gaps=()):
-        super().__init__(message)
-        self.overlaps = tuple(overlaps)
-        self.gaps = tuple(gaps)
+    Also a ``ValueError``, which these checks raised before they had a type
+    of their own.
+    """
 
 
 class ProtocolViolation(FairsliceError):
@@ -32,6 +36,19 @@ class ProtocolViolation(FairsliceError):
     Raised, for example, when a supposedly proportional allocation fails the
     exact proportionality check inside the reduction pipeline.
     """
+
+
+class PartitionViolation(ProtocolViolation):
+    """An allocation does not partition [0, 1].
+
+    Allocations come from protocols, so a non-partition is a broken
+    protocol guarantee.
+    """
+
+    def __init__(self, message, *, overlaps=(), gaps=()):
+        super().__init__(message)
+        self.overlaps = tuple(overlaps)
+        self.gaps = tuple(gaps)
 
 
 class ReplayMismatch(FairsliceError, AssertionError):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Scalar = Fraction
+from .errors import InvalidInput
+
 ScalarLike = Union[Fraction, int, str, float]
 
 ZERO = Fraction(0)
@@ -49,7 +50,7 @@ class Interval:
 
     def __post_init__(self):
         if not (ZERO <= self.left <= self.right <= ONE):
-            raise ValueError(
+            raise InvalidInput(
                 f"invalid interval [{self.left}, {self.right}]: "
                 "need 0 <= left <= right <= 1"
             )
@@ -81,9 +82,9 @@ class Piece:
         prev = None
         for iv in self.intervals:
             if iv.width == 0:
-                raise ValueError("canonical pieces contain no empty intervals")
+                raise InvalidInput("canonical pieces contain no empty intervals")
             if prev is not None and iv.left <= prev.right:
-                raise ValueError(
+                raise InvalidInput(
                     "canonical pieces are sorted with strict gaps; "
                     f"got [{prev.left}, {prev.right}] then [{iv.left}, {iv.right}]"
                 )
@@ -116,9 +117,6 @@ class Piece:
     def __repr__(self) -> str:
         body = ", ".join(f"[{iv.left}, {iv.right}]" for iv in self.intervals)
         return f"Piece({body})"
-
-
-EMPTY_PIECE = Piece(())
 
 
 def normalize_piece(raw: Iterable[Interval]) -> Piece:

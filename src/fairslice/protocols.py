@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PartitionViolation, ProtocolViolation
+from .errors import InvalidInput, PartitionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar, normalize_piece
 from .referee import QueryReferee
 from .valuation import Real, Valuation, encode_real
@@ -27,7 +27,7 @@ MODES = ("cake", "chore")
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def check_proportional(
     """
     _check_mode(mode)
     if len(valuations) != allocation.n:
-        raise ValueError("one valuation per piece required")
+        raise InvalidInput("one valuation per piece required")
     verify_partition(allocation)
     n = allocation.n
     bound = Fraction(1, n)
@@ -170,7 +170,7 @@ def cut_and_choose(referee: QueryReferee, mode: str) -> Allocation:
     """
     _check_mode(mode)
     if referee.n_players != 2:
-        raise ValueError("cut and choose is a two-player protocol")
+        raise InvalidInput("cut and choose is a two-player protocol")
     half = Fraction(1, 2)
     m = referee.cut(0, ZERO, half)
     if m is None:
@@ -256,7 +256,7 @@ def last_diminisher(referee: QueryReferee, mode: str = "cake") -> Allocation:
     consider it worth more.  The last player to touch the piece takes it.
     """
     if mode != "cake":
-        raise ValueError("last diminisher is implemented for cake mode only")
+        raise InvalidInput("last diminisher is implemented for cake mode only")
     n = referee.n_players
     share = Fraction(1, n)
     pieces: list[Piece] = [Piece()] * n

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
-from .errors import BudgetExhausted, ReplayMismatch
+from .errors import BudgetExhausted, InvalidInput, ReplayMismatch
 from .geometry import ScalarLike
 from .valuation import Real, Valuation, encode_real
 
@@ -73,9 +73,9 @@ class QueryReferee:
 
     def __init__(self, valuations: Sequence[Valuation], budget: Optional[int] = None):
         if not valuations:
-            raise ValueError("referee needs at least one valuation")
+            raise InvalidInput("referee needs at least one valuation")
         if budget is not None and budget < 0:
-            raise ValueError("budget must be non-negative")
+            raise InvalidInput("budget must be non-negative")
         self._valuations = tuple(valuations)
         self.budget = budget
         self.counts = [0] * len(self._valuations)
@@ -145,7 +145,7 @@ def replay_log(records: Sequence[QueryRecord], valuations: Sequence[Valuation]) 
         elif rec.kind == "cut":
             answer = val.cut(*rec.args)
         else:
-            raise ValueError(f"record {i}: unknown kind {rec.kind!r}")
+            raise InvalidInput(f"record {i}: unknown kind {rec.kind!r}")
         if answer != rec.answer:
             raise ReplayMismatch(
                 f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replayed {answer!r}"

@@ -24,6 +24,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
+from .errors import InvalidInput
 from .geometry import ONE, ZERO, Piece, ScalarLike, as_scalar, scalar_str
 
 Real = Union[Fraction, float]
@@ -68,7 +69,7 @@ def density_of_piece(valuation: Valuation, piece: Piece) -> Real:
     """Value-per-width of a non-empty piece."""
     width = piece.width
     if width == 0:
-        raise ValueError("density of a zero-width piece is undefined")
+        raise InvalidInput("density of a zero-width piece is undefined")
     return valuation.value_of_piece(piece) / width
 
 
@@ -85,9 +86,9 @@ class DensityBounds:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if not (ZERO <= alpha <= ONE):
-            raise ValueError("need 0 <= alpha <= 1")
+            raise InvalidInput("need 0 <= alpha <= 1")
         if beta is not None and beta < ONE:
-            raise ValueError("need beta >= 1 (or None for unbounded)")
+            raise InvalidInput("need beta >= 1 (or None for unbounded)")
 
     def admits(self, density: Fraction) -> bool:
         if density < self.alpha:
@@ -117,21 +118,21 @@ class PiecewiseConstantValuation(Valuation):
         bps = tuple(as_scalar(b) for b in breakpoints)
         dens = tuple(as_scalar(d) for d in densities)
         if len(bps) != len(dens) + 1:
-            raise ValueError("need exactly one more breakpoint than densities")
+            raise InvalidInput("need exactly one more breakpoint than densities")
         if bps[0] != ZERO or bps[-1] != ONE:
-            raise ValueError("breakpoints must start at 0 and end at 1")
+            raise InvalidInput("breakpoints must start at 0 and end at 1")
         bden = lcm(*(b.denominator for b in bps))
         bkey = tuple(b.numerator * (bden // b.denominator) for b in bps)
         if any(a >= b for a, b in zip(bkey, bkey[1:])):
-            raise ValueError("breakpoints must be strictly ascending")
+            raise InvalidInput("breakpoints must be strictly ascending")
         lowest = min(dens)
         if lowest < 0:
-            raise ValueError("densities must be non-negative")
+            raise InvalidInput("densities must be non-negative")
         masses = [d * (b - a) for a, b, d in zip(bps, bps[1:], dens)]
         mden = lcm(*(m.denominator for m in masses))
         ckey = (0, *accumulate(m.numerator * (mden // m.denominator) for m in masses))
         if ckey[-1] != mden:
-            raise ValueError(f"total mass must be exactly 1, got {Fraction(ckey[-1], mden)}")
+            raise InvalidInput(f"total mass must be exactly 1, got {Fraction(ckey[-1], mden)}")
         self.breakpoints = bps
         self.densities = dens
         self._bkey = bkey
@@ -185,7 +186,7 @@ class PiecewiseConstantValuation(Valuation):
     def eval(self, x: ScalarLike, y: ScalarLike) -> Fraction:
         x, y = as_scalar(x), as_scalar(y)
         if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
         xn, xd = self._prefix(x)
         yn, yd = self._prefix(y)
         return Fraction(yn * xd - xn * yd, yd * xd)
@@ -194,9 +195,9 @@ class PiecewiseConstantValuation(Valuation):
         x = as_scalar(x)
         r = as_scalar(r)
         if not (ZERO <= x <= ONE):
-            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
+            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
         if r < 0:
-            raise ValueError(f"cut needs r >= 0, got {r}")
+            raise InvalidInput(f"cut needs r >= 0, got {r}")
         if r == 0:
             # x itself: the smallest t with eval(0, t) == eval(0, x) lies
             # before x when a zero-density run ends at x.
@@ -230,20 +231,20 @@ class PiecewiseConstantValuation(Valuation):
     @classmethod
     def from_json(cls, obj: dict) -> "PiecewiseConstantValuation":
         if obj.get("type") != "piecewise_constant":
-            raise ValueError(f"expected type 'piecewise_constant', got {obj.get('type')!r}")
+            raise InvalidInput(f"expected type 'piecewise_constant', got {obj.get('type')!r}")
         segments = obj.get("segments")
         if not isinstance(segments, list) or not segments:
-            raise ValueError("'segments' must be a non-empty list")
+            raise InvalidInput("'segments' must be a non-empty list")
         pairs = []
         for j, seg in enumerate(segments):
             try:
                 end = as_scalar(seg["end"])
                 density = as_scalar(seg["density"])
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"segments[{j}]: bad 'end'/'density': {exc}") from exc
+                raise InvalidInput(f"segments[{j}]: bad 'end'/'density': {exc}") from exc
             pairs.append((end, density))
         if pairs[-1][0] != ONE:
-            raise ValueError("final segment end must be '1'")
+            raise InvalidInput("final segment end must be '1'")
         return cls.from_segments(pairs)
 
 
@@ -263,12 +264,15 @@ def _grid_points(grid: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(k, grid) for k in range(grid + 1))
 
 
+#: draws :func:`random_dense_valuation` makes before it rejects the band
+MAX_DRAW_ATTEMPTS = 10_000
+
+
 def random_dense_valuation(
     n_segments: int,
     bounds: DensityBounds,
     seed: int,
     positive: bool = True,
-    _max_attempts: int = 10_000,
 ) -> PiecewiseConstantValuation:
     """Seeded generator of normalized step valuations inside a density band.
 
@@ -280,13 +284,13 @@ def random_dense_valuation(
     from ``Fraction``s.
     """
     if n_segments < 1:
-        raise ValueError("need at least one segment")
+        raise InvalidInput("need at least one segment")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
     points = _grid_points(grid)
     low = 0 if (not positive and bounds.alpha == 0) else 60
     alpha, beta = bounds.alpha, bounds.beta
-    for _ in range(_max_attempts):
+    for _ in range(MAX_DRAW_ATTEMPTS):
         if n_segments == 1:
             ks = (0, grid)
         else:
@@ -305,6 +309,6 @@ def random_dense_valuation(
         return PiecewiseConstantValuation(
             [points[k] for k in ks], [Fraction(r * grid, total) for r in raw]
         )
-    raise ValueError(
-        f"could not draw a valuation inside {bounds} after {_max_attempts} attempts"
+    raise InvalidInput(
+        f"could not draw a valuation inside {bounds} after {MAX_DRAW_ATTEMPTS} attempts"
     )

@@ -44,7 +44,7 @@ from functools import cached_property
 from hashlib import blake2b
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import NumericalAmbiguity, PreconditionViolation
+from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar
 from .valuation import Valuation
 
@@ -90,11 +90,11 @@ class TreeParams:
     @classmethod
     def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":
         if depth < PERMISSIVE_MIN_DEPTH:
-            raise ValueError(
+            raise InvalidInput(
                 f"depth {depth} < {PERMISSIVE_MIN_DEPTH}: edge labels would not be positive"
             )
         if depth < STRICT_MIN_DEPTH and not permissive:
-            raise ValueError(
+            raise InvalidInput(
                 f"depth {depth} < {STRICT_MIN_DEPTH}: density guarantees need "
                 f"n >= 3^{STRICT_MIN_DEPTH} (pass permissive=True for unit-test sizes)"
             )
@@ -102,14 +102,14 @@ class TreeParams:
         beta = 2.0 ** (6.0 / (depth * LN3))
         params = cls(n=n, depth=depth, beta=beta, permissive=permissive)
         if not permissive and not (1.0 / 3.0 <= beta / 3.0 < 0.5):
-            raise ValueError(f"heavy label beta/3 = {beta/3} outside [1/3, 1/2)")
+            raise InvalidInput(f"heavy label beta/3 = {beta/3} outside [1/3, 1/2)")
         return params
 
     @classmethod
     def from_leaf_count(cls, n: int, permissive: bool = False) -> "TreeParams":
         depth = round(math.log(n, 3))
         if 3**depth != n:
-            raise ValueError(f"leaf count {n} is not a power of 3")
+            raise InvalidInput(f"leaf count {n} is not a power of 3")
         return cls.from_depth(depth, permissive)
 
     @cached_property
@@ -125,23 +125,14 @@ class TreeParams:
         """Edge-label value of each label kind, read by the tree walks."""
         return {HEAVY: self.heavy_label, LIGHT: self.light_label, THIRD: 1.0 / 3.0}
 
-    @property
-    def heavy_density(self) -> float:
-        """Density multiplier of a heavy edge: beta."""
-        return self.beta
-
-    @property
-    def light_density(self) -> float:
-        """Density multiplier of a light edge: 3/2 - beta/2."""
-        return 1.5 - self.beta / 2.0
-
     @cached_property
     def ln_beta(self) -> float:
         return 6.0 * LN2 / (self.depth * LN3)
 
     @cached_property
     def ln_light_density(self) -> float:
-        # light_density = 1 - (beta - 1)/2 with beta = exp(ln_beta)
+        # a light edge multiplies density by 3/2 - beta/2 = 1 - (beta - 1)/2,
+        # with beta = exp(ln_beta)
         return math.log1p(-math.expm1(self.ln_beta) / 2.0)
 
     def leaf_width(self) -> Fraction:
@@ -197,20 +188,17 @@ class NodePath:
 
     def __post_init__(self):
         if any(d not in (0, 1, 2) for d in self.digits):
-            raise ValueError("path digits must be 0, 1 or 2")
+            raise InvalidInput("path digits must be 0, 1 or 2")
 
     @classmethod
     def from_index(cls, index: int, depth: int) -> "NodePath":
         if not (0 <= index < 3**depth):
-            raise ValueError(f"leaf index {index} out of range for depth {depth}")
+            raise InvalidInput(f"leaf index {index} out of range for depth {depth}")
         return cls(digits_of_index(index, depth))
 
     @property
     def depth(self) -> int:
         return len(self.digits)
-
-    def child(self, digit: int) -> "NodePath":
-        return NodePath(self.digits + (digit,))
 
     def left(self) -> Fraction:
         index = 0
@@ -220,10 +208,6 @@ class NodePath:
 
     def width(self) -> Fraction:
         return Fraction(1, 3**len(self.digits))
-
-    def interval(self) -> Interval:
-        left = self.left()
-        return Interval(left, left + self.width())
 
 
 PathLike = Union[NodePath, Sequence[int]]
@@ -243,10 +227,6 @@ class NodeProfile:
     q: int  # light edges
     z: int  # 1/3 edges below a critical ancestor
     critical: bool
-
-    @property
-    def depth(self) -> int:
-        return self.h + self.q + self.z
 
 
 @dataclass(frozen=True)
@@ -418,7 +398,7 @@ class TernaryTreeValuation(Valuation, ABC):
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
         digits = _digits(path)
         if len(digits) != self.params.depth:
-            raise ValueError(f"not a leaf path: depth {len(digits)} != {self.params.depth}")
+            raise InvalidInput(f"not a leaf path: depth {len(digits)} != {self.params.depth}")
         _, h, q, _, critical, _ = self._walk(digits)
         if critical:
             return "critical"
@@ -445,17 +425,17 @@ class TernaryTreeValuation(Valuation, ABC):
     def eval(self, x, y) -> float:
         x, y = as_scalar(x), as_scalar(y)
         if not (ZERO <= x <= y <= ONE):
-            raise ValueError(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
         start = self._prefix(x)
         return max(self._prefix(y) - start, 0.0)
 
     def cut(self, x, r) -> Optional[float]:
         x = as_scalar(x)
         if not (ZERO <= x <= ONE):
-            raise ValueError(f"cut needs 0 <= x <= 1, got {x}")
+            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
         r = float(r)
         if r < 0:
-            raise ValueError(f"cut needs r >= 0, got {r}")
+            raise InvalidInput(f"cut needs r >= 0, got {r}")
         start = self._prefix(x)  # walked even for r == 0: the session reveals x's path
         if r == 0:
             return float(x)
@@ -469,7 +449,7 @@ class TernaryTreeValuation(Valuation, ABC):
     def iter_nodes(self) -> Iterator[NodeVisit]:
         """Preorder walk over every node; depth capped at 3^11 leaves."""
         if self.params.depth > EAGER_MAX_DEPTH:
-            raise ValueError(
+            raise InvalidInput(
                 f"whole-tree enumeration supports depth <= {EAGER_MAX_DEPTH}; "
                 f"use lazy node queries at depth {self.params.depth}"
             )
@@ -574,12 +554,12 @@ class BalancedValueTree(TernaryTreeValuation):
     @classmethod
     def from_json(cls, obj: dict) -> "BalancedValueTree":
         if obj.get("type") != "balanced_value_tree":
-            raise ValueError(f"expected type 'balanced_value_tree', got {obj.get('type')!r}")
+            raise InvalidInput(f"expected type 'balanced_value_tree', got {obj.get('type')!r}")
         try:
             depth = int(obj["k"])
             seed = int(obj["seed"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad 'k'/'seed': {exc}") from exc
+            raise InvalidInput(f"bad 'k'/'seed': {exc}") from exc
         params = TreeParams.from_depth(depth, permissive=bool(obj.get("permissive", False)))
         return cls(params, seed)
 
@@ -663,13 +643,13 @@ def verify_labeling(
     def check(path, critical, kinds):
         values = [source.label_value(k) for k in kinds]
         if abs(sum(values) - 1.0) > 1e-12:
-            raise ValueError(f"labels at {path} sum to {sum(values)}, not 1")
+            raise InvalidInput(f"labels at {path} sum to {sum(values)}, not 1")
         if critical:
             if kinds != (THIRD, THIRD, THIRD):
-                raise ValueError(f"critical node {path} not labeled (1/3,1/3,1/3): {kinds}")
+                raise InvalidInput(f"critical node {path} not labeled (1/3,1/3,1/3): {kinds}")
         else:
             if sorted(kinds) != [HEAVY, LIGHT, LIGHT]:
-                raise ValueError(
+                raise InvalidInput(
                     f"non-critical node {path} needs one heavy and two light edges: {kinds}"
                 )
 

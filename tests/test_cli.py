@@ -242,3 +242,41 @@ def test_replay_mismatch_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "adversary", "--k", "60", "--strategy", "blind")
     assert code == 3
     assert err.startswith("property violation: record 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divide", "--n", "3", "--budget", "-1"],
+        ["divide", "--n", "3", "--segments", "0"],
+        ["divide", "--protocol", "cut-and-choose", "--n", "3"],
+        ["divide", "--protocol", "last-diminisher", "--mode", "chore", "--n", "3"],
+        ["scaling", "--ns", "0"],
+        ["scaling", "--ns", "3", "--segments", "0"],
+        ["reduce", "--n", "4", "--segments", "0"],
+        ["reduce", "--n", "3", "--protocol", "last-diminisher"],
+        ["adversary", "--k", "60", "--strategy", "blind", "--budget", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_config_exits_2(capsys, argv):
+    # main must turn every bad configuration into exit 2 and an error line,
+    # with no exception escaping it
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["divide", "reduce"])
+def test_non_partition_exits_3(capsys, monkeypatch, command):
+    # overlapping pieces are a broken protocol guarantee, not bad input
+    from fairslice.geometry import Piece
+    from fairslice.protocols import Allocation
+
+    def overlapping(referee, mode):
+        return Allocation(tuple(Piece.of((0, 1)) for _ in range(referee.n_players)))
+
+    monkeypatch.setitem(cli.PROTOCOLS, "even-paz", overlapping)
+    code, _, err = run_cli(capsys, command, "--n", "3", "--seed", "1")
+    assert code == 3
+    assert err.startswith("property violation: ")

@@ -11,7 +11,12 @@ from fractions import Fraction
 import pytest
 
 from fairslice.dual import reduction_pipeline
-from fairslice.errors import ProtocolViolation
+from fairslice.errors import (
+    FairsliceError,
+    InvalidInput,
+    PartitionViolation,
+    ProtocolViolation,
+)
 from fairslice.geometry import ONE, as_scalar
 from fairslice.protocols import cut_and_choose, even_paz, last_diminisher
 from fairslice.referee import QueryReferee
@@ -80,3 +85,12 @@ def test_reduction_dualization_without_cut_point():
 
     with pytest.raises(ProtocolViolation, match="dual endpoint"):
         reduction_pipeline(valuations, protocol_then_break)
+
+
+def test_error_types_carry_their_exit_code():
+    # the CLI maps ProtocolViolation to exit 3 and other FairsliceErrors to
+    # exit 2; InvalidInput stays a ValueError for callers that catch that
+    assert issubclass(InvalidInput, ValueError)
+    assert issubclass(InvalidInput, FairsliceError)
+    assert not issubclass(InvalidInput, ProtocolViolation)
+    assert issubclass(PartitionViolation, ProtocolViolation)
