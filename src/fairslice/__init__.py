@@ -28,6 +28,7 @@ from .errors import (
     PreconditionViolation,
     ProtocolViolation,
     ReplayMismatch,
+    UnknownPlayer,
 )
 from .geometry import (
     Interval,

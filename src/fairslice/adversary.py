@@ -18,10 +18,11 @@ rich or critical leaf needs, and *any* claimed heavy piece can be refuted
 by completing the labeling with light edges along the claim's leaves and
 exhibiting the resulting low value.
 
-The session answers through the tree walks that hashed trees and
-completions use, with a label source that reveals nodes as the walks reach
-them; a completion keeps every revealed label, so it replays the session's
-answers exactly.  Each reveal also updates the per-answer heavy-edge trace.
+The session is itself a tree valuation, answering through the walks that
+hashed trees and completions use with a label source that reveals nodes as
+the walks reach them, so a referee can hold sessions as players.  Answers
+are logged as referee :class:`QueryRecord`s carrying their reveals, and a
+completion keeps every revealed label, so it replays them exactly.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InvalidInput, PreconditionViolation, ProtocolViolation, ReplayMismatch
+from .errors import InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
-from .valuation import encode_real
+from .referee import QueryRecord, replay_log
 from .valuetree import (
     HEAVY,
     BalancedValueTree,
@@ -63,35 +64,24 @@ class Reveal:
     kinds: Kinds
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    kind: str  # "eval" | "cut"
-    args: tuple
-    answer: Optional[float]
-    reveals: tuple[Reveal, ...]
+class AdversarySession(TernaryTreeValuation):
+    """Lazy adversarial valuation with partially revealed edge labels.
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "args": [encode_real(a) for a in self.args],
-            "answer": encode_real(self.answer),
-            "reveals": [
-                {"path": list(r.path), "labels": list(r.kinds)} for r in self.reveals
-            ],
-        }
-
-
-class AdversarySession:
-    """Lazy adversarial valuation with partially revealed edge labels."""
+    Revealed labels are binding, and a walk reveals any other node it
+    reaches by the module's rule for its step -- an eval endpoint's path
+    walk, or a cut answer's mass descent.  Each ``eval``/``cut`` logs a
+    :class:`QueryRecord` with the reveals it made.
+    """
 
     def __init__(self, params: TreeParams):
-        self.params = params
-        self._tree = _SessionTree(params)  # the label source the walks reveal into
-        self.revealed: dict[tuple[int, ...], Kinds] = self._tree.revealed
-        self.m = 0  # queries answered so far
-        self.log: list[SessionRecord] = []
+        super().__init__(params)
+        self.revealed: dict[tuple[int, ...], Kinds] = {}
+        self.log: list[QueryRecord] = []
         #: max_revealed_heavy() after each answered query
         self.heavy_trace: list[int] = []
+        self._pending: list[Reveal] = []  # reveals not yet attached to an answer
+        self._heavy = 0  # most revealed heavy edges on a root path
+        self._critical: list[tuple[int, ...]] = []  # revealed critical nodes
 
     # -- constants -------------------------------------------------------
 
@@ -102,23 +92,66 @@ class AdversarySession:
         raw = math.floor((math.log(self.params.n) / 6.0 - 1.0) / 2.0)
         return max(raw, 0)
 
+    @property
+    def m(self) -> int:
+        """Queries answered so far."""
+        return len(self.log)
+
+    # -- labels: revealed, or revealed now --------------------------------
+
+    def labels_for(self, path, h, q, critical):
+        return self.revealed[path]
+
+    def _path_labels(self, path, h, q, critical, digit):
+        return self._reveal(path, h, q, _HEAVY_AT[1 if digit == 0 else 0])
+
+    def _descent_labels(self, path, h, q, critical, value, remaining):
+        # gamma > beta/3, phrased exactly like the descent's child test
+        heavy_at = 0 if value * self.params.heavy_label < remaining else 2
+        return self._reveal(path, h, q, _HEAVY_AT[heavy_at])
+
+    def _reveal(self, path: tuple[int, ...], h: int, q: int, kinds: Kinds) -> Kinds:
+        """The binding labels at ``path``: those revealed before, or else
+        ``kinds``, revealed now.  ``h`` and ``q`` count the heavy and light
+        edges on the node's root path."""
+        known = self.revealed.get(path)
+        if known is not None:
+            return known
+        self.revealed[path] = kinds
+        self._pending.append(Reveal(path, kinds))
+        # the node's parent is revealed, so its deepest heavy count is new
+        # only through its own heavy edge
+        self._heavy = max(self._heavy, h + (HEAVY in kinds))
+        if self.critical_counts(h, q):
+            self._critical.append(path)
+        return kinds
+
+    def _prefix(self, t: Fraction) -> float:
+        if 0 < t < 1:
+            return super()._prefix(t)
+        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
+        self._walk(leaf_digits(t, self.params.depth))
+        return float(t)
+
     # -- queries ----------------------------------------------------------
 
     def _record(self, kind: str, args: tuple, answer: Optional[float]) -> Optional[float]:
-        tree = self._tree
-        reveals, tree.reveals = tree.reveals, []
-        self.m += 1
-        self.log.append(SessionRecord(kind, args, answer, tuple(reveals)))
-        self.heavy_trace.append(tree.heavy)
+        reveals, self._pending = tuple(self._pending), []
+        self.log.append(QueryRecord(kind, 0, args, answer, reveals))
+        self.heavy_trace.append(self._heavy)
         return answer
 
-    def answer_eval(self, x, y) -> float:
-        answer = self._tree.eval(x, y)
+    def eval(self, x, y) -> float:
+        answer = super().eval(x, y)
         return self._record("eval", (as_scalar(x), as_scalar(y)), answer)
 
-    def answer_cut(self, x, r) -> Optional[float]:
-        answer = self._tree.cut(x, r)
+    def cut(self, x, r) -> Optional[float]:
+        answer = super().cut(x, r)
         return self._record("cut", (as_scalar(x), float(r)), answer)
+
+    # the names finders and the benchmark call
+    answer_eval = eval
+    answer_cut = cut
 
     # -- invariants (verification helpers) ------------------------------------
 
@@ -139,10 +172,18 @@ class AdversarySession:
         labels a node's edges as thirds, so a critical node here means the
         session was driven past its guarantee.
         """
-        return list(self._tree.critical)
+        return list(self._critical)
 
     def transcript_lines(self) -> list[str]:
-        return [json.dumps(rec.to_json_obj(), separators=(",", ":")) for rec in self.log]
+        """The log as JSON-lines: the referee's record format without the
+        player, plus the reveals each answer made."""
+        lines = []
+        for rec in self.log:
+            obj = rec.to_json_obj()
+            del obj["player"]
+            obj["reveals"] = [{"path": list(r.path), "labels": list(r.kinds)} for r in rec.reveals]
+            lines.append(json.dumps(obj, separators=(",", ":")))
+        return lines
 
     # -- completion and refutation ----------------------------------------------
 
@@ -214,54 +255,6 @@ class AdversarySession:
             reason=f"piece stayed heavy under {tried} completion(s)",
             attempts=tried,
         )
-
-
-class _SessionTree(TernaryTreeValuation):
-    """The session's label source for the shared tree walks: revealed
-    labels are binding, and a walk reveals any other node it reaches by the
-    module's rule for its step -- an eval endpoint's path walk, or a cut
-    answer's mass descent."""
-
-    def __init__(self, params: TreeParams):
-        super().__init__(params)
-        self.revealed: dict[tuple[int, ...], Kinds] = {}
-        self.reveals: list[Reveal] = []  # not yet attached to an answer
-        self.heavy = 0  # most revealed heavy edges on a root path
-        self.critical: list[tuple[int, ...]] = []  # revealed critical nodes
-
-    def labels_for(self, path, h, q, critical):
-        return self.revealed[path]
-
-    def _path_labels(self, path, h, q, critical, digit):
-        return self._reveal(path, h, q, _HEAVY_AT[1 if digit == 0 else 0])
-
-    def _descent_labels(self, path, h, q, critical, value, remaining):
-        # gamma > beta/3, phrased exactly like the descent's child test
-        heavy_at = 0 if value * self.params.heavy_label < remaining else 2
-        return self._reveal(path, h, q, _HEAVY_AT[heavy_at])
-
-    def _reveal(self, path: tuple[int, ...], h: int, q: int, kinds: Kinds) -> Kinds:
-        """The binding labels at ``path``: those revealed before, or else
-        ``kinds``, revealed now.  ``h`` and ``q`` count the heavy and light
-        edges on the node's root path."""
-        known = self.revealed.get(path)
-        if known is not None:
-            return known
-        self.revealed[path] = kinds
-        self.reveals.append(Reveal(path, kinds))
-        # the node's parent is revealed, so its deepest heavy count is new
-        # only through its own heavy edge
-        self.heavy = max(self.heavy, h + (HEAVY in kinds))
-        if self.critical_counts(h, q):
-            self.critical.append(path)
-        return kinds
-
-    def _prefix(self, t: Fraction) -> float:
-        if 0 < t < 1:
-            return super()._prefix(t)
-        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
-        self._walk(leaf_digits(t, self.params.depth))
-        return float(t)
 
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[tuple[int, ...]]:
@@ -349,26 +342,11 @@ class CannotRefute:
 
 
 def replay_transcript(
-    session_log: Sequence[SessionRecord], completion: CompletedTree, tol: float = 1e-9
+    session_log: Sequence[QueryRecord], completion: CompletedTree, tol: float = 1e-9
 ) -> bool:
-    """Check that a completion reproduces every logged answer within tol;
-    raises :class:`ReplayMismatch` at the first record it does not."""
-    for i, rec in enumerate(session_log):
-        if rec.kind == "eval":
-            answer = completion.eval(*rec.args)
-        else:
-            answer = completion.cut(*rec.args)
-        if rec.answer is None or answer is None:
-            if rec.answer is not None or answer is not None:
-                raise ReplayMismatch(
-                    f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replay {answer!r}"
-                )
-        elif abs(answer - rec.answer) > tol:
-            raise ReplayMismatch(
-                f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, "
-                f"replay {answer!r} (diff {abs(answer - rec.answer):.3e})"
-            )
-    return True
+    """Check that a completion reproduces every logged session answer within
+    ``tol``; raises :class:`ReplayMismatch` at the first it does not."""
+    return replay_log(session_log, (completion,), tol)
 
 
 # -- built-in heavy-piece finder strategies -------------------------------------

@@ -150,6 +150,9 @@ def cmd_reduce(args) -> int:
 
 def cmd_scaling(args) -> int:
     ns = _parse_int_list(args.ns, "--ns")
+    for n in ns:
+        if n < 1:
+            raise InvalidInput(f"--ns values must be at least 1, got {n}")
     seeds = _resolve_seeds(args)
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     for name in protocols:
@@ -161,8 +164,6 @@ def cmd_scaling(args) -> int:
         if name == "last-diminisher":
             mode = "cake"  # chore variant intentionally not provided
         for n in ns:
-            if name == "cut-and-choose" and n != 2:
-                continue
             for seed in seeds:
                 valuations = _generated_valuations(
                     n, seed, args.segments, DensityBounds(Fraction(0), None)

@@ -30,6 +30,10 @@ class InvalidInput(FairsliceError, ValueError):
     """
 
 
+class UnknownPlayer(FairsliceError, IndexError):
+    """A query named a player the referee does not hold (also an ``IndexError``)."""
+
+
 class ProtocolViolation(FairsliceError):
     """A protocol produced output that breaks its own guarantee.
 

@@ -11,6 +11,10 @@ Counting rules:
 * repeated identical queries are re-counted (no memoization);
 * a query that would exceed the budget is rejected *before* it reaches the
   valuation, so the log never exceeds the budget.
+
+:class:`QueryRecord` is also the adversary session's log record, so
+:func:`replay_log` is the one replay loop: exact by default, or within a
+tolerance for float-valued trees.
 """
 
 from __future__ import annotations
@@ -19,19 +23,21 @@ import json
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
-from .errors import BudgetExhausted, InvalidInput, ReplayMismatch
+from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
 from .geometry import ScalarLike
 from .valuation import Real, Valuation, encode_real
 
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One logged query; ``answer`` is ``None`` for a cut with no answer."""
+    """One logged query; ``answer`` is ``None`` for a cut with no answer, and
+    ``reveals`` lists the nodes an adversary session labeled to answer it."""
 
     kind: str  # "eval" | "cut"
     player: int
     args: tuple
     answer: object
+    reveals: tuple = ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -98,7 +104,7 @@ class QueryReferee:
 
     def _check_player(self, player: int) -> None:
         if not (0 <= player < len(self._valuations)):
-            raise IndexError(f"player {player} out of range 0..{len(self._valuations) - 1}")
+            raise UnknownPlayer(f"player {player} out of range 0..{len(self._valuations) - 1}")
 
     def _admit(self) -> None:
         if self.budget is not None and self.total + 1 > self.budget:
@@ -131,12 +137,14 @@ class QueryReferee:
             fp.write(line + "\n")
 
 
-def replay_log(records: Sequence[QueryRecord], valuations: Sequence[Valuation]) -> bool:
-    """Re-issue a logged query sequence and demand identical answers.
+def replay_log(
+    records: Sequence[QueryRecord], valuations: Sequence[Valuation], tol: float = 0
+) -> bool:
+    """Re-issue a logged query sequence and demand the logged answers.
 
-    Exact equality: replay is meaningful for deterministic valuations only.
-    Returns True, or raises :class:`ReplayMismatch` naming the first
-    divergence.
+    A ``None`` answer matches only ``None``; any other must be within
+    ``tol``, and the default 0 demands equality.  Returns True, or raises
+    :class:`ReplayMismatch` naming the first divergence.
     """
     for i, rec in enumerate(records):
         val = valuations[rec.player]
@@ -146,7 +154,11 @@ def replay_log(records: Sequence[QueryRecord], valuations: Sequence[Valuation]) 
             answer = val.cut(*rec.args)
         else:
             raise InvalidInput(f"record {i}: unknown kind {rec.kind!r}")
-        if answer != rec.answer:
+        if answer is None or rec.answer is None:
+            diverged = answer is not rec.answer
+        else:
+            diverged = abs(answer - rec.answer) > tol if tol else answer != rec.answer
+        if diverged:
             raise ReplayMismatch(
                 f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replayed {answer!r}"
             )

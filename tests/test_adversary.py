@@ -15,6 +15,8 @@ from fairslice.adversary import (
 )
 from fairslice.errors import ProtocolViolation, ReplayMismatch
 from fairslice.geometry import Piece
+from fairslice.protocols import check_proportional, even_paz
+from fairslice.referee import QueryReferee, replay_log
 from fairslice.valuetree import HEAVY, LIGHT, TreeParams, verify_labeling
 
 import oracles
@@ -446,3 +448,20 @@ class TestStrategiesAndGame:
         assert obj["k"] == 60 and obj["threshold"] == 4
         assert obj["outcome"]["refuted"] is True
         assert obj["within_threshold"] is True
+
+
+def test_referee_over_sessions():
+    # a session is a tree valuation, so a referee can hold sessions as
+    # players; the referee's counts and log agree with each session's own
+    sessions = [AdversarySession(P60) for _ in range(9)]
+    referee = QueryReferee(sessions)
+    allocation = even_paz(referee, "cake")
+    for i, session in enumerate(sessions):
+        assert referee.counts[i] == session.m
+        assert [rec.answer for rec in session.log] == [
+            rec.answer for rec in referee.log if rec.player == i
+        ]
+        assert session.max_revealed_heavy() <= 2 * session.m
+    completions = [session.complete_labeling(seed=i) for i, session in enumerate(sessions)]
+    assert replay_log(referee.log, completions, tol=1e-9)
+    assert check_proportional(allocation, completions, "cake", tol=1e-9).ok

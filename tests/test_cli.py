@@ -144,6 +144,23 @@ def test_scaling_multiple_seeds_and_json_format(capsys):
     assert [row["seed"] for row in rows] == [1, 2, 3]
 
 
+def test_scaling_cut_and_choose_takes_two_players_only(capsys):
+    code, out, err = run_cli(capsys, "scaling", "--ns", "3", "--protocols", "cut-and-choose")
+    assert code == 2 and out == ""
+    assert "two-player" in err
+    code, out, _ = run_cli(capsys, "scaling", "--ns", "2", "--protocols", "cut-and-choose")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["n"], row["queries"]) for row in rows] == [("2", "2")]
+
+
+@pytest.mark.parametrize("bad", ["0", "-2"])
+def test_scaling_rejects_n_below_one_by_flag(capsys, bad):
+    code, _, err = run_cli(capsys, "scaling", "--ns", f"3,{bad}")
+    assert code == 2
+    assert err == f"error: --ns values must be at least 1, got {bad}\n"
+
+
 def test_adversary_multiple_seeds_summary(capsys):
     code, out, _ = run_cli(
         capsys, "adversary", "--k", "60", "--strategy", "mass-split",

@@ -1,12 +1,14 @@
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch
-from fairslice.referee import QueryReferee, replay_log
+from fairslice.referee import QueryRecord, QueryReferee, replay_log
 from fairslice.valuation import PiecewiseConstantValuation
+from fairslice.valuetree import BalancedValueTree, TreeParams
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 STEP = PiecewiseConstantValuation.from_segments(
@@ -66,6 +68,13 @@ def test_player_index_checked():
         ref.eval(1, 0, 1)
 
 
+def test_unknown_player_is_a_typed_error():
+    ref = QueryReferee([UNIFORM])
+    with pytest.raises(FairsliceError, match="player -1 out of range"):
+        ref.cut(-1, 0, Fraction(1, 2))
+    assert ref.total == 0
+
+
 def test_invalid_args_propagate_unbilled():
     ref = QueryReferee([UNIFORM])
     with pytest.raises(ValueError):
@@ -115,3 +124,22 @@ def test_replay_divergence_is_a_typed_error():
     with pytest.raises(ReplayMismatch, match="record 0") as info:
         replay_log(ref.log, [STEP])
     assert isinstance(info.value, FairsliceError)
+
+
+@pytest.mark.parametrize("tol", [0, 1e-9, 1.0])
+def test_replay_none_matches_only_none(tol):
+    logged_none = QueryRecord("cut", 0, (0, Fraction(1, 2)), None)  # UNIFORM answers 1/2
+    with pytest.raises(ReplayMismatch, match="record 0"):
+        replay_log([logged_none], [UNIFORM], tol)
+    logged_number = QueryRecord("cut", 0, (Fraction(3, 4), Fraction(1, 2)), Fraction(7, 8))
+    with pytest.raises(ReplayMismatch, match="record 0"):
+        replay_log([logged_number], [UNIFORM], tol)  # UNIFORM has no answer
+
+
+def test_replay_tolerance():
+    tree = BalancedValueTree(TreeParams.from_depth(11), seed=4)
+    answer = tree.eval(0, Fraction(1, 3))
+    off_by_an_ulp = QueryRecord("eval", 0, (0, Fraction(1, 3)), math.nextafter(answer, 2.0))
+    with pytest.raises(ReplayMismatch, match="record 0"):
+        replay_log([off_by_an_ulp], [tree])
+    assert replay_log([off_by_an_ulp], [tree], tol=1e-9)
