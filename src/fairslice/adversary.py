@@ -22,7 +22,13 @@ The session is itself a tree valuation, answering through the walks that
 hashed trees and completions use with a label source that reveals nodes as
 the walks reach them, so a referee can hold sessions as players.  Answers
 are logged as referee :class:`QueryRecord`s carrying their reveals, and a
-completion keeps every revealed label, so it replays them exactly.
+completion keeps every revealed label, so it replays them exactly.  Only
+``eval`` and ``cut`` reveal: the tree-inspection methods a session inherits
+read revealed nodes and refuse unrevealed ones.
+
+Revealed labels are kept by node-path bytes, the walks' path form; the
+public :attr:`AdversarySession.revealed` view maps digit tuples.  A node is
+revealed only after its parent, which the session checks as it reveals.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -33,9 +39,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
@@ -47,10 +54,11 @@ from .valuetree import (
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
-    _digits,
+    _STEP,
     _leaf_range,
+    _node_key,
     digits_of_index,
-    leaf_digits,
+    leaf_path,
 )
 
 Kinds = tuple[str, str, str]
@@ -58,10 +66,32 @@ Kinds = tuple[str, str, str]
 
 @dataclass(frozen=True)
 class Reveal:
-    """One newly revealed node: its path and the three child-edge kinds."""
+    """One newly revealed node: its path bytes and the three child-edge kinds."""
 
-    path: tuple[int, ...]
+    path: bytes
     kinds: Kinds
+
+
+class RevealedView(Mapping):
+    """Read-only view of revealed labels keyed by digit tuples, over the
+    session's dict keyed by node-path bytes; ``len`` copies nothing."""
+
+    __slots__ = ("_labels",)
+
+    def __init__(self, labels: dict[bytes, Kinds]):
+        self._labels = labels
+
+    def __getitem__(self, path) -> Kinds:
+        return self._labels[_node_key(path)]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(tuple, self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def values(self):
+        return self._labels.values()
 
 
 class AdversarySession(TernaryTreeValuation):
@@ -70,18 +100,23 @@ class AdversarySession(TernaryTreeValuation):
     Revealed labels are binding, and a walk reveals any other node it
     reaches by the module's rule for its step -- an eval endpoint's path
     walk, or a cut answer's mass descent.  Each ``eval``/``cut`` logs a
-    :class:`QueryRecord` with the reveals it made.
+    :class:`QueryRecord` with the reveals it made.  Outside them a walk
+    that reaches an unrevealed node raises :class:`PreconditionViolation`.
     """
 
     def __init__(self, params: TreeParams):
         super().__init__(params)
-        self.revealed: dict[tuple[int, ...], Kinds] = {}
+        self._revealed: dict[bytes, Kinds] = {}
+        #: the revealed labels by digit-tuple path
+        self.revealed = RevealedView(self._revealed)
         self.log: list[QueryRecord] = []
         #: max_revealed_heavy() after each answered query
         self.heavy_trace: list[int] = []
+        self._answering = False  # inside eval/cut: walks may reveal
         self._pending: list[Reveal] = []  # reveals not yet attached to an answer
         self._heavy = 0  # most revealed heavy edges on a root path
-        self._critical: list[tuple[int, ...]] = []  # revealed critical nodes
+        self._critical: list[bytes] = []  # revealed critical nodes
+        self._orphans = 0  # revealed nodes whose parent was not revealed
 
     # -- constants -------------------------------------------------------
 
@@ -100,7 +135,11 @@ class AdversarySession(TernaryTreeValuation):
     # -- labels: revealed, or revealed now --------------------------------
 
     def labels_for(self, path, h, q, critical):
-        return self.revealed[path]
+        path = _node_key(path)
+        kinds = self._revealed.get(path)
+        if kinds is None:
+            raise _not_revealed(path)
+        return kinds
 
     def _path_labels(self, path, h, q, critical, digit):
         return self._reveal(path, h, q, _HEAVY_AT[1 if digit == 0 else 0])
@@ -110,14 +149,18 @@ class AdversarySession(TernaryTreeValuation):
         heavy_at = 0 if value * self.params.heavy_label < remaining else 2
         return self._reveal(path, h, q, _HEAVY_AT[heavy_at])
 
-    def _reveal(self, path: tuple[int, ...], h: int, q: int, kinds: Kinds) -> Kinds:
+    def _reveal(self, path: bytes, h: int, q: int, kinds: Kinds) -> Kinds:
         """The binding labels at ``path``: those revealed before, or else
-        ``kinds``, revealed now.  ``h`` and ``q`` count the heavy and light
-        edges on the node's root path."""
-        known = self.revealed.get(path)
+        ``kinds``, revealed now if a query is being answered.  ``h`` and
+        ``q`` count the heavy and light edges on the node's root path."""
+        known = self._revealed.get(path)
         if known is not None:
             return known
-        self.revealed[path] = kinds
+        if not self._answering:
+            raise _not_revealed(path)
+        if path and path[:-1] not in self._revealed:
+            self._orphans += 1
+        self._revealed[path] = kinds
         self._pending.append(Reveal(path, kinds))
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
@@ -130,7 +173,7 @@ class AdversarySession(TernaryTreeValuation):
         if 0 < t < 1:
             return super()._prefix(t)
         # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
-        self._walk(leaf_digits(t, self.params.depth))
+        self._walk(leaf_path(t, self.params.depth))
         return float(t)
 
     # -- queries ----------------------------------------------------------
@@ -142,11 +185,19 @@ class AdversarySession(TernaryTreeValuation):
         return answer
 
     def eval(self, x, y) -> float:
-        answer = super().eval(x, y)
+        self._answering = True
+        try:
+            answer = super().eval(x, y)
+        finally:
+            self._answering = False
         return self._record("eval", (as_scalar(x), as_scalar(y)), answer)
 
     def cut(self, x, r) -> Optional[float]:
-        answer = super().cut(x, r)
+        self._answering = True
+        try:
+            answer = super().cut(x, r)
+        finally:
+            self._answering = False
         return self._record("cut", (as_scalar(x), float(r)), answer)
 
     # the names finders and the benchmark call
@@ -162,8 +213,9 @@ class AdversarySession(TernaryTreeValuation):
         return self.heavy_trace[-1] if self.heavy_trace else 0
 
     def revealed_is_connected(self) -> bool:
-        """Every revealed node's parent is revealed (or it is the root)."""
-        return all(path == () or path[:-1] in self.revealed for path in self.revealed)
+        """Every revealed node's parent was revealed before it (or it is the
+        root), as checked at each reveal."""
+        return self._orphans == 0
 
     def revealed_critical_nodes(self) -> list[tuple[int, ...]]:
         """Revealed nodes whose density test says critical, in reveal order.
@@ -172,7 +224,7 @@ class AdversarySession(TernaryTreeValuation):
         labels a node's edges as thirds, so a critical node here means the
         session was driven past its guarantee.
         """
-        return list(self._critical)
+        return [tuple(path) for path in self._critical]
 
     def transcript_lines(self) -> list[str]:
         """The log as JSON-lines: the referee's record format without the
@@ -200,7 +252,7 @@ class AdversarySession(TernaryTreeValuation):
         """
         return CompletedTree(
             self.params,
-            revealed=dict(self.revealed),
+            revealed=dict(self._revealed),
             seed=seed,
             light_leaves=light_leaves,
         )
@@ -257,6 +309,12 @@ class AdversarySession(TernaryTreeValuation):
         )
 
 
+def _not_revealed(path: bytes) -> PreconditionViolation:
+    return PreconditionViolation(
+        f"node {tuple(path)} is not revealed; only eval and cut reveal nodes"
+    )
+
+
 def claim_leaves(piece: Piece, params: TreeParams) -> list[tuple[int, ...]]:
     """Digit paths of every leaf the piece overlaps with positive width."""
     leaves = {i for iv in piece.intervals for i in _leaf_range(iv, params.n)}
@@ -270,32 +328,34 @@ class CompletedTree(TernaryTreeValuation):
     critical node takes thirds; otherwise, if the node sits on a preferred
     light path, the heavy edge moves to the leftmost child off every such
     path (when one exists); otherwise heavy placement is the keyed hash of
-    the node path.
+    the node path.  ``revealed`` is keyed by node-path bytes.
     """
 
     def __init__(
         self,
         params: TreeParams,
-        revealed: dict[tuple[int, ...], Kinds],
+        revealed: dict[bytes, Kinds],
         seed: int,
         light_leaves: Iterable[PathLike] = (),
     ):
         super().__init__(params)
-        self.revealed = revealed
+        self._revealed = revealed
         self.seed = seed
         self._hashed = BalancedValueTree(params, seed)
-        self._light_prefixes: set[tuple[int, ...]] = set()
+        self._light_prefixes: set[bytes] = set()
         for leaf in light_leaves:
-            digits = _digits(leaf)
-            for i in range(1, len(digits) + 1):
-                self._light_prefixes.add(digits[:i])
+            leaf = _node_key(leaf)
+            for i in range(1, len(leaf) + 1):
+                self._light_prefixes.add(leaf[:i])
 
     def labels_for(self, path, h, q, critical):
-        kinds = self.revealed.get(path)
+        if path.__class__ is not bytes:
+            path = _node_key(path)
+        kinds = self._revealed.get(path)
         if kinds is not None:
             return kinds
         if self._light_prefixes and not critical:
-            protected = [c for c in (0, 1, 2) if path + (c,) in self._light_prefixes]
+            protected = [c for c in (0, 1, 2) if path + _STEP[c] in self._light_prefixes]
             if protected and len(protected) < 3:
                 return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
         return self._hashed.labels_for(path, h, q, critical)

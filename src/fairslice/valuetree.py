@@ -22,6 +22,18 @@ a descent to a target prefix mass.  Hashed trees, completions and the
 adversary session differ only in their label source, so on shared labels
 they give the same floats by construction.
 
+Inside the walks a node path is the ``bytes`` of its base-3 digits (the
+root is ``b""``): one object is the dict key, the blake2b label input and,
+through ``list(path)``, the transcript form, and each level's path is a C
+slice of the leaf's bytes.  The public methods keep taking digit tuples
+and :class:`NodePath`.  Each tree remembers the prefix mass of every exact
+position it has walked, since protocols ask the same tree about the same
+point again (Even-Paz evaluates a block's left end, then cuts from it).
+That is sound because a node's labels never change once read: hashed and
+completed labels are functions of the path, and a session binds every node
+a walk reveals, so a second walk to the same point would return the same
+float.
+
 Everything the walks need that depends only on the tree's size exists once
 per size: the label values and log constants are cached on
 :class:`TreeParams`, and one criticality table per params value is shared
@@ -42,7 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from itertools import product
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar
@@ -57,6 +70,9 @@ THIRD = "T"
 
 #: label kinds of an ordinary node whose heavy edge is child i
 _HEAVY_AT = ((HEAVY, LIGHT, LIGHT), (LIGHT, HEAVY, LIGHT), (LIGHT, LIGHT, HEAVY))
+
+#: path bytes of one step to child 0, 1 or 2
+_STEP = (b"\x00", b"\x01", b"\x02")
 
 #: side length of the comparison guard band in log space
 AMBIGUITY_GUARD = 1e-9
@@ -157,11 +173,13 @@ def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
 def leaf_digits(t: Fraction, depth: int) -> tuple[int, ...]:
     """Base-3 digit path of the leaf whose cell contains t (t=1 maps to the
     last leaf)."""
+    return tuple(leaf_path(t, depth))
+
+
+def leaf_path(t: Fraction, depth: int) -> bytes:
+    """:func:`leaf_digits` as node-path bytes."""
     n = 3**depth
-    index = math.floor(t * n)
-    if index >= n:
-        index = n - 1
-    return digits_of_index(index, depth)
+    return index_path(min(math.floor(t * n), n - 1), depth)
 
 
 def _leaf_range(interval: Interval, n: int) -> range:
@@ -172,12 +190,31 @@ def _leaf_range(interval: Interval, n: int) -> range:
 
 
 def digits_of_index(index: int, depth: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(depth):
-        index, digit = divmod(index, 3)
-        digits.append(digit)
-    digits.reverse()
-    return tuple(digits)
+    """Base-3 digits of leaf ``index`` at ``depth``, most significant first."""
+    return tuple(index_path(index, depth))
+
+
+#: digits per chunk of :func:`index_path`, and the path bytes of every
+#: chunk value, built on first use
+_CHUNK_DIGITS = 6
+_CHUNK = 3**_CHUNK_DIGITS
+_CHUNK_PATHS: list[bytes] = []
+
+
+def index_path(index: int, depth: int) -> bytes:
+    """:func:`digits_of_index` as node-path bytes, six digits per step."""
+    table = _CHUNK_PATHS or _chunk_paths()
+    chunks = -(-depth // _CHUNK_DIGITS)
+    parts = [b""] * chunks
+    for i in range(chunks - 1, -1, -1):
+        index, low = divmod(index, _CHUNK)
+        parts[i] = table[low]
+    return b"".join(parts)[chunks * _CHUNK_DIGITS - depth :]
+
+
+def _chunk_paths() -> list[bytes]:
+    _CHUNK_PATHS.extend(map(bytes, product(range(3), repeat=_CHUNK_DIGITS)))
+    return _CHUNK_PATHS
 
 
 @dataclass(frozen=True)
@@ -213,10 +250,18 @@ class NodePath:
 PathLike = Union[NodePath, Sequence[int]]
 
 
-def _digits(path: PathLike) -> tuple[int, ...]:
-    if isinstance(path, NodePath):
-        return path.digits
-    return tuple(path)
+def _node_key(path: PathLike) -> bytes:
+    """The node-path bytes of a digit sequence, :class:`NodePath` or bytes."""
+    if isinstance(path, bytes):
+        return path
+    digits = path.digits if isinstance(path, NodePath) else path
+    try:
+        key = bytes(digits)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad node path {path!r}: {exc}") from None
+    if key.strip(b"\x00\x01\x02"):
+        raise InvalidInput("path digits must be 0, 1 or 2")
+    return key
 
 
 @dataclass(frozen=True)
@@ -229,8 +274,7 @@ class NodeProfile:
     critical: bool
 
 
-@dataclass(frozen=True)
-class NodeVisit:
+class NodeVisit(NamedTuple):
     """One node seen during whole-tree enumeration."""
 
     depth: int
@@ -255,20 +299,24 @@ class TernaryTreeValuation(Valuation, ABC):
     follows a known digit path and :meth:`_descend` a target prefix mass.
     Both read labels through a hook that also gets the walk's step
     (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings ignore
-    it, and the adversary session decides unrevealed nodes from it.
+    it, and the adversary session decides unrevealed nodes from it.  The
+    walks pass node paths to the hooks and to :meth:`labels_for` as bytes.
     """
 
     def __init__(self, params: TreeParams):
         self.params = params
         self._crit_cache = _CRITICAL_TABLES.setdefault(params, {})
+        #: prefix mass of each position walked, keyed by (numerator, denominator)
+        self._masses: dict[tuple[int, int], float] = {}
 
     # -- labeling ----------------------------------------------------------
 
     @abstractmethod
     def labels_for(
-        self, path: tuple[int, ...], h: int, q: int, critical: bool
+        self, path: PathLike, h: int, q: int, critical: bool
     ) -> tuple[str, str, str]:
-        """Edge-label kinds (HEAVY/LIGHT/THIRD) of a node's three children."""
+        """Edge-label kinds (HEAVY/LIGHT/THIRD) of a node's three children;
+        ``path`` is node-path bytes, a digit tuple or a :class:`NodePath`."""
 
     def label_value(self, kind: str) -> float:
         return self.params.label_values.get(kind, 1.0 / 3.0)
@@ -304,8 +352,8 @@ class TernaryTreeValuation(Valuation, ABC):
         ``remaining`` mass still to pass."""
         return self.labels_for(path, h, q, critical)
 
-    def _walk(self, digits: tuple[int, ...], visit=None) -> tuple[float, int, int, int, bool, float]:
-        """(prefix mass, h, q, z, critical, value) of the node at ``digits``.
+    def _walk(self, node: bytes, visit=None) -> tuple[float, int, int, int, bool, float]:
+        """(prefix mass, h, q, z, critical, value) of the node at path ``node``.
 
         The prefix mass is the value of everything left of the node.
         ``visit(path, critical, kinds)``, when given, sees every node passed.
@@ -316,12 +364,12 @@ class TernaryTreeValuation(Valuation, ABC):
         value = 1.0
         h = q = z = 0
         critical = False
-        for i, c in enumerate(digits):
+        for i, c in enumerate(node):
             if not critical:
                 critical = table.get((h, q))
                 if critical is None:
                     critical = self.critical_counts(h, q)
-            path = digits[:i]
+            path = node[:i]
             kinds = self._path_labels(path, h, q, critical, c)
             if visit is not None:
                 visit(path, critical, kinds)
@@ -344,21 +392,26 @@ class TernaryTreeValuation(Valuation, ABC):
         Tracks the remaining mass incrementally; the child test
         ``value * label >= remaining`` is the only comparison, so a lazy
         labeling that decides a node from (value, remaining) by the same
-        test routes the descent exactly where it intends.
+        test routes the descent exactly where it intends.  The answer is
+        ``index / n + (1 / n) * within`` for the chosen leaf ``index``: int
+        true division rounds correctly, so this is the float of the leaf's
+        exact left end plus its width times the fraction ``within``.
         """
         label_of = self.params.label_values
         table = self._crit_cache
+        n = self.params.n
         remaining = target
         value = 1.0
         h = q = 0
         critical = False
-        digits: list[int] = []
+        index = 0
+        path = bytearray()
         for _ in range(self.params.depth):
             if not critical:
                 critical = table.get((h, q))
                 if critical is None:
                     critical = self.critical_counts(h, q)
-            kinds = self._descent_labels(tuple(digits), h, q, critical, value, remaining)
+            kinds = self._descent_labels(bytes(path), h, q, critical, value, remaining)
             chosen = 2
             for c in (0, 1):
                 child_mass = value * label_of[kinds[c]]
@@ -372,23 +425,23 @@ class TernaryTreeValuation(Valuation, ABC):
             elif kind == LIGHT:
                 q += 1
             value *= label_of[kind]
-            digits.append(chosen)
+            path.append(chosen)
+            index = index * 3 + chosen
         within = remaining / value if value > 0 else 0.0
         within = min(max(within, 0.0), 1.0)
-        leaf = NodePath(tuple(digits))
-        return float(leaf.left()) + float(leaf.width()) * within
+        return index / n + (1 / n) * within
 
     def node_profile(self, path: PathLike) -> NodeProfile:
-        _, h, q, z, critical, _ = self._walk(_digits(path))
+        _, h, q, z, critical, _ = self._walk(_node_key(path))
         return NodeProfile(h, q, z, critical)
 
     def node_value(self, path: PathLike) -> float:
         """Direct product of the edge labels on the node's root path."""
-        return self._walk(_digits(path))[5]
+        return self._walk(_node_key(path))[5]
 
     def node_density(self, path: PathLike) -> float:
         """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
-        _, h, q, _, _, _ = self._walk(_digits(path))
+        _, h, q, _, _, _ = self._walk(_node_key(path))
         return math.exp(self._log_density(h, q))
 
     def is_critical(self, path: PathLike) -> bool:
@@ -396,10 +449,10 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def classify_leaf(self, path: PathLike) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
-        digits = _digits(path)
-        if len(digits) != self.params.depth:
-            raise InvalidInput(f"not a leaf path: depth {len(digits)} != {self.params.depth}")
-        _, h, q, _, critical, _ = self._walk(digits)
+        leaf = _node_key(path)
+        if len(leaf) != self.params.depth:
+            raise InvalidInput(f"not a leaf path: depth {len(leaf)} != {self.params.depth}")
+        _, h, q, _, critical, _ = self._walk(leaf)
         if critical:
             return "critical"
         return "rich" if self.rich_counts(h, q) else "neither"
@@ -411,16 +464,22 @@ class TernaryTreeValuation(Valuation, ABC):
         return True  # all edge labels are positive
 
     def _prefix(self, t: Fraction) -> float:
-        """Mass of [0, t], walked along the root path of t's leaf."""
-        if t <= 0:
+        """Mass of [0, t], walked along the root path of t's leaf the first
+        time t is asked for."""
+        num, den = t.numerator, t.denominator
+        if num <= 0:
             return 0.0
-        if t >= 1:
+        if num >= den:
             return 1.0
-        n = self.params.n
-        index = math.floor(t * n)
-        mass, _, _, _, _, value = self._walk(digits_of_index(index, self.params.depth))
-        within = (t - Fraction(index, n)) * n  # exact fraction of the cell
-        return mass + value * float(within)
+        mass = self._masses.get((num, den))
+        if mass is None:
+            # t * n = index + rem / den: t lies rem / den of the way into
+            # leaf cell ``index``
+            index, rem = divmod(num * self.params.n, den)
+            mass, _, _, _, _, value = self._walk(index_path(index, self.params.depth))
+            mass += value * (rem / den)
+            self._masses[num, den] = mass
+        return mass
 
     def eval(self, x, y) -> float:
         x, y = as_scalar(x), as_scalar(y)
@@ -456,8 +515,8 @@ class TernaryTreeValuation(Valuation, ABC):
         depth_max = self.params.depth
         label_of = self.params.label_values
         table = self._crit_cache
-        stack: list[tuple[tuple[int, ...], int, int, int, int, bool, float]] = [
-            ((), 0, 0, 0, 0, False, 1.0)
+        stack: list[tuple[bytes, int, int, int, int, bool, float]] = [
+            (b"", 0, 0, 0, 0, False, 1.0)
         ]
         while stack:
             path, depth, h, q, z, critical, value = stack.pop()
@@ -480,7 +539,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 else:
                     nz += 1
                 stack.append(
-                    (path + (c,), depth + 1, nh, nq, nz, critical, value * label_of[kind])
+                    (path + _STEP[c], depth + 1, nh, nq, nz, critical, value * label_of[kind])
                 )
 
     def max_leaf_density(self) -> float:
@@ -518,7 +577,7 @@ class TernaryTreeValuation(Valuation, ABC):
         )
         depth = self.params.depth
         leaves = _leaf_range(best, n)
-        chosen = max(leaves, key=lambda i: self.node_density(digits_of_index(i, depth)))
+        chosen = max(leaves, key=lambda i: self.node_density(index_path(i, depth)))
         return NodePath.from_index(chosen, depth)
 
 
@@ -540,7 +599,7 @@ class BalancedValueTree(TernaryTreeValuation):
         if critical:
             return (THIRD, THIRD, THIRD)
         state = self._keyed.copy()
-        state.update(bytes(path))
+        state.update(path if path.__class__ is bytes else _node_key(path))
         return _HEAVY_AT[int.from_bytes(state.digest(), "big") % 3]
 
     def to_json(self) -> dict:
@@ -636,25 +695,25 @@ def verify_labeling(
 
     params = source.params
     rng = _random.Random(sample_seed)
-    all_paths = [_digits(p) for p in paths]
+    all_paths = [_node_key(p) for p in paths]
     for _ in range(sample_count):
-        all_paths.append(digits_of_index(rng.randrange(params.n), params.depth))
+        all_paths.append(index_path(rng.randrange(params.n), params.depth))
 
     def check(path, critical, kinds):
         values = [source.label_value(k) for k in kinds]
         if abs(sum(values) - 1.0) > 1e-12:
-            raise InvalidInput(f"labels at {path} sum to {sum(values)}, not 1")
+            raise InvalidInput(f"labels at {tuple(path)} sum to {sum(values)}, not 1")
         if critical:
             if kinds != (THIRD, THIRD, THIRD):
-                raise InvalidInput(f"critical node {path} not labeled (1/3,1/3,1/3): {kinds}")
+                raise InvalidInput(f"critical node {tuple(path)} not labeled (1/3,1/3,1/3): {kinds}")
         else:
             if sorted(kinds) != [HEAVY, LIGHT, LIGHT]:
                 raise InvalidInput(
-                    f"non-critical node {path} needs one heavy and two light edges: {kinds}"
+                    f"non-critical node {tuple(path)} needs one heavy and two light edges: {kinds}"
                 )
 
     checked = 0
-    for digits in all_paths:
-        source._walk(digits, visit=check)
-        checked += len(digits)
+    for leaf in all_paths:
+        source._walk(leaf, visit=check)
+        checked += len(leaf)
     return checked

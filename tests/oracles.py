@@ -4,14 +4,17 @@ These deliberately avoid the library's own integration/inversion logic:
 ``grid_integral`` is a plain midpoint Riemann sum over the raw segment
 description, ``bisect_cut`` inverts it by bisection,
 ``leaf_sum_value`` re-derives tree values from per-leaf densities, and
-``max_revealed_heavy`` / ``revealed_critical_nodes`` recount an adversary
-session's revealed labels by full traversal.  Slow and approximate by
+``max_revealed_heavy`` / ``revealed_critical_nodes`` /
+``revealed_is_connected`` recount an adversary session's revealed labels
+by full traversal.  Slow and approximate by
 design; exact expected values asserted in tests were first cross-checked
 against these.  ``scan_eval`` and ``scan_cut`` are the exception: exact
 segment-by-segment scans of a step valuation, kept as the reference its
 table lookups must match answer for answer, and ``fraction_dense_draw`` is
 the step generator as first written in ``Fraction`` arithmetic, which the
-integer generator must match draw for draw.
+integer generator must match draw for draw.  ``divmod_digits_of_index``
+is the digit conversion as first written, one ``divmod`` per digit, which
+the chunked conversion must match.
 """
 
 from __future__ import annotations
@@ -214,3 +217,20 @@ def revealed_critical_nodes(revealed, params):
         for c, kind in enumerate(kinds):
             stack.append((path + (c,), h + (kind == "H"), q + (kind == "L")))
     return out
+
+
+def revealed_is_connected(revealed):
+    """Every revealed node's parent is revealed (or it is the root), by a
+    scan of every revealed digit-tuple path."""
+    return all(path == () or path[:-1] in revealed for path in revealed)
+
+
+def divmod_digits_of_index(index, depth):
+    """Base-3 digits of ``index``, most significant first, one ``divmod``
+    per digit."""
+    digits = []
+    for _ in range(depth):
+        index, digit = divmod(index, 3)
+        digits.append(digit)
+    digits.reverse()
+    return tuple(digits)

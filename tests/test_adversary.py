@@ -13,7 +13,7 @@ from fairslice.adversary import (
     replay_transcript,
     run_heavy_piece_game,
 )
-from fairslice.errors import ProtocolViolation, ReplayMismatch
+from fairslice.errors import PreconditionViolation, ProtocolViolation, ReplayMismatch
 from fairslice.geometry import Piece
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee, replay_log
@@ -77,6 +77,18 @@ class TestAnswers:
         mass = session.answer_eval(0, Fraction(1, 3))
         y = session.answer_cut(0, mass)
         assert abs(y - 1 / 3) < 1e-9
+
+    def test_repeated_endpoint_reveals_nothing_new(self):
+        rng = random.Random(31)
+        session = AdversarySession(P60)
+        random_queries(session, 6, rng)
+        x, y = Fraction(7, 3**9), Fraction(2020, 3**9)
+        first = session.answer_eval(x, y)
+        revealed = len(session.revealed)
+        again = session.answer_eval(x, y)
+        assert repr(again) == repr(first)
+        assert session.log[-1].reveals == ()
+        assert len(session.revealed) == revealed
 
 
 class TestInvariants:
@@ -172,6 +184,7 @@ class TestOracles:
         assert session.max_revealed_heavy() == expected
         assert session.heavy_trace[-1] == expected
         assert len(session.heavy_trace) == session.m
+        assert session.revealed_is_connected() == oracles.revealed_is_connected(session.revealed)
 
     def test_seeded_sessions(self):
         rng = random.Random(4242)
@@ -218,6 +231,54 @@ class TestOracles:
         found = session.revealed_critical_nodes()
         assert len(found) == len(set(found))
         assert set(found) == expected
+
+    def test_connectivity_check_sees_an_orphan(self):
+        session = AdversarySession(P60)
+        session.answer_eval(0, Fraction(1, 3))
+        assert session.revealed_is_connected()
+        # no walk reveals a node before its parent; force one past the walks
+        session._answering = True
+        session._reveal(bytes((2, 2, 2)), 0, 3, (HEAVY, LIGHT, LIGHT))
+        assert not oracles.revealed_is_connected(session.revealed)
+        assert not session.revealed_is_connected()
+
+
+class TestInspection:
+    """Only eval and cut reveal nodes; the tree-inspection methods a session
+    inherits read revealed nodes and refuse the others."""
+
+    LEAF = (1,) * 11
+
+    def test_inspection_reveals_nothing(self):
+        session = AdversarySession(P11)
+        for inspect in (
+            session.node_profile,
+            session.node_value,
+            session.node_density,
+            session.classify_leaf,
+            session.is_critical,
+        ):
+            with pytest.raises(PreconditionViolation):
+                inspect(self.LEAF)
+        assert session.revealed == {}
+        fresh = AdversarySession(P11)
+        assert session.answer_eval(0, Fraction(1, 2)) == fresh.answer_eval(0, Fraction(1, 2))
+        assert session.log == fresh.log
+
+    def test_iter_nodes_is_a_typed_error(self):
+        with pytest.raises(PreconditionViolation):
+            next(AdversarySession(P11).iter_nodes())
+
+    def test_revealed_nodes_can_be_inspected(self):
+        session = AdversarySession(P11)
+        x = Fraction(5, 3**11)
+        session.answer_eval(x, x)
+        revealed = len(session.revealed)
+        leaf = oracles.divmod_digits_of_index(5, 11)
+        completion = session.complete_labeling(seed=0)
+        assert session.node_profile(leaf) == completion.node_profile(leaf)
+        assert session.node_value(leaf) == completion.node_value(leaf)
+        assert len(session.revealed) == revealed and session.m == 1
 
 
 def iter_path_digits(t, depth):

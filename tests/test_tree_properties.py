@@ -82,6 +82,44 @@ def test_cut_is_monotone_in_mass(name):
     check()
 
 
+def small_numerator(i: int, k: int) -> Fraction:
+    """i / 3^k, capped at 1: points that share numerators across sizes."""
+    return min(Fraction(i, 3**k), Fraction(1))
+
+
+@pytest.mark.parametrize("depth", [11, 60])
+def test_answers_do_not_depend_on_earlier_queries(depth):
+    """A tree remembers the prefix mass of each position it walked; a run
+    of queries on one tree must answer as each query does on a fresh tree."""
+    params = TreeParams.from_depth(depth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        pool=st.lists(
+            st.one_of(points(depth), st.builds(small_numerator, st.integers(1, 9), st.integers(1, depth))),
+            min_size=1,
+            max_size=4,
+        ),
+        queries=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3), st.floats(0, 1.2)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def check(seed, pool, queries):
+        tree = BalancedValueTree(params, seed)
+        for is_eval, i, j, r in queries:
+            a, b = sorted((pool[i % len(pool)], pool[j % len(pool)]))
+            if is_eval:
+                got, fresh = tree.eval(a, b), BalancedValueTree(params, seed).eval(a, b)
+            else:
+                got, fresh = tree.cut(a, r), BalancedValueTree(params, seed).cut(a, r)
+            assert repr(got) == repr(fresh)
+
+    check()
+
+
 # Known defect of float cut answers (exact positions are ROADMAP item 4):
 # cut(x, 0) returns float(x), while a positive cut answers from the descent
 # as float(leaf left) + float(leaf width) * within.  The two round

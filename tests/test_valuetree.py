@@ -12,13 +12,14 @@ from fairslice.valuetree import (
     NodePath,
     TreeParams,
     build_tree,
+    digits_of_index,
     leaf_digits,
     leaf_profiles,
     low_heavy_density_cap,
     verify_labeling,
 )
 
-from oracles import leaf_sum_value
+from oracles import divmod_digits_of_index, leaf_sum_value
 
 P11 = TreeParams.from_depth(11)
 # depth 7: the smallest size with a non-critical root (beta < 2) and
@@ -71,6 +72,13 @@ class TestPaths:
 
     def test_from_index(self):
         assert NodePath.from_index(5, 3).digits == (0, 1, 2)
+
+    @pytest.mark.parametrize("depth", [4, 5, 6, 7, 11, 60, 200])
+    def test_digits_of_index_matches_divmod(self, depth):
+        n = 3**depth
+        rng = random.Random(depth)
+        for index in [0, n - 1] + [rng.randrange(n) for _ in range(200)]:
+            assert digits_of_index(index, depth) == divmod_digits_of_index(index, depth)
 
 
 class TestStructure:
