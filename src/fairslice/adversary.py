@@ -13,10 +13,10 @@ query's root paths *light*:
 
 Each query therefore adds heavy edges to at most two root chains, so after
 m queries no root-to-leaf path holds more than 2m revealed heavy edges.
-While ``m <= floor((ln(n)/6 - 1)/2)`` that is below the heavy-edge count a
-rich or critical leaf needs, and *any* claimed heavy piece can be refuted
-by completing the labeling with light edges along the claim's leaves and
-exhibiting the resulting low value.
+While m is at most :attr:`TreeParams.threshold`, ``floor((ln(n)/6 - 1)/2)``,
+that is below the heavy-edge count a rich or critical leaf needs, and *any*
+claimed heavy piece can be refuted by completing the labeling with light
+edges along the claim's leaves and exhibiting the resulting low value.
 
 The session is itself a tree valuation, answering through the walks that
 hashed trees and completions use with a label source that reveals nodes as
@@ -37,12 +37,12 @@ happily at n = 3^60 and beyond; only touched nodes are stored.
 from __future__ import annotations
 
 import json
-import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
@@ -55,6 +55,7 @@ from .valuetree import (
     TreeParams,
     _HEAVY_AT,
     _STEP,
+    _as_mass,
     _leaf_range,
     _node_key,
     digits_of_index,
@@ -64,8 +65,7 @@ from .valuetree import (
 Kinds = tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class Reveal:
+class Reveal(NamedTuple):
     """One newly revealed node: its path bytes and the three child-edge kinds."""
 
     path: bytes
@@ -118,15 +118,6 @@ class AdversarySession(TernaryTreeValuation):
         self._critical: list[bytes] = []  # revealed critical nodes
         self._orphans = 0  # revealed nodes whose parent was not revealed
 
-    # -- constants -------------------------------------------------------
-
-    @property
-    def threshold(self) -> int:
-        """Number of queries the refutation guarantee covers:
-        floor((ln(n)/6 - 1)/2), clamped at zero for small trees."""
-        raw = math.floor((math.log(self.params.n) / 6.0 - 1.0) / 2.0)
-        return max(raw, 0)
-
     @property
     def m(self) -> int:
         """Queries answered so far."""
@@ -165,7 +156,7 @@ class AdversarySession(TernaryTreeValuation):
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
         self._heavy = max(self._heavy, h + (HEAVY in kinds))
-        if self.critical_counts(h, q):
+        if self.params.critical_counts(h, q):
             self._critical.append(path)
         return kinds
 
@@ -198,7 +189,7 @@ class AdversarySession(TernaryTreeValuation):
             answer = super().cut(x, r)
         finally:
             self._answering = False
-        return self._record("cut", (as_scalar(x), float(r)), answer)
+        return self._record("cut", (as_scalar(x), _as_mass(r)), answer)
 
     # the names finders and the benchmark call
     answer_eval = eval
@@ -264,48 +255,32 @@ class AdversarySession(TernaryTreeValuation):
         Width violations refute outright.  Otherwise the session looks for
         a consistent completion under which the piece's value falls short:
         first the targeted completion that keeps the claim's leaf paths
-        light, then a handful of ordinary seeded completions.  Within the
-        query threshold the targeted completion always works; past it this
-        is best effort and ``CannotRefute`` is an honest "no witness found".
+        light, then a handful of ordinary seeded completions.  Within
+        ``params.threshold`` queries the targeted completion always works;
+        past it this is best effort and ``CannotRefute`` is an honest "no
+        witness found".
         """
         n = self.params.n
         width_bound = Fraction(1, n)
         value_bound = Fraction(1, 2 * n)
+        refutation = partial(
+            Refutation, claim=piece, width=piece.width, width_bound=width_bound, value_bound=value_bound
+        )
         if piece.width > width_bound:
-            return Refutation(
-                claim=piece,
-                width=piece.width,
-                width_bound=width_bound,
-                value=None,
-                value_bound=value_bound,
-                violated="width",
-                completion_seed=None,
-                completion=None,
-            )
+            return refutation(value=None, violated="width", completion_seed=None, completion=None)
         if piece.width == 0:
             raise PreconditionViolation("an empty piece cannot be a heavy-piece claim")
-        leaves = claim_leaves(piece, self.params)
-        attempts: list[tuple[int, Iterable[PathLike]]] = [(0, leaves)]
-        attempts += [(s, ()) for s in range(1, 21)]
-        tried = 0
+        attempts = [(0, claim_leaves(piece, self.params))] + [(s, ()) for s in range(1, 21)]
         for seed, light in attempts:
             completion = self.complete_labeling(seed, light_leaves=light)
             value = completion.value_of_piece(piece)
-            tried += 1
             if value < float(value_bound):
-                return Refutation(
-                    claim=piece,
-                    width=piece.width,
-                    width_bound=width_bound,
-                    value=value,
-                    value_bound=value_bound,
-                    violated="value",
-                    completion_seed=seed,
-                    completion=completion,
+                return refutation(
+                    value=value, violated="value", completion_seed=seed, completion=completion
                 )
         return CannotRefute(
-            reason=f"piece stayed heavy under {tried} completion(s)",
-            attempts=tried,
+            reason=f"piece stayed heavy under {len(attempts)} completion(s)",
+            attempts=len(attempts),
         )
 
 
@@ -473,7 +448,8 @@ STRATEGIES = {
 
 @dataclass(frozen=True)
 class GameReport:
-    """Outcome of one finder-vs-adversary game."""
+    """Outcome of one finder-vs-adversary game; ``threshold`` is the tree
+    size's :attr:`TreeParams.threshold`."""
 
     depth: int
     strategy: str
@@ -522,7 +498,7 @@ def run_heavy_piece_game(
         depth=params.depth,
         strategy=strategy,
         budget=budget,
-        threshold=session.threshold,
+        threshold=params.threshold,
         queries_used=session.m,
         claim=claim,
         outcome=outcome,

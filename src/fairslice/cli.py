@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .adversary import STRATEGIES, AdversarySession, run_heavy_piece_game
+from .adversary import STRATEGIES, run_heavy_piece_game
 from .dual import reduction_pipeline
 from .errors import FairsliceError, InvalidInput, ProtocolViolation, ReplayMismatch
 from .protocols import PROTOCOLS, check_proportional
@@ -204,9 +204,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_adversary(args) -> int:
     params = TreeParams.from_depth(args.k, permissive=args.permissive_n)
-    budget = args.budget
-    if budget is None:
-        budget = AdversarySession(params).threshold
+    budget = params.threshold if args.budget is None else args.budget
     seeds = _resolve_seeds(args)
     games = [
         run_heavy_piece_game(params, args.strategy, budget, seed) for seed in seeds

@@ -77,8 +77,10 @@ class DualValuation(Valuation):
         x = as_scalar(x)
         if not (ZERO <= x <= ONE):
             raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
-        if r < 0:
-            raise InvalidInput(f"cut needs r >= 0, got {r}")
+        r = r if isinstance(r, float) else as_scalar(r)
+        if not 0 <= r < math.inf:
+            # refused before the first base query, so nothing is billed
+            raise InvalidInput(f"cut needs a finite r >= 0, got {r}")
         cx = self.base.cut(ZERO, x)
         if cx is None:
             raise NonPositiveValuation(

@@ -25,14 +25,18 @@ def as_scalar(value: ScalarLike) -> Fraction:
 
     Strings use the ``"p/q"`` form (``Fraction`` accepts plain integers
     too).  Floats convert exactly via their binary expansion, which is the
-    caller's responsibility to want.
+    caller's responsibility to want.  NaN, infinities, malformed strings,
+    zero denominators and non-numbers raise :class:`InvalidInput`.
 
     >>> as_scalar("3/4")
     Fraction(3, 4)
     """
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"not a finite rational: {value!r} ({exc})") from None
 
 
 def scalar_str(value: Fraction) -> str:

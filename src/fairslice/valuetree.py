@@ -34,11 +34,10 @@ completed labels are functions of the path, and a session binds every node
 a walk reveals, so a second walk to the same point would return the same
 float.
 
-Everything the walks need that depends only on the tree's size exists once
-per size: the label values and log constants are cached on
-:class:`TreeParams`, and one criticality table per params value is shared
-by every hashed tree, completion and session of that size.  A hashed tree
-builds its keyed blake2b state once and copies it for each node label.
+What depends only on the tree's size is :class:`TreeParams`'s: label
+values, log constants, the density tests, the adversary's query threshold,
+and a criticality table that every tree, completion and session of that
+size shares.  A hashed tree copies one keyed blake2b state per node label.
 
 Values here are irrational, so node arithmetic runs in floats with
 comparisons done in log space; any classification within 1e-9 of a
@@ -49,6 +48,7 @@ supported sizes the true margins are wider than 1e-3.
 from __future__ import annotations
 
 import math
+import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,10 +92,11 @@ LOW_HEAVY_DENSITY_LIMIT = 2.0 ** (1.5 - 3.0 / LN3)
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Size-derived constants of a balanced value tree.
+    """Size-derived constants and density tests of a balanced value tree.
 
-    The label values and log constants are computed on first use and kept
-    on the instance; equality and hashing see only the four fields.
+    The label values, log constants, threshold and criticality table are
+    made on first use and kept on the instance; equality and hashing see
+    only the four fields, so equal params share one criticality table.
     """
 
     n: int
@@ -114,16 +115,14 @@ class TreeParams:
                 f"depth {depth} < {STRICT_MIN_DEPTH}: density guarantees need "
                 f"n >= 3^{STRICT_MIN_DEPTH} (pass permissive=True for unit-test sizes)"
             )
-        n = 3**depth
         beta = 2.0 ** (6.0 / (depth * LN3))
-        params = cls(n=n, depth=depth, beta=beta, permissive=permissive)
         if not permissive and not (1.0 / 3.0 <= beta / 3.0 < 0.5):
             raise InvalidInput(f"heavy label beta/3 = {beta/3} outside [1/3, 1/2)")
-        return params
+        return cls(n=3**depth, depth=depth, beta=beta, permissive=permissive)
 
     @classmethod
     def from_leaf_count(cls, n: int, permissive: bool = False) -> "TreeParams":
-        depth = round(math.log(n, 3))
+        depth = round(math.log(n, 3)) if n >= 1 else 0
         if 3**depth != n:
             raise InvalidInput(f"leaf count {n} is not a power of 3")
         return cls.from_depth(depth, permissive)
@@ -151,13 +150,45 @@ class TreeParams:
         # with beta = exp(ln_beta)
         return math.log1p(-math.expm1(self.ln_beta) / 2.0)
 
+    @cached_property
+    def threshold(self) -> int:
+        """Number of queries the adversary's refutation guarantee covers:
+        floor((ln(n)/6 - 1)/2), clamped at zero for small trees."""
+        return max(math.floor((math.log(self.n) / 6.0 - 1.0) / 2.0), 0)
+
     def leaf_width(self) -> Fraction:
         return Fraction(1, self.n)
 
+    def log_density(self, h: int, q: int) -> float:
+        """log of the density beta^h * (3/2 - beta/2)^q at h heavy, q light edges."""
+        return h * self.ln_beta + q * self.ln_light_density
+
+    def critical_margin(self, h: int, q: int) -> float:
+        """log(D * beta) - log 2; positive means critical."""
+        return self.log_density(h + 1, q) - LN2
+
+    @cached_property
+    def critical_table(self) -> dict[tuple[int, int], bool]:
+        """Criticality verdicts by (h, q), one per size; the walks read it
+        inline and call :meth:`critical_counts` on a miss."""
+        return _CRITICAL_TABLES.setdefault(self, {})
+
+    def critical_counts(self, h: int, q: int) -> bool:
+        table = self.critical_table
+        cached = table.get((h, q))
+        if cached is None:
+            cached = _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
+            table[h, q] = cached
+        return cached
+
+    def rich_counts(self, h: int, q: int) -> bool:
+        """Density >= 1/2 in log space, with the same ambiguity guard."""
+        return _guarded_sign(self.log_density(h, q) + LN2, "richness", h, q)
+
 
 #: criticality verdicts by (h, q), one table per tree size.  Keyed by the
-#: params value, so trees read back separately (each with its own equal
-#: params) still share a table.  Ambiguous verdicts are never stored.
+#: params value, so params read back separately with equal values still
+#: share a table.  Ambiguous verdicts are never stored.
 _CRITICAL_TABLES: dict[TreeParams, dict[tuple[int, int], bool]] = {}
 
 
@@ -168,6 +199,18 @@ def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
             f"{test} test at h={h}, q={q} within {AMBIGUITY_GUARD} of the threshold"
         )
     return margin > 0
+
+
+def _as_mass(r) -> float:
+    """A cut query's mass as a float; refused unless it is finite, at least
+    0 and within float range."""
+    try:
+        mass = r if r.__class__ is float else float(as_scalar(r))
+    except OverflowError:
+        mass = math.nan
+    if not 0.0 <= mass < math.inf:
+        raise InvalidInput(f"cut needs a finite r >= 0, got {r!r}")
+    return mass
 
 
 def leaf_digits(t: Fraction, depth: int) -> tuple[int, ...]:
@@ -305,7 +348,6 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def __init__(self, params: TreeParams):
         self.params = params
-        self._crit_cache = _CRITICAL_TABLES.setdefault(params, {})
         #: prefix mass of each position walked, keyed by (numerator, denominator)
         self._masses: dict[tuple[int, int], float] = {}
 
@@ -317,29 +359,6 @@ class TernaryTreeValuation(Valuation, ABC):
     ) -> tuple[str, str, str]:
         """Edge-label kinds (HEAVY/LIGHT/THIRD) of a node's three children;
         ``path`` is node-path bytes, a digit tuple or a :class:`NodePath`."""
-
-    def label_value(self, kind: str) -> float:
-        return self.params.label_values.get(kind, 1.0 / 3.0)
-
-    # -- log-space classification -------------------------------------------
-
-    def _log_density(self, h: int, q: int) -> float:
-        return h * self.params.ln_beta + q * self.params.ln_light_density
-
-    def critical_margin(self, h: int, q: int) -> float:
-        """log(D * beta) - log 2; positive means critical."""
-        return self._log_density(h + 1, q) - LN2
-
-    def critical_counts(self, h: int, q: int) -> bool:
-        cached = self._crit_cache.get((h, q))
-        if cached is None:
-            cached = _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
-            self._crit_cache[(h, q)] = cached
-        return cached
-
-    def rich_counts(self, h: int, q: int) -> bool:
-        """Density >= 1/2 in log space, with the same ambiguity guard."""
-        return _guarded_sign(self._log_density(h, q) + LN2, "richness", h, q)
 
     # -- the two walks -------------------------------------------------------
 
@@ -358,8 +377,9 @@ class TernaryTreeValuation(Valuation, ABC):
         The prefix mass is the value of everything left of the node.
         ``visit(path, critical, kinds)``, when given, sees every node passed.
         """
-        label_of = self.params.label_values
-        table = self._crit_cache
+        params = self.params
+        label_of = params.label_values
+        table = params.critical_table
         mass = 0.0
         value = 1.0
         h = q = z = 0
@@ -368,7 +388,7 @@ class TernaryTreeValuation(Valuation, ABC):
             if not critical:
                 critical = table.get((h, q))
                 if critical is None:
-                    critical = self.critical_counts(h, q)
+                    critical = params.critical_counts(h, q)
             path = node[:i]
             kinds = self._path_labels(path, h, q, critical, c)
             if visit is not None:
@@ -383,7 +403,7 @@ class TernaryTreeValuation(Valuation, ABC):
             else:
                 z += 1
             value *= label_of[kind]
-        critical = critical or self.critical_counts(h, q)
+        critical = critical or params.critical_counts(h, q)
         return mass, h, q, z, critical, value
 
     def _descend(self, target: float) -> float:
@@ -397,20 +417,21 @@ class TernaryTreeValuation(Valuation, ABC):
         true division rounds correctly, so this is the float of the leaf's
         exact left end plus its width times the fraction ``within``.
         """
-        label_of = self.params.label_values
-        table = self._crit_cache
-        n = self.params.n
+        params = self.params
+        label_of = params.label_values
+        table = params.critical_table
+        n = params.n
         remaining = target
         value = 1.0
         h = q = 0
         critical = False
         index = 0
         path = bytearray()
-        for _ in range(self.params.depth):
+        for _ in range(params.depth):
             if not critical:
                 critical = table.get((h, q))
                 if critical is None:
-                    critical = self.critical_counts(h, q)
+                    critical = params.critical_counts(h, q)
             kinds = self._descent_labels(bytes(path), h, q, critical, value, remaining)
             chosen = 2
             for c in (0, 1):
@@ -442,7 +463,7 @@ class TernaryTreeValuation(Valuation, ABC):
     def node_density(self, path: PathLike) -> float:
         """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
         _, h, q, _, _, _ = self._walk(_node_key(path))
-        return math.exp(self._log_density(h, q))
+        return math.exp(self.params.log_density(h, q))
 
     def is_critical(self, path: PathLike) -> bool:
         return self.node_profile(path).critical
@@ -455,7 +476,7 @@ class TernaryTreeValuation(Valuation, ABC):
         _, h, q, _, critical, _ = self._walk(leaf)
         if critical:
             return "critical"
-        return "rich" if self.rich_counts(h, q) else "neither"
+        return "rich" if self.params.rich_counts(h, q) else "neither"
 
     # -- valuation interface ---------------------------------------------------
 
@@ -492,9 +513,7 @@ class TernaryTreeValuation(Valuation, ABC):
         x = as_scalar(x)
         if not (ZERO <= x <= ONE):
             raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
-        r = float(r)
-        if r < 0:
-            raise InvalidInput(f"cut needs r >= 0, got {r}")
+        r = _as_mass(r)
         start = self._prefix(x)  # walked even for r == 0: the session reveals x's path
         if r == 0:
             return float(x)
@@ -507,14 +526,15 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def iter_nodes(self) -> Iterator[NodeVisit]:
         """Preorder walk over every node; depth capped at 3^11 leaves."""
-        if self.params.depth > EAGER_MAX_DEPTH:
+        params = self.params
+        if params.depth > EAGER_MAX_DEPTH:
             raise InvalidInput(
                 f"whole-tree enumeration supports depth <= {EAGER_MAX_DEPTH}; "
-                f"use lazy node queries at depth {self.params.depth}"
+                f"use lazy node queries at depth {params.depth}"
             )
-        depth_max = self.params.depth
-        label_of = self.params.label_values
-        table = self._crit_cache
+        depth_max = params.depth
+        label_of = params.label_values
+        table = params.critical_table
         stack: list[tuple[bytes, int, int, int, int, bool, float]] = [
             (b"", 0, 0, 0, 0, False, 1.0)
         ]
@@ -523,7 +543,7 @@ class TernaryTreeValuation(Valuation, ABC):
             if not critical:
                 critical = table.get((h, q))
                 if critical is None:
-                    critical = self.critical_counts(h, q)
+                    critical = params.critical_counts(h, q)
             if depth == depth_max:
                 yield NodeVisit(depth, h, q, z, critical, value, None)
                 continue
@@ -545,11 +565,8 @@ class TernaryTreeValuation(Valuation, ABC):
     def max_leaf_density(self) -> float:
         """Maximum leaf density; for a tree of uniform leaves this bounds the
         density of every subinterval."""
-        best = -math.inf
-        for visit in self.iter_nodes():
-            if visit.is_leaf:
-                best = max(best, math.exp(self._log_density(visit.h, visit.q)))
-        return best
+        log_density = self.params.log_density
+        return max(math.exp(log_density(v.h, v.q)) for v in self.iter_nodes() if v.is_leaf)
 
     # -- heavy-piece post-processing ----------------------------------------------
 
@@ -646,22 +663,22 @@ def leaf_profiles(params: TreeParams) -> list[LeafProfileClass]:
     z >= 1 needs criticality to trigger exactly when the last heavy edge is
     added: critical at (h, q) but not at (h-1, q).
     """
-    probe = BalancedValueTree(params, seed=0)  # only for the guarded tests
     out = []
     d = params.depth
+    critical = params.critical_counts
     for h in range(d + 1):
         q = d - h
-        if h == 0 or not probe.critical_counts(h - 1, q):
-            if probe.critical_counts(h, q):
+        if h == 0 or not critical(h - 1, q):
+            if critical(h, q):
                 cls_name = "critical"
-            elif probe.rich_counts(h, q):
+            elif params.rich_counts(h, q):
                 cls_name = "rich"
             else:
                 cls_name = "neither"
             out.append(LeafProfileClass(h, q, 0, cls_name))
         for q2 in range(0, d - h):
             z = d - h - q2
-            if h >= 1 and probe.critical_counts(h, q2) and not probe.critical_counts(h - 1, q2):
+            if h >= 1 and critical(h, q2) and not critical(h - 1, q2):
                 out.append(LeafProfileClass(h, q2, z, "critical"))
     return out
 
@@ -687,30 +704,30 @@ def verify_labeling(
 
     Verifies, node by node: labels sum to 1 (within 1e-12), critical nodes
     label all edges 1/3, and non-critical nodes carry exactly one heavy and
-    two light edges.  Raises ValueError on the first violation; returns the
+    two light edges.  Raises InvalidInput on the first violation; returns the
     number of nodes checked.  (Exhaustive verification is impossible for
     astronomically large trees; callers choose the paths that matter.)
     """
-    import random as _random
-
     params = source.params
-    rng = _random.Random(sample_seed)
+    rng = random.Random(sample_seed)
     all_paths = [_node_key(p) for p in paths]
     for _ in range(sample_count):
         all_paths.append(index_path(rng.randrange(params.n), params.depth))
 
+    label_of = params.label_values
+
     def check(path, critical, kinds):
-        values = [source.label_value(k) for k in kinds]
-        if abs(sum(values) - 1.0) > 1e-12:
-            raise InvalidInput(f"labels at {tuple(path)} sum to {sum(values)}, not 1")
+        # the kinds are checked first, so an unknown kind is a typed error
         if critical:
             if kinds != (THIRD, THIRD, THIRD):
                 raise InvalidInput(f"critical node {tuple(path)} not labeled (1/3,1/3,1/3): {kinds}")
-        else:
-            if sorted(kinds) != [HEAVY, LIGHT, LIGHT]:
-                raise InvalidInput(
-                    f"non-critical node {tuple(path)} needs one heavy and two light edges: {kinds}"
-                )
+        elif kinds not in _HEAVY_AT:
+            raise InvalidInput(
+                f"non-critical node {tuple(path)} needs one heavy and two light edges: {kinds}"
+            )
+        total = sum(label_of[k] for k in kinds)
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidInput(f"labels at {tuple(path)} sum to {total}, not 1")
 
     checked = 0
     for leaf in all_paths:

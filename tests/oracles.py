@@ -6,7 +6,9 @@ description, ``bisect_cut`` inverts it by bisection,
 ``leaf_sum_value`` re-derives tree values from per-leaf densities, and
 ``max_revealed_heavy`` / ``revealed_critical_nodes`` /
 ``revealed_is_connected`` recount an adversary session's revealed labels
-by full traversal.  Slow and approximate by
+by full traversal, and ``critical_margin`` / ``rich_margin`` restate the
+per-size density tests from ``math.log(beta)`` and
+``math.log(1.5 - beta/2)``.  Slow and approximate by
 design; exact expected values asserted in tests were first cross-checked
 against these.  ``scan_eval`` and ``scan_cut`` are the exception: exact
 segment-by-segment scans of a step valuation, kept as the reference its
@@ -199,12 +201,25 @@ def max_revealed_heavy(revealed):
     return best
 
 
+def _log_density(params, h, q):
+    """log of beta^h * (3/2 - beta/2)^q, from the two logs directly."""
+    return h * math.log(params.beta) + q * math.log(1.5 - params.beta / 2.0)
+
+
+def critical_margin(params, h, q):
+    """log(D * beta) - log 2 for density D at (h, q); positive is critical."""
+    return _log_density(params, h + 1, q) - math.log(2.0)
+
+
+def rich_margin(params, h, q):
+    """log D - log(1/2) for density D at (h, q); positive is rich."""
+    return _log_density(params, h, q) + math.log(2.0)
+
+
 def revealed_critical_nodes(revealed, params):
     """Revealed nodes whose density D satisfies D * beta > 2, by a
     traversal that counts heavy and light edges from the root and applies
     the density formula directly."""
-    ln_beta = math.log(params.beta)
-    ln_light = math.log(1.5 - params.beta / 2.0)
     out = set()
     stack = [((), 0, 0)]
     while stack:
@@ -212,7 +227,7 @@ def revealed_critical_nodes(revealed, params):
         kinds = revealed.get(path)
         if kinds is None:
             continue
-        if (h + 1) * ln_beta + q * ln_light > math.log(2.0):
+        if critical_margin(params, h, q) > 0:
             out.add(path)
         for c, kind in enumerate(kinds):
             stack.append((path + (c,), h + (kind == "H"), q + (kind == "L")))

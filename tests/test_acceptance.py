@@ -215,14 +215,14 @@ def test_criterion_8_value_tree_structure():
         max_density = 0.0
         for visit in tree.iter_nodes():
             if visit.is_leaf:
-                density = math.exp(tree._log_density(visit.h, visit.q))
+                density = math.exp(params.log_density(visit.h, visit.q))
                 if density > max_density:
                     max_density = density
             else:
-                children = sum(visit.value * tree.label_value(k) for k in visit.label_kinds)
+                children = sum(visit.value * params.label_values[k] for k in visit.label_kinds)
                 assert abs(children - visit.value) <= 1e-12 * visit.value
             direct = visit.value * 3.0**visit.depth
-            closed = math.exp(tree._log_density(visit.h, visit.q))
+            closed = math.exp(params.log_density(visit.h, visit.q))
             assert abs(direct - closed) <= 1e-9 * closed
         assert max_density <= 2 + 1e-9, (seed, max_density)
     elapsed = time.time() - start

@@ -39,8 +39,8 @@ def random_queries(session, count, rng):
 
 class TestThreshold:
     def test_values(self):
-        assert AdversarySession(P60).threshold == 4
-        assert AdversarySession(P11).threshold == 0
+        assert P60.threshold == 4
+        assert P11.threshold == 0
         # (ln 3^60)/6 ~ 10.986 -> (10.986 - 1)/2 -> floor 4
         assert math.floor((math.log(3**60) / 6 - 1) / 2) == 4
 
@@ -144,7 +144,7 @@ class TestInvariants:
         # exact rational coordinates keep sessions workable at depth 200
         params = TreeParams.from_depth(200)
         session = AdversarySession(params)
-        assert session.threshold == 17
+        assert params.threshold == 17
         rng = random.Random(12)
         grid = 3**12
         for _ in range(15):
@@ -350,14 +350,14 @@ class TestCompletions:
             critical = False
             prefix = ()
             for c in path:
-                critical = critical or completion.critical_counts(h, q)
+                critical = critical or P60.critical_counts(h, q)
                 k = completion.labels_for(prefix, h, q, critical)[c]
                 if k == HEAVY:
                     h += 1
                 elif k == LIGHT:
                     q += 1
                 prefix += (c,)
-            critical = critical or completion.critical_counts(h, q)
+            critical = critical or P60.critical_counts(h, q)
             assert completion.labels_for(path, h, q, critical) == kinds
 
 
@@ -408,7 +408,7 @@ class TestRefutation:
         for _ in range(20):
             session.answer_eval(0, target)
             session.answer_cut(0, session.answer_eval(0, target) / 2)
-        assert session.m > session.threshold
+        assert session.m > P11.threshold
         index = math.floor(target * P11.n)
         claim = Piece.of((Fraction(index, P11.n), Fraction(index + 1, P11.n)))
         outcome = session.refute_claim(claim)

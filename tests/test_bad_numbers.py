@@ -1,0 +1,75 @@
+"""Non-finite and malformed numbers are refused as ``InvalidInput``.
+
+A query with such an argument is refused before it is answered: no
+referee counts or logs it, a session neither logs it nor reveals a node,
+and a dual issues no base query for it.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from fairslice.adversary import AdversarySession
+from fairslice.dual import DualValuation
+from fairslice.errors import InvalidInput
+from fairslice.geometry import as_scalar
+from fairslice.referee import QueryReferee
+from fairslice.valuation import PiecewiseConstantValuation
+from fairslice.valuetree import BalancedValueTree, TreeParams
+
+BAD = [math.nan, math.inf, -math.inf, "abc", "1/0", None]
+BAD_IDS = ["nan", "inf", "-inf", "malformed", "zero-denominator", "none"]
+
+STEP = PiecewiseConstantValuation.from_segments(
+    [(Fraction(1, 2), Fraction(3, 2)), (Fraction(1), Fraction(1, 2))]
+)
+
+
+def _referees(kind):
+    """A referee over one valuation of ``kind``, and every referee that a
+    query through it reaches."""
+    if kind == "dual":
+        base = QueryReferee([STEP])
+        top = QueryReferee([DualValuation(base.view(0))])
+        return top, [top, base]
+    valuation = {
+        "step": lambda: STEP,
+        "tree": lambda: BalancedValueTree(TreeParams.from_depth(7, permissive=True), seed=1),
+        "session": lambda: AdversarySession(TreeParams.from_depth(60)),
+    }[kind]()
+    top = QueryReferee([valuation])
+    return top, [top]
+
+
+QUERIES = {
+    "eval-x": lambda ref, bad: ref.eval(0, bad, 1),
+    "eval-y": lambda ref, bad: ref.eval(0, 0, bad),
+    "cut-x": lambda ref, bad: ref.cut(0, bad, Fraction(1, 2)),
+    "cut-r": lambda ref, bad: ref.cut(0, Fraction(1, 3), bad),
+}
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+def test_as_scalar_refuses(bad):
+    with pytest.raises(InvalidInput):
+        as_scalar(bad)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("kind", ["step", "tree", "session", "dual"])
+def test_refused_before_it_is_counted(kind, query, bad):
+    top, referees = _referees(kind)
+    with pytest.raises(InvalidInput):
+        QUERIES[query](top, bad)
+    assert all(ref.counts == [0] and not ref.log for ref in referees)
+    valuation = top.valuation(0)
+    if isinstance(valuation, AdversarySession):
+        assert valuation.m == 0 and len(valuation.revealed) == 0
+    # the refusal left nothing behind: the next query is the first one
+    top.eval(0, 0, Fraction(1, 2))
+    assert top.counts == [1] and top.log[0].kind == "eval"
+    if isinstance(valuation, AdversarySession):
+        assert valuation.m == 1
+

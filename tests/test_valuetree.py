@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.errors import NumericalAmbiguity, PreconditionViolation
+from fairslice.errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from fairslice.geometry import Piece
 from fairslice.valuetree import (
+    AMBIGUITY_GUARD,
     LOW_HEAVY_DENSITY_LIMIT,
     BalancedValueTree,
     NodePath,
@@ -19,7 +20,7 @@ from fairslice.valuetree import (
     verify_labeling,
 )
 
-from oracles import divmod_digits_of_index, leaf_sum_value
+from oracles import critical_margin, divmod_digits_of_index, leaf_sum_value, rich_margin
 
 P11 = TreeParams.from_depth(11)
 # depth 7: the smallest size with a non-critical root (beta < 2) and
@@ -56,6 +57,11 @@ class TestParams:
 
     def test_from_leaf_count(self):
         assert TreeParams.from_leaf_count(3**11) == P11
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_from_leaf_count_below_one_is_invalid(self, n):
+        with pytest.raises(InvalidInput, match="power of 3"):
+            TreeParams.from_leaf_count(n)
 
 
 class TestPaths:
@@ -94,23 +100,22 @@ class TestStructure:
         tree = BalancedValueTree(SMALL, seed=3)
         for visit in tree.iter_nodes():
             if not visit.is_leaf:
-                total = sum(tree.label_value(k) for k in visit.label_kinds)
+                total = sum(SMALL.label_values[k] for k in visit.label_kinds)
                 assert abs(total - 1.0) < 1e-12
 
     def test_leaf_width(self):
         assert P11.leaf_width() == Fraction(1, 3**11)
 
     def test_density_formula_spot_values(self):
-        tree = build_tree(P11, seed=0)
         # one heavy edge multiplies density by beta, one light by 3/2-beta/2
-        assert abs(math.exp(tree._log_density(1, 0)) - P11.beta) < 1e-12
-        assert abs(math.exp(tree._log_density(0, 1)) - 0.7946094645928202) < 1e-9
+        assert abs(math.exp(P11.log_density(1, 0)) - P11.beta) < 1e-12
+        assert abs(math.exp(P11.log_density(0, 1)) - 0.7946094645928202) < 1e-9
 
     def test_closed_form_matches_direct_product(self):
         tree = BalancedValueTree(SMALL, seed=7)
         for visit in tree.iter_nodes():
             direct = visit.value * 3.0**visit.depth
-            closed = math.exp(tree._log_density(visit.h, visit.q))
+            closed = math.exp(SMALL.log_density(visit.h, visit.q))
             assert abs(direct - closed) <= 1e-9 * max(abs(closed), 1e-30)
 
     def test_children_sum_to_parent(self):
@@ -118,7 +123,7 @@ class TestStructure:
         for visit in tree.iter_nodes():
             if not visit.is_leaf:
                 children = sum(
-                    visit.value * tree.label_value(k) for k in visit.label_kinds
+                    visit.value * SMALL.label_values[k] for k in visit.label_kinds
                 )
                 assert abs(children - visit.value) <= 1e-12 * visit.value
 
@@ -137,9 +142,8 @@ class TestCriticality:
         assert not tree.is_critical(())
 
     def test_two_heavy_edges_trigger(self):
-        tree = build_tree(P11, seed=2)
-        assert not tree.critical_counts(1, 0)  # beta^2 ~ 1.990 < 2
-        assert tree.critical_counts(2, 0)  # beta^3 ~ 2.808 > 2
+        assert not P11.critical_counts(1, 0)  # beta^2 ~ 1.990 < 2
+        assert P11.critical_counts(2, 0)  # beta^3 ~ 2.808 > 2
 
     def test_critical_subtree_stays_critical(self):
         tree = build_tree(P11, seed=2)
@@ -159,42 +163,67 @@ class TestCriticality:
         # deeper edges are thirds
         assert profile.z == 4
 
-    def test_ambiguity_guard_raises(self):
-        tree = build_tree(P11, seed=0)
-        ln_light = P11.ln_light_density
-        # solve (h+1) ln(beta) + q ln(light) = ln 2 for a fake q, then check
-        # the guard fires when we force a margin below 1e-9
+    def test_ambiguity_guard_raises(self, monkeypatch):
+        # force a margin below 1e-9 at an (h, q) no depth-11 walk reaches,
+        # so no verdict for it is stored yet
+        monkeypatch.setattr(TreeParams, "critical_margin", lambda self, h, q: 1e-12)
+        assert (40, 40) not in P11.critical_table
         with pytest.raises(NumericalAmbiguity):
-            original = tree.critical_margin
-            try:
-                tree.critical_margin = lambda h, q: 1e-12
-                tree._crit_cache.clear()
-                tree.critical_counts(1, 1)
-            finally:
-                tree.critical_margin = original
+            P11.critical_counts(40, 40)
 
     def test_trees_of_one_size_share_one_table(self):
         spec = {"type": "balanced_value_tree", "k": 11}
         a = BalancedValueTree.from_json({**spec, "seed": 1})
         b = BalancedValueTree.from_json({**spec, "seed": 2})
         assert a.params is not b.params and a.params == b.params
-        assert a._crit_cache is b._crit_cache
+        assert a.params.critical_table is b.params.critical_table
+        assert a.params.critical_table is TreeParams.from_depth(11).critical_table
         a.eval(Fraction(1, 7), Fraction(5, 7))
-        assert b._crit_cache and b._crit_cache is a._crit_cache
-        assert build_tree(TreeParams.from_depth(12), seed=1)._crit_cache is not a._crit_cache
+        assert b.params.critical_table
+        twelve = build_tree(TreeParams.from_depth(12), seed=1)
+        assert twelve.params.critical_table is not a.params.critical_table
 
-    def test_ambiguous_verdict_raises_on_every_call(self):
+    def test_ambiguous_verdict_raises_on_every_call(self, monkeypatch):
         params = TreeParams.from_depth(7, permissive=True)
-        tree, other = build_tree(params, seed=0), build_tree(params, seed=1)
-        tree.critical_margin = lambda h, q: 1e-12
+        other = TreeParams.from_depth(7, permissive=True)
         # (50, 50) lies beyond every node of a depth-7 tree, so no walk
         # has stored a verdict for it
-        for _ in range(2):
-            with pytest.raises(NumericalAmbiguity):
-                tree.critical_counts(50, 50)
-        assert (50, 50) not in other._crit_cache
+        with monkeypatch.context() as patch:
+            patch.setattr(TreeParams, "critical_margin", lambda self, h, q: 1e-12)
+            for _ in range(2):
+                with pytest.raises(NumericalAmbiguity):
+                    params.critical_counts(50, 50)
+        assert (50, 50) not in other.critical_table
         assert other.critical_counts(50, 50) == (other.critical_margin(50, 50) > 0)
-        assert tree.critical_counts(50, 50) == other.critical_counts(50, 50)
+        assert params.critical_counts(50, 50) == other.critical_counts(50, 50)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TreeParams.from_depth(4, permissive=True),
+        SMALL,
+        P11,
+        TreeParams.from_depth(60),
+        TreeParams.from_depth(200),
+    ],
+    ids=lambda params: f"depth-{params.depth}",
+)
+def test_per_size_verdicts_match_the_log_formula(params):
+    """Every (h, q) a tree of this size can reach: the criticality and
+    richness verdicts agree with the oracle's margins, and a margin inside
+    the guard band is refused."""
+    for h in range(params.depth + 1):
+        for q in range(params.depth + 1 - h):
+            for verdict, margin in (
+                (params.critical_counts, critical_margin(params, h, q)),
+                (params.rich_counts, rich_margin(params, h, q)),
+            ):
+                if abs(margin) < AMBIGUITY_GUARD:
+                    with pytest.raises(NumericalAmbiguity):
+                        verdict(h, q)
+                else:
+                    assert verdict(h, q) == (margin > 0), (h, q)
 
 
 def _hq(tree, path):
@@ -311,7 +340,7 @@ class TestMaxLeafDensity:
     def test_positive_leaves(self):
         tree = BalancedValueTree(SMALL, seed=14)
         assert min(
-            math.exp(tree._log_density(v.h, v.q))
+            math.exp(SMALL.log_density(v.h, v.q))
             for v in tree.iter_nodes()
             if v.is_leaf
         ) > 0
@@ -328,7 +357,7 @@ class TestCandidateLeaf:
         for index in range(tree.params.n):
             path = NodePath.from_index(index, tree.params.depth)
             profile = tree.node_profile(path)
-            density = math.exp(tree._log_density(profile.h, profile.q))
+            density = math.exp(tree.params.log_density(profile.h, profile.q))
             if best is None or density > best[1]:
                 best = (path, density)
         return best
@@ -359,7 +388,7 @@ class TestCandidateLeaf:
         if tree.value_of_piece(piece) >= float(Fraction(1, 2 * tree.params.n)):
             got = tree.extract_candidate_leaf(piece)
             got_profile = tree.node_profile(got)
-            assert math.exp(tree._log_density(got_profile.h, got_profile.q)) >= 0.5
+            assert math.exp(tree.params.log_density(got_profile.h, got_profile.q)) >= 0.5
 
     def test_rejects_non_heavy_piece(self):
         tree = build_tree(P11, seed=21)
@@ -399,4 +428,18 @@ class TestJsonAndVerification:
         tree = BalancedValueTree(SMALL, seed=8)
         tree.labels_for = lambda path, h, q, critical: ("H", "H", "L")
         with pytest.raises(ValueError):
+            verify_labeling(tree, sample_count=5)
+
+    @pytest.mark.parametrize(
+        "params,kinds",
+        [
+            (SMALL, ("H", "L", "X")),  # an ordinary root
+            (SMALL, ("X", "X", "X")),
+            (TreeParams.from_depth(5, permissive=True), ("T", "T", "X")),  # a critical root
+        ],
+    )
+    def test_verify_labeling_refuses_unknown_kinds(self, params, kinds):
+        tree = BalancedValueTree(params, seed=8)
+        tree.labels_for = lambda path, h, q, critical: kinds
+        with pytest.raises(InvalidInput, match="node"):
             verify_labeling(tree, sample_count=5)
