@@ -37,7 +37,6 @@ from .geometry import (
     interval,
     normalize_piece,
     piece_union,
-    piece_width,
     scalar_str,
 )
 from .protocols import (
@@ -62,7 +61,6 @@ from .valuation import (
 )
 from .valuetree import (
     BalancedValueTree,
-    NodePath,
     TreeParams,
     build_tree,
     leaf_profiles,

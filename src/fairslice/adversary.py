@@ -26,9 +26,10 @@ completion keeps every revealed label, so it replays them exactly.  Only
 ``eval`` and ``cut`` reveal: the tree-inspection methods a session inherits
 read revealed nodes and refuse unrevealed ones.
 
-Revealed labels are kept by node-path bytes, the walks' path form; the
-public :attr:`AdversarySession.revealed` view maps digit tuples.  A node is
-revealed only after its parent, which the session checks as it reveals.
+Revealed labels are kept in :attr:`AdversarySession.revealed`, a dict
+keyed by node-path bytes, the one path form of :mod:`.valuetree`.  A node
+is revealed only after its parent, which the session checks as it
+reveals.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -38,11 +39,10 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
@@ -50,7 +50,6 @@ from .referee import QueryRecord, replay_log
 from .valuetree import (
     HEAVY,
     BalancedValueTree,
-    PathLike,
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
@@ -58,7 +57,7 @@ from .valuetree import (
     _as_mass,
     _leaf_range,
     _node_key,
-    digits_of_index,
+    index_path,
     leaf_path,
 )
 
@@ -70,28 +69,6 @@ class Reveal(NamedTuple):
 
     path: bytes
     kinds: Kinds
-
-
-class RevealedView(Mapping):
-    """Read-only view of revealed labels keyed by digit tuples, over the
-    session's dict keyed by node-path bytes; ``len`` copies nothing."""
-
-    __slots__ = ("_labels",)
-
-    def __init__(self, labels: dict[bytes, Kinds]):
-        self._labels = labels
-
-    def __getitem__(self, path) -> Kinds:
-        return self._labels[_node_key(path)]
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(tuple, self._labels)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def values(self):
-        return self._labels.values()
 
 
 class AdversarySession(TernaryTreeValuation):
@@ -106,9 +83,8 @@ class AdversarySession(TernaryTreeValuation):
 
     def __init__(self, params: TreeParams):
         super().__init__(params)
-        self._revealed: dict[bytes, Kinds] = {}
-        #: the revealed labels by digit-tuple path
-        self.revealed = RevealedView(self._revealed)
+        #: the revealed labels by node path
+        self.revealed: dict[bytes, Kinds] = {}
         self.log: list[QueryRecord] = []
         #: max_revealed_heavy() after each answered query
         self.heavy_trace: list[int] = []
@@ -125,9 +101,8 @@ class AdversarySession(TernaryTreeValuation):
 
     # -- labels: revealed, or revealed now --------------------------------
 
-    def labels_for(self, path, h, q, critical):
-        path = _node_key(path)
-        kinds = self._revealed.get(path)
+    def _labels(self, path, h, q, critical):
+        kinds = self.revealed.get(path)
         if kinds is None:
             raise _not_revealed(path)
         return kinds
@@ -144,14 +119,14 @@ class AdversarySession(TernaryTreeValuation):
         """The binding labels at ``path``: those revealed before, or else
         ``kinds``, revealed now if a query is being answered.  ``h`` and
         ``q`` count the heavy and light edges on the node's root path."""
-        known = self._revealed.get(path)
+        known = self.revealed.get(path)
         if known is not None:
             return known
         if not self._answering:
             raise _not_revealed(path)
-        if path and path[:-1] not in self._revealed:
+        if path and path[:-1] not in self.revealed:
             self._orphans += 1
-        self._revealed[path] = kinds
+        self.revealed[path] = kinds
         self._pending.append(Reveal(path, kinds))
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
@@ -208,14 +183,14 @@ class AdversarySession(TernaryTreeValuation):
         root), as checked at each reveal."""
         return self._orphans == 0
 
-    def revealed_critical_nodes(self) -> list[tuple[int, ...]]:
+    def revealed_critical_nodes(self) -> list[bytes]:
         """Revealed nodes whose density test says critical, in reveal order.
 
         Empty while the heavy-edge budget holds; the reveal strategy never
         labels a node's edges as thirds, so a critical node here means the
         session was driven past its guarantee.
         """
-        return [tuple(path) for path in self._critical]
+        return list(self._critical)
 
     def transcript_lines(self) -> list[str]:
         """The log as JSON-lines: the referee's record format without the
@@ -231,7 +206,7 @@ class AdversarySession(TernaryTreeValuation):
     # -- completion and refutation ----------------------------------------------
 
     def complete_labeling(
-        self, seed: int, light_leaves: Iterable[PathLike] = ()
+        self, seed: int, light_leaves: Iterable[bytes] = ()
     ) -> "CompletedTree":
         """A full labeling agreeing with everything revealed so far.
 
@@ -243,7 +218,7 @@ class AdversarySession(TernaryTreeValuation):
         """
         return CompletedTree(
             self.params,
-            revealed=dict(self._revealed),
+            revealed=dict(self.revealed),
             seed=seed,
             light_leaves=light_leaves,
         )
@@ -290,10 +265,10 @@ def _not_revealed(path: bytes) -> PreconditionViolation:
     )
 
 
-def claim_leaves(piece: Piece, params: TreeParams) -> list[tuple[int, ...]]:
-    """Digit paths of every leaf the piece overlaps with positive width."""
+def claim_leaves(piece: Piece, params: TreeParams) -> list[bytes]:
+    """Node paths of every leaf the piece overlaps with positive width."""
     leaves = {i for iv in piece.intervals for i in _leaf_range(iv, params.n)}
-    return [digits_of_index(i, params.depth) for i in sorted(leaves)]
+    return [index_path(i, params.depth) for i in sorted(leaves)]
 
 
 class CompletedTree(TernaryTreeValuation):
@@ -311,7 +286,7 @@ class CompletedTree(TernaryTreeValuation):
         params: TreeParams,
         revealed: dict[bytes, Kinds],
         seed: int,
-        light_leaves: Iterable[PathLike] = (),
+        light_leaves: Iterable[bytes] = (),
     ):
         super().__init__(params)
         self._revealed = revealed
@@ -319,13 +294,11 @@ class CompletedTree(TernaryTreeValuation):
         self._hashed = BalancedValueTree(params, seed)
         self._light_prefixes: set[bytes] = set()
         for leaf in light_leaves:
-            leaf = _node_key(leaf)
+            leaf = _node_key(leaf, params.depth)
             for i in range(1, len(leaf) + 1):
                 self._light_prefixes.add(leaf[:i])
 
-    def labels_for(self, path, h, q, critical):
-        if path.__class__ is not bytes:
-            path = _node_key(path)
+    def _labels(self, path, h, q, critical):
         kinds = self._revealed.get(path)
         if kinds is not None:
             return kinds
@@ -333,7 +306,7 @@ class CompletedTree(TernaryTreeValuation):
             protected = [c for c in (0, 1, 2) if path + _STEP[c] in self._light_prefixes]
             if protected and len(protected) < 3:
                 return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
-        return self._hashed.labels_for(path, h, q, critical)
+        return self._hashed._labels(path, h, q, critical)
 
 
 @dataclass(frozen=True)

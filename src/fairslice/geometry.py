@@ -140,11 +140,6 @@ def normalize_piece(raw: Iterable[Interval]) -> Piece:
     return Piece(tuple(merged))
 
 
-def piece_width(piece: Piece) -> Fraction:
-    """Total width of a piece (0 for the empty piece)."""
-    return piece.width
-
-
 def piece_union(*pieces: Piece) -> Piece:
     """Union of pieces, normalized."""
     return normalize_piece(iv for p in pieces for iv in p.intervals)

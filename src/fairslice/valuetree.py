@@ -22,11 +22,13 @@ a descent to a target prefix mass.  Hashed trees, completions and the
 adversary session differ only in their label source, so on shared labels
 they give the same floats by construction.
 
-Inside the walks a node path is the ``bytes`` of its base-3 digits (the
-root is ``b""``): one object is the dict key, the blake2b label input and,
-through ``list(path)``, the transcript form, and each level's path is a C
-slice of the leaf's bytes.  The public methods keep taking digit tuples
-and :class:`NodePath`.  Each tree remembers the prefix mass of every exact
+A node path is the ``bytes`` of its base-3 digits, one byte per digit
+(the root is ``b""``), in and out: one object is the dict key, the blake2b
+label input and, through ``list(path)``, the transcript form, and each
+level's path is a C slice of the leaf's bytes.  :func:`leaf_path` and
+:func:`index_path` make one from a position or a leaf index, and every
+public method that takes a path refuses anything else with
+:class:`InvalidInput`.  Each tree remembers the prefix mass of every exact
 position it has walked, since protocols ask the same tree about the same
 point again (Even-Paz evaluates a block's left end, then cuts from it).
 That is sound because a node's labels never change once read: hashed and
@@ -55,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar
@@ -156,9 +158,6 @@ class TreeParams:
         floor((ln(n)/6 - 1)/2), clamped at zero for small trees."""
         return max(math.floor((math.log(self.n) / 6.0 - 1.0) / 2.0), 0)
 
-    def leaf_width(self) -> Fraction:
-        return Fraction(1, self.n)
-
     def log_density(self, h: int, q: int) -> float:
         """log of the density beta^h * (3/2 - beta/2)^q at h heavy, q light edges."""
         return h * self.ln_beta + q * self.ln_light_density
@@ -213,14 +212,9 @@ def _as_mass(r) -> float:
     return mass
 
 
-def leaf_digits(t: Fraction, depth: int) -> tuple[int, ...]:
-    """Base-3 digit path of the leaf whose cell contains t (t=1 maps to the
-    last leaf)."""
-    return tuple(leaf_path(t, depth))
-
-
 def leaf_path(t: Fraction, depth: int) -> bytes:
-    """:func:`leaf_digits` as node-path bytes."""
+    """Node path of the leaf whose cell contains t (t=1 maps to the last
+    leaf)."""
     n = 3**depth
     return index_path(min(math.floor(t * n), n - 1), depth)
 
@@ -232,11 +226,6 @@ def _leaf_range(interval: Interval, n: int) -> range:
     return range(max(lo, 0), min(hi, n - 1) + 1)
 
 
-def digits_of_index(index: int, depth: int) -> tuple[int, ...]:
-    """Base-3 digits of leaf ``index`` at ``depth``, most significant first."""
-    return tuple(index_path(index, depth))
-
-
 #: digits per chunk of :func:`index_path`, and the path bytes of every
 #: chunk value, built on first use
 _CHUNK_DIGITS = 6
@@ -245,7 +234,8 @@ _CHUNK_PATHS: list[bytes] = []
 
 
 def index_path(index: int, depth: int) -> bytes:
-    """:func:`digits_of_index` as node-path bytes, six digits per step."""
+    """Node path of leaf ``index`` at ``depth``: its base-3 digits, most
+    significant first, converted six digits per step."""
     table = _CHUNK_PATHS or _chunk_paths()
     chunks = -(-depth // _CHUNK_DIGITS)
     parts = [b""] * chunks
@@ -260,51 +250,16 @@ def _chunk_paths() -> list[bytes]:
     return _CHUNK_PATHS
 
 
-@dataclass(frozen=True)
-class NodePath:
-    """A node address: the base-3 digit string from the root (empty=root)."""
-
-    digits: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise InvalidInput("path digits must be 0, 1 or 2")
-
-    @classmethod
-    def from_index(cls, index: int, depth: int) -> "NodePath":
-        if not (0 <= index < 3**depth):
-            raise InvalidInput(f"leaf index {index} out of range for depth {depth}")
-        return cls(digits_of_index(index, depth))
-
-    @property
-    def depth(self) -> int:
-        return len(self.digits)
-
-    def left(self) -> Fraction:
-        index = 0
-        for d in self.digits:
-            index = index * 3 + d
-        return Fraction(index, 3**len(self.digits))
-
-    def width(self) -> Fraction:
-        return Fraction(1, 3**len(self.digits))
-
-
-PathLike = Union[NodePath, Sequence[int]]
-
-
-def _node_key(path: PathLike) -> bytes:
-    """The node-path bytes of a digit sequence, :class:`NodePath` or bytes."""
-    if isinstance(path, bytes):
-        return path
-    digits = path.digits if isinstance(path, NodePath) else path
-    try:
-        key = bytes(digits)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad node path {path!r}: {exc}") from None
-    if key.strip(b"\x00\x01\x02"):
-        raise InvalidInput("path digits must be 0, 1 or 2")
-    return key
+def _node_key(path: bytes, depth: int) -> bytes:
+    """``path`` itself, refused unless it is node-path bytes of at most
+    ``depth`` digits, each 0, 1 or 2."""
+    if not isinstance(path, bytes):
+        raise InvalidInput(f"a node path is bytes of base-3 digits, got {path!r}")
+    if len(path) > depth or path.strip(b"\x00\x01\x02"):
+        raise InvalidInput(
+            f"bad node path {path!r}: needs at most {depth} digits, each 0, 1 or 2"
+        )
+    return path
 
 
 @dataclass(frozen=True)
@@ -337,13 +292,14 @@ class TernaryTreeValuation(Valuation, ABC):
     """Shared eval/cut and node bookkeeping over any edge-label source.
 
     Subclasses decide the label kinds of a node's child edges via
-    :meth:`labels_for`; everything else (profiles, densities, prefix
-    masses, query answering) is derived here from two walks: :meth:`_walk`
-    follows a known digit path and :meth:`_descend` a target prefix mass.
-    Both read labels through a hook that also gets the walk's step
+    :meth:`_labels`; everything else (profiles, densities, prefix masses,
+    query answering) is derived here from two walks: :meth:`_walk` follows
+    a known node path and :meth:`_descend` a target prefix mass.  Both read
+    labels through a hook that also gets the walk's step
     (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings ignore
     it, and the adversary session decides unrevealed nodes from it.  The
-    walks pass node paths to the hooks and to :meth:`labels_for` as bytes.
+    public methods check a path once with :func:`_node_key`; the walks and
+    their hooks pass paths the walks made themselves, unchecked.
     """
 
     def __init__(self, params: TreeParams):
@@ -353,23 +309,26 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- labeling ----------------------------------------------------------
 
+    def labels_for(self, path: bytes, h: int, q: int, critical: bool) -> tuple[str, str, str]:
+        """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
+        node at ``path``, which has ``h`` heavy and ``q`` light edges above
+        it and is ``critical`` or not."""
+        return self._labels(_node_key(path, self.params.depth), h, q, critical)
+
     @abstractmethod
-    def labels_for(
-        self, path: PathLike, h: int, q: int, critical: bool
-    ) -> tuple[str, str, str]:
-        """Edge-label kinds (HEAVY/LIGHT/THIRD) of a node's three children;
-        ``path`` is node-path bytes, a digit tuple or a :class:`NodePath`."""
+    def _labels(self, path: bytes, h: int, q: int, critical: bool) -> tuple[str, str, str]:
+        """:meth:`labels_for` of a path the walks made: the label source."""
 
     # -- the two walks -------------------------------------------------------
 
     def _path_labels(self, path, h, q, critical, digit: int):
         """Labels a path walk reads at ``path`` before stepping to ``digit``."""
-        return self.labels_for(path, h, q, critical)
+        return self._labels(path, h, q, critical)
 
     def _descent_labels(self, path, h, q, critical, value: float, remaining: float):
         """Labels a mass descent reads at a node of value ``value`` with
         ``remaining`` mass still to pass."""
-        return self.labels_for(path, h, q, critical)
+        return self._labels(path, h, q, critical)
 
     def _walk(self, node: bytes, visit=None) -> tuple[float, int, int, int, bool, float]:
         """(prefix mass, h, q, z, critical, value) of the node at path ``node``.
@@ -452,25 +411,25 @@ class TernaryTreeValuation(Valuation, ABC):
         within = min(max(within, 0.0), 1.0)
         return index / n + (1 / n) * within
 
-    def node_profile(self, path: PathLike) -> NodeProfile:
-        _, h, q, z, critical, _ = self._walk(_node_key(path))
+    def node_profile(self, path: bytes) -> NodeProfile:
+        _, h, q, z, critical, _ = self._walk(_node_key(path, self.params.depth))
         return NodeProfile(h, q, z, critical)
 
-    def node_value(self, path: PathLike) -> float:
+    def node_value(self, path: bytes) -> float:
         """Direct product of the edge labels on the node's root path."""
-        return self._walk(_node_key(path))[5]
+        return self._walk(_node_key(path, self.params.depth))[5]
 
-    def node_density(self, path: PathLike) -> float:
+    def node_density(self, path: bytes) -> float:
         """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
-        _, h, q, _, _, _ = self._walk(_node_key(path))
+        _, h, q, _, _, _ = self._walk(_node_key(path, self.params.depth))
         return math.exp(self.params.log_density(h, q))
 
-    def is_critical(self, path: PathLike) -> bool:
+    def is_critical(self, path: bytes) -> bool:
         return self.node_profile(path).critical
 
-    def classify_leaf(self, path: PathLike) -> str:
+    def classify_leaf(self, path: bytes) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
-        leaf = _node_key(path)
+        leaf = _node_key(path, self.params.depth)
         if len(leaf) != self.params.depth:
             raise InvalidInput(f"not a leaf path: depth {len(leaf)} != {self.params.depth}")
         _, h, q, _, critical, _ = self._walk(leaf)
@@ -520,7 +479,8 @@ class TernaryTreeValuation(Valuation, ABC):
         target = start + r
         if target > 1.0 + 1e-12:
             return None
-        return self._descend(min(target, 1.0))
+        # the answer is at least x, so a descent below float(x) is rounding
+        return max(self._descend(min(target, 1.0)), float(x))
 
     # -- whole-tree enumeration --------------------------------------------------
 
@@ -547,7 +507,7 @@ class TernaryTreeValuation(Valuation, ABC):
             if depth == depth_max:
                 yield NodeVisit(depth, h, q, z, critical, value, None)
                 continue
-            kinds = self.labels_for(path, h, q, critical)
+            kinds = self._labels(path, h, q, critical)
             yield NodeVisit(depth, h, q, z, critical, value, kinds)
             for c in (2, 1, 0):
                 kind = kinds[c]
@@ -570,7 +530,7 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- heavy-piece post-processing ----------------------------------------------
 
-    def extract_candidate_leaf(self, piece: Piece) -> NodePath:
+    def extract_candidate_leaf(self, piece: Piece) -> bytes:
         """From a heavy piece, locate a leaf of density >= 1/2.
 
         A heavy piece has average density >= 1/2, so its densest interval
@@ -595,7 +555,7 @@ class TernaryTreeValuation(Valuation, ABC):
         depth = self.params.depth
         leaves = _leaf_range(best, n)
         chosen = max(leaves, key=lambda i: self.node_density(index_path(i, depth)))
-        return NodePath.from_index(chosen, depth)
+        return index_path(chosen, depth)
 
 
 class BalancedValueTree(TernaryTreeValuation):
@@ -612,11 +572,11 @@ class BalancedValueTree(TernaryTreeValuation):
         self.seed = seed
         self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)
 
-    def labels_for(self, path, h, q, critical):
+    def _labels(self, path, h, q, critical):
         if critical:
             return (THIRD, THIRD, THIRD)
         state = self._keyed.copy()
-        state.update(path if path.__class__ is bytes else _node_key(path))
+        state.update(path)
         return _HEAVY_AT[int.from_bytes(state.digest(), "big") % 3]
 
     def to_json(self) -> dict:
@@ -696,7 +656,7 @@ def low_heavy_density_cap(depth: int) -> float:
 
 def verify_labeling(
     source: TernaryTreeValuation,
-    paths: Iterable[PathLike] = (),
+    paths: Iterable[bytes] = (),
     sample_count: int = 50,
     sample_seed: int = 0,
 ) -> int:
@@ -710,7 +670,7 @@ def verify_labeling(
     """
     params = source.params
     rng = random.Random(sample_seed)
-    all_paths = [_node_key(p) for p in paths]
+    all_paths = [_node_key(p, params.depth) for p in paths]
     for _ in range(sample_count):
         all_paths.append(index_path(rng.randrange(params.n), params.depth))
 

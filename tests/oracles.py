@@ -16,7 +16,7 @@ table lookups must match answer for answer, and ``fraction_dense_draw`` is
 the step generator as first written in ``Fraction`` arithmetic, which the
 integer generator must match draw for draw.  ``divmod_digits_of_index``
 is the digit conversion as first written, one ``divmod`` per digit, which
-the chunked conversion must match.
+the chunked ``index_path`` must match.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def leaf_densities(tree):
             digits.append(rem % 3)
             rem //= 3
         digits.reverse()
-        profile = tree.node_profile(tuple(digits))
+        profile = tree.node_profile(bytes(digits))
         density = math.exp(
             profile.h * math.log(params.beta)
             + profile.q * math.log(1.5 - params.beta / 2.0)
@@ -187,9 +187,9 @@ def leaf_sum_value(tree, x, y):
 def max_revealed_heavy(revealed):
     """Maximum number of revealed heavy edges on any root-to-leaf path, by a
     full traversal of the revealed labels (unrevealed subtrees contribute
-    nothing).  ``revealed`` maps digit-tuple paths to label-kind triples."""
+    nothing).  ``revealed`` maps node-path bytes to label-kind triples."""
     best = 0
-    stack = [((), 0)]
+    stack = [(b"", 0)]
     while stack:
         path, heavies = stack.pop()
         kinds = revealed.get(path)
@@ -197,7 +197,7 @@ def max_revealed_heavy(revealed):
             best = max(best, heavies)
             continue
         for c, kind in enumerate(kinds):
-            stack.append((path + (c,), heavies + (1 if kind == "H" else 0)))
+            stack.append((path + bytes((c,)), heavies + (1 if kind == "H" else 0)))
     return best
 
 
@@ -221,7 +221,7 @@ def revealed_critical_nodes(revealed, params):
     traversal that counts heavy and light edges from the root and applies
     the density formula directly."""
     out = set()
-    stack = [((), 0, 0)]
+    stack = [(b"", 0, 0)]
     while stack:
         path, h, q = stack.pop()
         kinds = revealed.get(path)
@@ -230,14 +230,14 @@ def revealed_critical_nodes(revealed, params):
         if critical_margin(params, h, q) > 0:
             out.add(path)
         for c, kind in enumerate(kinds):
-            stack.append((path + (c,), h + (kind == "H"), q + (kind == "L")))
+            stack.append((path + bytes((c,)), h + (kind == "H"), q + (kind == "L")))
     return out
 
 
 def revealed_is_connected(revealed):
     """Every revealed node's parent is revealed (or it is the root), by a
-    scan of every revealed digit-tuple path."""
-    return all(path == () or path[:-1] in revealed for path in revealed)
+    scan of every revealed node path."""
+    return all(path == b"" or path[:-1] in revealed for path in revealed)
 
 
 def divmod_digits_of_index(index, depth):

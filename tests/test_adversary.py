@@ -17,7 +17,7 @@ from fairslice.errors import PreconditionViolation, ProtocolViolation, ReplayMis
 from fairslice.geometry import Piece
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee, replay_log
-from fairslice.valuetree import HEAVY, LIGHT, TreeParams, verify_labeling
+from fairslice.valuetree import HEAVY, LIGHT, TreeParams, index_path, leaf_path, verify_labeling
 
 import oracles
 
@@ -164,14 +164,12 @@ class TestInvariants:
         session = AdversarySession(P60)
         x = Fraction(11, 3**5)
         session.answer_eval(x, x)
-        prefix = ()
-        for digit, _ in zip(
-            iter_path_digits(x, 60), range(60)
-        ):
+        prefix = b""
+        for digit in leaf_path(x, 60):
             kinds = session.revealed[prefix]
             assert kinds[digit] == LIGHT
             assert sorted(kinds) == [HEAVY, LIGHT, LIGHT]
-            prefix += (digit,)
+            prefix += bytes((digit,))
 
 
 class TestOracles:
@@ -247,7 +245,7 @@ class TestInspection:
     """Only eval and cut reveal nodes; the tree-inspection methods a session
     inherits read revealed nodes and refuse the others."""
 
-    LEAF = (1,) * 11
+    LEAF = b"\x01" * 11
 
     def test_inspection_reveals_nothing(self):
         session = AdversarySession(P11)
@@ -274,17 +272,11 @@ class TestInspection:
         x = Fraction(5, 3**11)
         session.answer_eval(x, x)
         revealed = len(session.revealed)
-        leaf = oracles.divmod_digits_of_index(5, 11)
+        leaf = bytes(oracles.divmod_digits_of_index(5, 11))
         completion = session.complete_labeling(seed=0)
         assert session.node_profile(leaf) == completion.node_profile(leaf)
         assert session.node_value(leaf) == completion.node_value(leaf)
         assert len(session.revealed) == revealed and session.m == 1
-
-
-def iter_path_digits(t, depth):
-    from fairslice.valuetree import leaf_digits
-
-    return leaf_digits(Fraction(t), depth)
 
 
 class TestCompletions:
@@ -333,7 +325,7 @@ class TestCompletions:
 
     def test_light_preference_suppresses_density(self):
         session = AdversarySession(P60)
-        target = tuple([1] * 60)
+        target = b"\x01" * 60
         completion = session.complete_labeling(seed=0, light_leaves=[target])
         profile = completion.node_profile(target)
         assert profile.h == 0 and not profile.critical
@@ -348,7 +340,7 @@ class TestCompletions:
         for path, kinds in session.revealed.items():
             h = q = 0
             critical = False
-            prefix = ()
+            prefix = b""
             for c in path:
                 critical = critical or P60.critical_counts(h, q)
                 k = completion.labels_for(prefix, h, q, critical)[c]
@@ -356,7 +348,7 @@ class TestCompletions:
                     h += 1
                 elif k == LIGHT:
                     q += 1
-                prefix += (c,)
+                prefix += bytes((c,))
             critical = critical or P60.critical_counts(h, q)
             assert completion.labels_for(path, h, q, critical) == kinds
 
@@ -453,18 +445,12 @@ class TestClaimLeaves:
     def test_single_cell(self):
         cell = Fraction(1, P11.n)
         piece = Piece.of((cell * 5, cell * 6))
-        assert claim_leaves(piece, P11) == [tuple_digits(5)]
+        assert claim_leaves(piece, P11) == [index_path(5, 11)]
 
     def test_straddle(self):
         cell = Fraction(1, P11.n)
         piece = Piece.of((cell * 5 + cell / 2, cell * 6 + cell / 2))
-        assert claim_leaves(piece, P11) == [tuple_digits(5), tuple_digits(6)]
-
-
-def tuple_digits(index):
-    from fairslice.valuetree import digits_of_index
-
-    return digits_of_index(index, 11)
+        assert claim_leaves(piece, P11) == [index_path(5, 11), index_path(6, 11)]
 
 
 class TestStrategiesAndGame:

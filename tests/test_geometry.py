@@ -10,7 +10,6 @@ from fairslice.geometry import (
     interval,
     normalize_piece,
     piece_union,
-    piece_width,
     scalar_str,
 )
 
@@ -56,9 +55,9 @@ def test_normalize_sorts():
 
 
 def test_width_examples():
-    assert piece_width(Piece.of((0, 1))) == 1
-    assert piece_width(Piece.of((0, "1/4"), ("1/2", "3/4"))) == Fraction(1, 2)
-    assert piece_width(Piece()) == 0
+    assert Piece.of((0, 1)).width == 1
+    assert Piece.of((0, "1/4"), ("1/2", "3/4")).width == Fraction(1, 2)
+    assert Piece().width == 0
 
 
 def test_empty_piece_is_legal():

@@ -21,7 +21,7 @@ from fairslice.dual import reduction_pipeline
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee
 from fairslice.valuation import DensityBounds, PiecewiseConstantValuation, random_dense_valuation
-from fairslice.valuetree import BalancedValueTree, TreeParams, digits_of_index, leaf_profiles
+from fairslice.valuetree import BalancedValueTree, TreeParams, index_path, leaf_profiles
 
 
 def digest(lines) -> str:
@@ -88,7 +88,7 @@ def answer_lines(tree, rng: random.Random, count: int) -> list[str]:
         r = rng.choice((0.0, rng.random(), rng.random() * 1.2, tree.eval(x, 1)))
         lines.append(repr(tree.cut(x, r)))
     for _ in range(5):
-        path = digits_of_index(rng.randrange(tree.params.n), depth)
+        path = index_path(rng.randrange(tree.params.n), depth)
         profile = tree.node_profile(path)
         lines.append(f"{tree.node_value(path)!r} {profile.h} {profile.q} {profile.z} {profile.critical}")
     return lines
@@ -99,7 +99,7 @@ def completion_for(depth: int, seed: int):
     session = AdversarySession(params)
     rng = random.Random(seed)
     drive_session(session, rng, 12)
-    light = [digits_of_index(rng.randrange(params.n), depth)]
+    light = [index_path(rng.randrange(params.n), depth)]
     return session.complete_labeling(seed=seed, light_leaves=light), rng
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.adversary import AdversarySession
@@ -73,6 +73,9 @@ def test_cut_is_monotone_in_mass(name):
         x=points(tree.params.depth),
         shares=st.lists(st.floats(0, 1, exclude_min=True), min_size=2, max_size=6),
     )
+    # the smallest share rounds r to 0.0, answered float(x); unclamped, the
+    # descent for 1e-90 of the mass answers an ulp below it on every tree
+    @example(x=Fraction(533, 737), shares=[5e-324, 1e-90, 0.5])
     def check(x, shares):
         available = tree.eval(x, 1)
         answers = [tree.cut(x, available * s) for s in sorted(shares)]
@@ -120,10 +123,10 @@ def test_answers_do_not_depend_on_earlier_queries(depth):
     check()
 
 
-# Known defect of float cut answers (exact positions are ROADMAP item 4):
-# cut(x, 0) returns float(x), while a positive cut answers from the descent
-# as float(leaf left) + float(leaf width) * within.  The two round
-# independently, so an answer can land an ulp below x, and below cut(x, 0).
+# Known defect of float cut answers (exact positions are ROADMAP item 2):
+# cut(x, 0) returns float(x), which rounds to nearest and so can lie below
+# x.  A positive cut answers from the descent, clamped at float(x), so it
+# never orders before cut(x, 0); but eval(x, y) refuses any y < x.
 
 
 @pytest.mark.xfail(strict=True, raises=ValueError, reason="float cut answer rounds below x")
@@ -134,7 +137,6 @@ def test_eval_from_x_to_its_zero_cut():
     tree.eval(x, tree.cut(x, 0))
 
 
-@pytest.mark.xfail(strict=True, reason="cut(x, 0) rounds above a tiny positive cut")
 def test_zero_cut_orders_before_tiny_cut():
     tree = TREES["hashed-11"]
     x = Fraction(6, 3**9)

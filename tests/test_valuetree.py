@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from fairslice.adversary import AdversarySession
 from fairslice.errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from fairslice.geometry import Piece
 from fairslice.valuetree import (
     AMBIGUITY_GUARD,
     LOW_HEAVY_DENSITY_LIMIT,
     BalancedValueTree,
-    NodePath,
     TreeParams,
     build_tree,
-    digits_of_index,
-    leaf_digits,
+    index_path,
+    leaf_path,
     leaf_profiles,
     low_heavy_density_cap,
     verify_labeling,
@@ -48,7 +48,7 @@ class TestParams:
         # below depth 6, beta exceeds 2 and the root itself is critical,
         # which collapses the whole tree to the uniform valuation
         tree = BalancedValueTree(TreeParams.from_depth(5, permissive=True), seed=3)
-        assert tree.is_critical(())
+        assert tree.is_critical(b"")
         assert abs(tree.eval(0, Fraction(1, 3)) - 1 / 3) < 1e-12
 
     def test_depth_below_label_validity_always_rejected(self):
@@ -66,35 +66,66 @@ class TestParams:
 
 class TestPaths:
     def test_leaf_digits_boundaries(self):
-        assert leaf_digits(Fraction(0), 2) == (0, 0)
-        assert leaf_digits(Fraction(1), 2) == (2, 2)
-        assert leaf_digits(Fraction(1, 3), 2) == (1, 0)
-        assert leaf_digits(Fraction(8, 9), 2) == (2, 2)
-
-    def test_node_path_interval(self):
-        path = NodePath((1, 0, 2))
-        assert path.left() == Fraction(1, 3) + Fraction(2, 27)
-        assert path.width() == Fraction(1, 27)
+        assert leaf_path(Fraction(0), 2) == b"\x00\x00"
+        assert leaf_path(Fraction(1), 2) == b"\x02\x02"
+        assert leaf_path(Fraction(1, 3), 2) == b"\x01\x00"
+        assert leaf_path(Fraction(8, 9), 2) == b"\x02\x02"
 
     def test_from_index(self):
-        assert NodePath.from_index(5, 3).digits == (0, 1, 2)
+        assert index_path(5, 3) == b"\x00\x01\x02"
+        assert index_path(0, 0) == b""
 
     @pytest.mark.parametrize("depth", [4, 5, 6, 7, 11, 60, 200])
     def test_digits_of_index_matches_divmod(self, depth):
         n = 3**depth
         rng = random.Random(depth)
         for index in [0, n - 1] + [rng.randrange(n) for _ in range(200)]:
-            assert digits_of_index(index, depth) == divmod_digits_of_index(index, depth)
+            assert index_path(index, depth) == bytes(divmod_digits_of_index(index, depth))
+
+
+#: every public method that takes a node path, called with ``path`` on a
+#: hashed depth-11 tree
+PATH_ENTRIES = {
+    "labels_for": lambda tree, path: tree.labels_for(path, 0, 0, False),
+    "node_profile": lambda tree, path: tree.node_profile(path),
+    "node_value": lambda tree, path: tree.node_value(path),
+    "node_density": lambda tree, path: tree.node_density(path),
+    "is_critical": lambda tree, path: tree.is_critical(path),
+    "classify_leaf": lambda tree, path: tree.classify_leaf(path),
+    "verify_labeling": lambda tree, path: verify_labeling(tree, paths=[path], sample_count=0),
+    "complete_labeling": lambda tree, path: AdversarySession(tree.params).complete_labeling(
+        seed=0, light_leaves=[path]
+    ),
+}
+
+BAD_PATHS = {
+    "digit-3": b"\x03",
+    "digit-7-at-leaf-depth": b"\x00" * 10 + b"\x07",
+    "one-past-leaf-depth": b"\x00" * 12,
+    "tuple": (0, 1),
+    "list": [0, 1],
+    "str": "01",
+    "bytearray": bytearray(b"\x00\x01"),
+}
+
+
+@pytest.mark.parametrize("path", BAD_PATHS.values(), ids=BAD_PATHS.keys())
+@pytest.mark.parametrize("entry", PATH_ENTRIES.values(), ids=PATH_ENTRIES.keys())
+def test_bad_node_paths_are_invalid_input(entry, path):
+    """A node path is bytes of at most depth digits, each 0, 1 or 2; every
+    public entry refuses anything else before it walks."""
+    with pytest.raises(InvalidInput, match="node path"):
+        entry(build_tree(P11, seed=1), path)
 
 
 class TestStructure:
     def test_root_profile(self):
         tree = build_tree(P11, seed=1)
-        profile = tree.node_profile(())
+        profile = tree.node_profile(b"")
         assert (profile.h, profile.q, profile.z) == (0, 0, 0)
         assert not profile.critical
-        assert tree.node_density(()) == 1.0
-        assert tree.node_value(()) == 1.0
+        assert tree.node_density(b"") == 1.0
+        assert tree.node_value(b"") == 1.0
 
     def test_labels_sum_to_one_everywhere(self):
         tree = BalancedValueTree(SMALL, seed=3)
@@ -102,9 +133,6 @@ class TestStructure:
             if not visit.is_leaf:
                 total = sum(SMALL.label_values[k] for k in visit.label_kinds)
                 assert abs(total - 1.0) < 1e-12
-
-    def test_leaf_width(self):
-        assert P11.leaf_width() == Fraction(1, 3**11)
 
     def test_density_formula_spot_values(self):
         # one heavy edge multiplies density by beta, one light by 3/2-beta/2
@@ -131,7 +159,7 @@ class TestStructure:
         a = BalancedValueTree(SMALL, seed=4)
         b = BalancedValueTree(SMALL, seed=4)
         c = BalancedValueTree(SMALL, seed=5)
-        paths = [leaf_digits(Fraction(i, 2187), 7) for i in range(0, 2187, 41)]
+        paths = [leaf_path(Fraction(i, 2187), 7) for i in range(0, 2187, 41)]
         assert [a.node_value(p) for p in paths] == [b.node_value(p) for p in paths]
         assert any(a.node_value(p) != c.node_value(p) for p in paths)
 
@@ -139,7 +167,7 @@ class TestStructure:
 class TestCriticality:
     def test_root_not_critical(self):
         tree = build_tree(P11, seed=2)
-        assert not tree.is_critical(())
+        assert not tree.is_critical(b"")
 
     def test_two_heavy_edges_trigger(self):
         assert not P11.critical_counts(1, 0)  # beta^2 ~ 1.990 < 2
@@ -148,15 +176,15 @@ class TestCriticality:
     def test_critical_subtree_stays_critical(self):
         tree = build_tree(P11, seed=2)
         # follow heavy edges from the root until criticality, then descend
-        path = ()
+        path = b""
         for _ in range(3):
             kinds = tree.labels_for(
                 path, *_hq(tree, path), tree.is_critical(path)
             )
             heavy_at = kinds.index("H") if "H" in kinds else 0
-            path = path + (heavy_at,)
+            path = path + bytes((heavy_at,))
         assert tree.is_critical(path)
-        deeper = path + (0, 1, 2)
+        deeper = path + b"\x00\x01\x02"
         assert tree.is_critical(deeper)
         profile = tree.node_profile(deeper)
         # criticality fired at h=2 (depth 2), so the third step and all
@@ -235,22 +263,22 @@ class TestLeafClassification:
     def test_all_light_leaf_is_neither(self):
         tree = build_tree(P11, seed=6)
         # an all-light path: walk avoiding heavy edges
-        path = ()
+        path = b""
         for _ in range(11):
             profile = tree.node_profile(path)
             kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + (kinds.index("L"),)
+            path = path + bytes((kinds.index("L"),))
         assert tree.classify_leaf(path) == "neither"
         profile = tree.node_profile(path)
         assert profile.h == 0 and profile.q == 11
 
     def test_heavy_path_leaf_is_critical(self):
         tree = build_tree(P11, seed=6)
-        path = ()
+        path = b""
         for _ in range(11):
             profile = tree.node_profile(path)
             kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + (kinds.index("H") if "H" in kinds else 0,)
+            path = path + bytes((kinds.index("H") if "H" in kinds else 0,))
         assert tree.classify_leaf(path) == "critical"
         # criticality triggered after two heavies; everything below is thirds
         assert tree.node_profile(path).h == 2
@@ -258,7 +286,7 @@ class TestLeafClassification:
     def test_classify_requires_leaf_depth(self):
         tree = build_tree(P11, seed=6)
         with pytest.raises(ValueError):
-            tree.classify_leaf((0, 1))
+            tree.classify_leaf(b"\x00\x01")
 
 
 class TestProfiles:
@@ -303,9 +331,8 @@ class TestQueries:
     def test_leaf_value_is_label_product(self):
         tree = BalancedValueTree(SMALL, seed=9)
         for index in (0, 7, 100, 242, 2186):
-            path = NodePath.from_index(index, 7)
-            got = tree.eval(path.left(), path.left() + path.width())
-            assert abs(got - tree.node_value(path)) < 1e-12
+            got = tree.eval(Fraction(index, 3**7), Fraction(index + 1, 3**7))
+            assert abs(got - tree.node_value(index_path(index, 7))) < 1e-12
 
     def test_cut_inverts_eval(self):
         tree = BalancedValueTree(SMALL, seed=9)
@@ -355,33 +382,30 @@ class TestCandidateLeaf:
     def _dense_leaf(self, tree):
         best = None
         for index in range(tree.params.n):
-            path = NodePath.from_index(index, tree.params.depth)
-            profile = tree.node_profile(path)
+            profile = tree.node_profile(index_path(index, tree.params.depth))
             density = math.exp(tree.params.log_density(profile.h, profile.q))
             if best is None or density > best[1]:
-                best = (path, density)
+                best = (index, density)
         return best
 
     def test_exact_leaf_piece(self):
         tree = build_tree(P11, seed=21)
         # find a rich-or-critical leaf by probing heavy paths
-        path = ()
+        path = b""
         for _ in range(11):
             profile = tree.node_profile(path)
             kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + (kinds.index("H") if "H" in kinds else 0,)
-        node = NodePath(path)
-        piece = Piece.of((node.left(), node.left() + node.width()))
-        got = tree.extract_candidate_leaf(piece)
-        assert got == node
+            path = path + bytes((kinds.index("H") if "H" in kinds else 0,))
+        got = tree.extract_candidate_leaf(_leaf_cell(path, P11.n))
+        assert got == path
         assert tree.classify_leaf(got) in ("rich", "critical")
 
     def test_straddling_piece_picks_denser_leaf(self):
         tree = BalancedValueTree(SMALL, seed=4)
-        path, density = self._dense_leaf(tree)
+        index, density = self._dense_leaf(tree)
         assert density >= 0.5
-        left = path.left()
-        width = path.width()
+        left = Fraction(index, tree.params.n)
+        width = Fraction(1, tree.params.n)
         # straddle this leaf and its neighbour
         start = left - width / 2 if left > 0 else left
         piece = Piece.of((start, start + width))
@@ -396,15 +420,21 @@ class TestCandidateLeaf:
         with pytest.raises(PreconditionViolation):
             tree.extract_candidate_leaf(wide)
         # an all-light leaf has density far below 1/2: value precondition fails
-        path = ()
+        path = b""
         for _ in range(11):
             profile = tree.node_profile(path)
             kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + (kinds.index("L"),)
-        node = NodePath(path)
-        thin = Piece.of((node.left(), node.left() + node.width()))
+            path = path + bytes((kinds.index("L"),))
         with pytest.raises(PreconditionViolation):
-            tree.extract_candidate_leaf(thin)
+            tree.extract_candidate_leaf(_leaf_cell(path, P11.n))
+
+
+def _leaf_cell(path, n):
+    """The cell [index/n, (index+1)/n] of the leaf at node path ``path``."""
+    index = 0
+    for digit in path:
+        index = 3 * index + digit
+    return Piece.of((Fraction(index, n), Fraction(index + 1, n)))
 
 
 class TestJsonAndVerification:
@@ -426,7 +456,7 @@ class TestJsonAndVerification:
 
     def test_verify_labeling_catches_violation(self):
         tree = BalancedValueTree(SMALL, seed=8)
-        tree.labels_for = lambda path, h, q, critical: ("H", "H", "L")
+        tree._labels = lambda path, h, q, critical: ("H", "H", "L")
         with pytest.raises(ValueError):
             verify_labeling(tree, sample_count=5)
 
@@ -440,6 +470,6 @@ class TestJsonAndVerification:
     )
     def test_verify_labeling_refuses_unknown_kinds(self, params, kinds):
         tree = BalancedValueTree(params, seed=8)
-        tree.labels_for = lambda path, h, q, critical: kinds
+        tree._labels = lambda path, h, q, critical: kinds
         with pytest.raises(InvalidInput, match="node"):
             verify_labeling(tree, sample_count=5)
