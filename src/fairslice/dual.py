@@ -25,7 +25,18 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInput, NonPositiveValuation, ProtocolViolation
-from .geometry import ONE, ZERO, Interval, Piece, as_scalar, normalize_piece, scalar_str
+from .geometry import (
+    CUT_START,
+    EVAL_RANGE,
+    ONE,
+    ZERO,
+    Interval,
+    Piece,
+    as_scalar,
+    normalize_piece,
+    scalar_str,
+    unit_span,
+)
 from .protocols import Allocation, verify_partition
 from .referee import QueryReferee
 from .valuation import (
@@ -61,9 +72,7 @@ class DualValuation(Valuation):
         return True
 
     def eval(self, x, y) -> Real:
-        x, y = as_scalar(x), as_scalar(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+        x, y = unit_span(x, y, EVAL_RANGE)
         cx = self.base.cut(ZERO, x)
         cy = self.base.cut(ZERO, y)
         if cx is None or cy is None:
@@ -74,9 +83,7 @@ class DualValuation(Valuation):
         return cy - cx
 
     def cut(self, x, r) -> Optional[Real]:
-        x = as_scalar(x)
-        if not (ZERO <= x <= ONE):
-            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
+        x, _ = unit_span(x, ONE, CUT_START)
         r = r if isinstance(r, float) else as_scalar(r)
         if not 0 <= r < math.inf:
             # refused before the first base query, so nothing is billed

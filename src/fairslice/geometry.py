@@ -39,10 +39,33 @@ def as_scalar(value: ScalarLike) -> Fraction:
         raise InvalidInput(f"not a finite rational: {value!r} ({exc})") from None
 
 
+def unit_span(x: ScalarLike, y: ScalarLike, refusal: str) -> tuple[Fraction, Fraction]:
+    """``(x, y)`` as exact rationals, refused unless ``0 <= x <= y <= 1``.
+
+    The test compares numerators and denominators as integers (the
+    denominators are positive), which is exact and costs no ``Fraction``
+    comparison.  A refusal is :class:`InvalidInput` with the message
+    ``refusal.format(x=x, y=y)``; a point check passes ``y=ONE``.
+
+    >>> unit_span("1/3", 1, "need 0 <= {x} <= {y} <= 1")
+    (Fraction(1, 3), Fraction(1, 1))
+    """
+    x, y = as_scalar(x), as_scalar(y)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    if xn < 0 or xn * yd > yn * xd or yn > yd:
+        raise InvalidInput(refusal.format(x=x, y=y))
+    return x, y
+
+
+#: refusals of :func:`unit_span` for an eval range and a cut start
+EVAL_RANGE = "eval needs 0 <= x <= y <= 1, got ({x}, {y})"
+CUT_START = "cut needs 0 <= x <= 1, got {x}"
+
+
 def scalar_str(value: Fraction) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms, or ``"p"`` when
     the denominator is 1 (matching the JSON wire format)."""
-    return str(Fraction(value))
+    return str(value) if value.__class__ is Fraction else str(Fraction(value))
 
 
 @dataclass(frozen=True, order=True)
@@ -53,11 +76,12 @@ class Interval:
     right: Fraction
 
     def __post_init__(self):
-        if not (ZERO <= self.left <= self.right <= ONE):
-            raise InvalidInput(
-                f"invalid interval [{self.left}, {self.right}]: "
-                "need 0 <= left <= right <= 1"
-            )
+        left, right = unit_span(
+            self.left, self.right, "invalid interval [{x}, {y}]: need 0 <= left <= right <= 1"
+        )
+        if left is not self.left or right is not self.right:
+            object.__setattr__(self, "left", left)
+            object.__setattr__(self, "right", right)
 
     @property
     def width(self) -> Fraction:
@@ -85,7 +109,7 @@ class Piece:
     def __post_init__(self):
         prev = None
         for iv in self.intervals:
-            if iv.width == 0:
+            if iv.left == iv.right:
                 raise InvalidInput("canonical pieces contain no empty intervals")
             if prev is not None and iv.left <= prev.right:
                 raise InvalidInput(

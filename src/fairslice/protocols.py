@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidInput, PartitionViolation, ProtocolViolation
-from .geometry import ONE, ZERO, Interval, Piece, as_scalar, normalize_piece
+from .geometry import ONE, ZERO, Interval, Piece, as_scalar
 from .referee import QueryReferee
 from .valuation import Real, Valuation, encode_real
 
@@ -54,8 +54,9 @@ def verify_partition(allocation: Allocation) -> None:
     Pieces must be pairwise disjoint (shared endpoints are fine) and cover
     the whole segment; the error lists every overlap and gap found.
     """
+    # float(left) first, exact left as tie-break: the order of (left, right, player)
     marked = sorted(
-        (iv.left, iv.right, player)
+        (float(iv.left), iv.left, iv.right, player)
         for player, piece in enumerate(allocation.pieces)
         for iv in piece.intervals
     )
@@ -63,11 +64,12 @@ def verify_partition(allocation: Allocation) -> None:
     gaps = []
     cursor = ZERO
     prev_player = None
-    for left, right, player in marked:
-        if left > cursor:
-            gaps.append((cursor, left))
-        elif left < cursor:
-            overlaps.append((left, min(right, cursor), prev_player, player))
+    for _, left, right, player in marked:
+        if left != cursor:
+            if left > cursor:
+                gaps.append((cursor, left))
+            else:
+                overlaps.append((left, min(right, cursor), prev_player, player))
         cursor = max(cursor, right)
         prev_player = player
     if cursor < ONE:
@@ -159,7 +161,25 @@ def count_narrow_pieces(allocation: Allocation) -> int:
 
 
 def _single(a: Fraction, b: Fraction) -> Piece:
-    return normalize_piece([Interval(a, b)])
+    return Piece() if a == b else Piece((Interval(a, b),))
+
+
+def order_marks(marks: dict[int, Fraction], mode: str) -> list[int]:
+    """The players of ``marks`` by their mark: ascending in cake mode,
+    descending in chore mode, lower player first on ties.
+
+    This is ``sorted(marks, key=lambda p: (marks[p], p))`` in cake mode and
+    ``key=lambda p: (-marks[p], p)`` in chore mode, but keys lead with
+    ``float(mark)``: correctly rounded conversion is monotone, so distinct
+    floats order their marks, and only marks that round to the same float
+    fall back to the exact ``Fraction``.
+
+    >>> order_marks({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 2)}, "chore")
+    [0, 2, 1]
+    """
+    if mode == "cake":
+        return sorted(marks, key=lambda p: (float(marks[p]), marks[p], p))
+    return sorted(marks, key=lambda p: (float(marks[p]), marks[p], -p), reverse=True)
 
 
 def cut_and_choose(referee: QueryReferee, mode: str) -> Allocation:
@@ -216,9 +236,10 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
             return
         size = len(players)
         k = size // 2
+        share = Fraction(k, size)
         marks = {}
         for player in players:
-            target = values[player] * k / size
+            target = values[player] * share
             mark = referee.cut(player, a, target)
             if mark is None:
                 raise ProtocolViolation(
@@ -226,10 +247,7 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
                     "the mark target never exceeds the block value"
                 )
             marks[player] = as_scalar(mark)
-        if mode == "cake":
-            ordered = sorted(players, key=lambda p: (marks[p], p))
-        else:
-            ordered = sorted(players, key=lambda p: (-marks[p], p))
+        ordered = order_marks(marks, mode)
         left_group, right_group = ordered[:k], ordered[k:]
         x = marks[left_group[-1]]  # k-th smallest mark (cake) / k-th largest (chore)
         left_values = {}

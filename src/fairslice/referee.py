@@ -20,16 +20,14 @@ tolerance for float-valued trees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
 from .geometry import ScalarLike
 from .valuation import Real, Valuation, encode_real
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """One logged query; ``answer`` is ``None`` for a cut with no answer, and
     ``reveals`` lists the nodes an adversary session labeled to answer it."""
 

@@ -25,7 +25,17 @@ from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidInput
-from .geometry import ONE, ZERO, Piece, ScalarLike, as_scalar, scalar_str
+from .geometry import (
+    CUT_START,
+    EVAL_RANGE,
+    ONE,
+    ZERO,
+    Piece,
+    ScalarLike,
+    as_scalar,
+    scalar_str,
+    unit_span,
+)
 
 Real = Union[Fraction, float]
 
@@ -184,21 +194,17 @@ class PiecewiseConstantValuation(Valuation):
         return Fraction(left * mass * den + width * (num * ckey[-1] - ckey[k - 1] * den), bkey[-1] * mass * den)
 
     def eval(self, x: ScalarLike, y: ScalarLike) -> Fraction:
-        x, y = as_scalar(x), as_scalar(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+        x, y = unit_span(x, y, EVAL_RANGE)
         xn, xd = self._prefix(x)
         yn, yd = self._prefix(y)
         return Fraction(yn * xd - xn * yd, yd * xd)
 
     def cut(self, x: ScalarLike, r: Real) -> Optional[Fraction]:
-        x = as_scalar(x)
         r = as_scalar(r)
-        if not (ZERO <= x <= ONE):
-            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
-        if r < 0:
+        x, _ = unit_span(x, ONE, CUT_START)
+        if r.numerator < 0:
             raise InvalidInput(f"cut needs r >= 0, got {r}")
-        if r == 0:
+        if not r:
             # x itself: the smallest t with eval(0, t) == eval(0, x) lies
             # before x when a zero-density run ends at x.
             return x
@@ -252,9 +258,21 @@ def verify_dense(valuation: PiecewiseConstantValuation, bounds: DensityBounds) -
     """Exact density-band check.
 
     For a step density the extremal subinterval density is attained inside a
-    single segment, so checking each segment density is exhaustive.
+    single segment, so checking each segment density is exhaustive.  Segment
+    i has density ``(dc / L) / (db / G)`` for its rows ``db``, ``dc`` of the
+    breakpoint and mass tables, so each band test is one integer
+    cross-product against the band's numerator and denominator.
     """
-    return all(bounds.admits(d) for d in valuation.densities)
+    bkey, ckey = valuation._bkey, valuation._ckey
+    alpha, beta = bounds.alpha, bounds.beta
+    low_c, low_b = bkey[-1] * alpha.denominator, ckey[-1] * alpha.numerator
+    # an unbounded band tests dc * 0 > db, which no segment passes
+    high_c, high_b = (0, 1) if beta is None else (bkey[-1] * beta.denominator, ckey[-1] * beta.numerator)
+    for b0, b1, c0, c1 in zip(bkey, bkey[1:], ckey, ckey[1:]):
+        db, dc = b1 - b0, c1 - c0
+        if dc * low_c < db * low_b or dc * high_c > db * high_b:
+            return False
+    return True
 
 
 @lru_cache(maxsize=8)

@@ -60,7 +60,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
-from .geometry import ONE, ZERO, Interval, Piece, as_scalar
+from .geometry import CUT_START, EVAL_RANGE, ONE, Interval, Piece, as_scalar, unit_span
 from .valuation import Valuation
 
 LN2 = math.log(2.0)
@@ -216,7 +216,7 @@ def leaf_path(t: Fraction, depth: int) -> bytes:
     """Node path of the leaf whose cell contains t (t=1 maps to the last
     leaf)."""
     n = 3**depth
-    return index_path(min(math.floor(t * n), n - 1), depth)
+    return _index_path(min(math.floor(t * n), n - 1), depth)
 
 
 def _leaf_range(interval: Interval, n: int) -> range:
@@ -235,7 +235,18 @@ _CHUNK_PATHS: list[bytes] = []
 
 def index_path(index: int, depth: int) -> bytes:
     """Node path of leaf ``index`` at ``depth``: its base-3 digits, most
-    significant first, converted six digits per step."""
+    significant first.  An index outside ``[0, 3**depth)`` is refused.
+
+    >>> index_path(5, 3)
+    b'\\x00\\x01\\x02'
+    """
+    if not (depth >= 0 and 0 <= index < 3**depth):
+        raise InvalidInput(f"leaf index {index} outside [0, 3**{depth})")
+    return _index_path(index, depth)
+
+
+def _index_path(index: int, depth: int) -> bytes:
+    """:func:`index_path` unchecked, converted six digits per step."""
     table = _CHUNK_PATHS or _chunk_paths()
     chunks = -(-depth // _CHUNK_DIGITS)
     parts = [b""] * chunks
@@ -456,22 +467,18 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, _, _, _, _, value = self._walk(index_path(index, self.params.depth))
+            mass, _, _, _, _, value = self._walk(_index_path(index, self.params.depth))
             mass += value * (rem / den)
             self._masses[num, den] = mass
         return mass
 
     def eval(self, x, y) -> float:
-        x, y = as_scalar(x), as_scalar(y)
-        if not (ZERO <= x <= y <= ONE):
-            raise InvalidInput(f"eval needs 0 <= x <= y <= 1, got ({x}, {y})")
+        x, y = unit_span(x, y, EVAL_RANGE)
         start = self._prefix(x)
         return max(self._prefix(y) - start, 0.0)
 
     def cut(self, x, r) -> Optional[float]:
-        x = as_scalar(x)
-        if not (ZERO <= x <= ONE):
-            raise InvalidInput(f"cut needs 0 <= x <= 1, got {x}")
+        x, _ = unit_span(x, ONE, CUT_START)
         r = _as_mass(r)
         start = self._prefix(x)  # walked even for r == 0: the session reveals x's path
         if r == 0:

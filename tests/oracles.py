@@ -16,7 +16,10 @@ table lookups must match answer for answer, and ``fraction_dense_draw`` is
 the step generator as first written in ``Fraction`` arithmetic, which the
 integer generator must match draw for draw.  ``divmod_digits_of_index``
 is the digit conversion as first written, one ``divmod`` per digit, which
-the chunked ``index_path`` must match.
+the chunked ``index_path`` must match.  ``even_paz_order`` and
+``reference_even_paz`` are Even-Paz's mark order and block recursion as
+first written, with ``Fraction`` sort keys, which the float-first keys of
+``order_marks`` must match.
 """
 
 from __future__ import annotations
@@ -249,3 +252,34 @@ def divmod_digits_of_index(index, depth):
         digits.append(digit)
     digits.reverse()
     return tuple(digits)
+
+
+def even_paz_order(marks, mode):
+    """Players by mark as Even-Paz first sorted them: ``(mark, player)``
+    keys in cake mode and ``(-mark, player)`` in chore mode."""
+    if mode == "cake":
+        return sorted(marks, key=lambda p: (marks[p], p))
+    return sorted(marks, key=lambda p: (-marks[p], p))
+
+
+def reference_even_paz(valuations, mode):
+    """Even-Paz on the valuations directly, ordered by ``even_paz_order``:
+    the ``(left, right)`` block each player ends with, in player order."""
+    blocks = [None] * len(valuations)
+
+    def divide(players, a, b):
+        if len(players) == 1:
+            blocks[players[0]] = (a, b)
+            return
+        k = len(players) // 2
+        marks = {
+            p: valuations[p].cut(a, valuations[p].eval(a, b) * k / len(players))
+            for p in players
+        }
+        ordered = even_paz_order(marks, mode)
+        x = marks[ordered[k - 1]]
+        divide(ordered[:k], a, x)
+        divide(ordered[k:], x, b)
+
+    divide(list(range(len(valuations))), Fraction(0), Fraction(1))
+    return blocks

@@ -1,8 +1,11 @@
-"""Non-finite and malformed numbers are refused as ``InvalidInput``.
+"""Non-finite, malformed and out-of-range numbers are refused as
+``InvalidInput``.
 
 A query with such an argument is refused before it is answered: no
 referee counts or logs it, a session neither logs it nor reveals a node,
-and a dual issues no base query for it.
+and a dual issues no base query for it.  Step, dual and tree valuations
+share one range check, and refuse a position just outside [0, 1], or an
+eval range reversed by 1/10**40, with the same message.
 """
 
 import math
@@ -73,3 +76,51 @@ def test_refused_before_it_is_counted(kind, query, bad):
     if isinstance(valuation, AdversarySession):
         assert valuation.m == 1
 
+
+TINY = Fraction(1, 10**30)
+TINIER = Fraction(1, 10**40)
+HALF = Fraction(1, 2)
+
+#: a query with one argument out of range by a hair, and its refusal
+RANGE_REFUSALS = {
+    "eval-x-below-0": (lambda v: v.eval(-TINY, 1), f"eval needs 0 <= x <= y <= 1, got ({-TINY}, 1)"),
+    "eval-y-above-1": (lambda v: v.eval(0, 1 + TINY), f"eval needs 0 <= x <= y <= 1, got (0, {1 + TINY})"),
+    "eval-x-above-y": (
+        lambda v: v.eval(HALF + TINIER, HALF),
+        f"eval needs 0 <= x <= y <= 1, got ({HALF + TINIER}, 1/2)",
+    ),
+    "cut-x-below-0": (lambda v: v.cut(-TINY, HALF), f"cut needs 0 <= x <= 1, got {-TINY}"),
+    "cut-x-above-1": (lambda v: v.cut(1 + TINY, 0), f"cut needs 0 <= x <= 1, got {1 + TINY}"),
+}
+
+VALUATIONS = {
+    "step": lambda: STEP,
+    "dual": lambda: DualValuation(STEP),
+    "tree": lambda: BalancedValueTree(TreeParams.from_depth(7, permissive=True), seed=1),
+}
+
+
+@pytest.mark.parametrize("query", sorted(RANGE_REFUSALS))
+@pytest.mark.parametrize("kind", sorted(VALUATIONS))
+def test_out_of_range_by_a_hair(kind, query):
+    ask, message = RANGE_REFUSALS[query]
+    with pytest.raises(InvalidInput) as err:
+        ask(VALUATIONS[kind]())
+    assert str(err.value) == message
+
+
+def test_step_cut_of_negative_mass():
+    with pytest.raises(InvalidInput) as err:
+        STEP.cut(HALF, -TINIER)
+    assert str(err.value) == f"cut needs r >= 0, got {-TINIER}"
+
+
+@pytest.mark.parametrize("kind", sorted(VALUATIONS))
+def test_range_edges_are_accepted(kind):
+    valuation = VALUATIONS[kind]()
+    assert valuation.eval(0, 1) == 1
+    assert valuation.eval("0", "1") == 1
+    for x in (0, HALF, 1):
+        assert valuation.eval(x, x) == 0
+        assert valuation.cut(x, 0) == x
+    assert valuation.cut(1, HALF) is None

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fairslice.dual import dual_pwc_closed_form
 from fairslice.errors import PartitionViolation
@@ -14,6 +15,7 @@ from fairslice.protocols import (
     cut_and_choose,
     even_paz,
     last_diminisher,
+    order_marks,
     verify_partition,
 )
 from fairslice.referee import QueryReferee
@@ -22,6 +24,8 @@ from fairslice.valuation import (
     PiecewiseConstantValuation,
     random_dense_valuation,
 )
+
+from oracles import even_paz_order, reference_even_paz
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 STEP = PiecewiseConstantValuation.from_segments(
@@ -125,6 +129,15 @@ class TestEvenPaz:
         lefts = [p.intervals[0].left for p in allocation.pieces]
         assert lefts == sorted(lefts)
 
+    @pytest.mark.parametrize("mode", ["cake", "chore"])
+    @pytest.mark.parametrize("n", [2, 8, 27])
+    def test_all_marks_tie_as_in_reference_order(self, mode, n):
+        players = [STEP] * n
+        allocation = even_paz(QueryReferee(players), mode)
+        assert [p.to_pairs() for p in allocation.pieces] == [
+            [[str(a), str(b)]] for a, b in reference_even_paz(players, mode)
+        ]
+
     def test_chore_costs_bounded_at_81(self):
         players = random_players(81, seed=5)
         ref = QueryReferee(players)
@@ -132,6 +145,34 @@ class TestEvenPaz:
         report = check_proportional(allocation, players, "chore")
         assert report.ok
         assert ref.total <= 2 * 81 * 7
+
+
+#: marks closer than one float apart, and exact ties among them
+NEAR_THIRD = [
+    Fraction(1, 3),
+    Fraction(1, 3) + Fraction(1, 10**40),
+    Fraction(1, 3) - Fraction(1, 10**40),
+    Fraction(1, 3) + Fraction(2, 10**40),
+]
+MARKS = st.one_of(
+    st.sampled_from([*NEAR_THIRD, Fraction(0), Fraction(1, 2), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**20),
+)
+
+
+class TestMarkOrder:
+    def test_near_third_marks_share_a_float(self):
+        assert len({float(m) for m in NEAR_THIRD}) == 1
+
+    @pytest.mark.parametrize("mode", ["cake", "chore"])
+    @given(values=st.lists(MARKS, min_size=1, max_size=16), data=st.data())
+    def test_matches_fraction_keys(self, mode, values, data):
+        # players in drawn order, neither sorted nor contiguous
+        players = data.draw(
+            st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values), unique=True)
+        )
+        marks = dict(zip(players, values))
+        assert order_marks(marks, mode) == even_paz_order(marks, mode)
 
 
 class TestLastDiminisher:

@@ -123,6 +123,24 @@ class TestDensity:
             density_of_piece(STEP, Piece())
 
 
+TINY = Fraction(1, 10**30)
+
+
+@st.composite
+def banded_steps(draw):
+    """A step valuation and a band whose edges are often exactly its lowest
+    or highest density, or off it by 1/10**30."""
+    ends = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=64), max_size=6))
+    bps = [Fraction(0), *sorted(set(ends) - {0, 1}), Fraction(1)]
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(bps) - 1, max_size=len(bps) - 1).filter(any))
+    total = sum(w * (b - a) for a, b, w in zip(bps, bps[1:], weights))
+    valuation = PiecewiseConstantValuation(bps, [w / total for w in weights])
+    low, high = min(valuation.densities), max(valuation.densities)
+    alpha = draw(st.sampled_from([low, low - TINY, low + TINY, Fraction(0), Fraction(1)]))
+    beta = draw(st.sampled_from([high, high - TINY, high + TINY, Fraction(1), None]))
+    return valuation, DensityBounds(min(max(alpha, 0), 1), None if beta is None else max(beta, 1))
+
+
 class TestDensityBounds:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,6 +152,17 @@ class TestDensityBounds:
         assert verify_dense(UNIFORM, DensityBounds(1, 1))
         assert verify_dense(STEP, DensityBounds(0, 2))
         assert not verify_dense(STEP, DensityBounds(1, None))
+
+    def test_verify_dense_at_the_band_edges(self):
+        # STEP's densities are 3/2 and 1/2: each edge admits its own density
+        assert verify_dense(STEP, DensityBounds(Fraction(1, 2), Fraction(3, 2)))
+        assert not verify_dense(STEP, DensityBounds(Fraction(1, 2) + TINY, Fraction(3, 2)))
+        assert not verify_dense(STEP, DensityBounds(Fraction(1, 2), Fraction(3, 2) - TINY))
+
+    @given(banded_steps())
+    def test_verify_dense_matches_admits(self, case):
+        valuation, bounds = case
+        assert verify_dense(valuation, bounds) == all(bounds.admits(d) for d in valuation.densities)
 
 
 class TestGenerator:

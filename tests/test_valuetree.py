@@ -75,6 +75,13 @@ class TestPaths:
         assert index_path(5, 3) == b"\x00\x01\x02"
         assert index_path(0, 0) == b""
 
+    @pytest.mark.parametrize(
+        "index, depth", [(-1, 2), (9, 2), (-1, 0), (1, 0), (3**7, 7), (-(3**60), 60), (3**60, 60)]
+    )
+    def test_index_out_of_range_is_invalid_input(self, index, depth):
+        with pytest.raises(InvalidInput, match="outside"):
+            index_path(index, depth)
+
     @pytest.mark.parametrize("depth", [4, 5, 6, 7, 11, 60, 200])
     def test_digits_of_index_matches_divmod(self, depth):
         n = 3**depth
