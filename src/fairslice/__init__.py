@@ -34,7 +34,6 @@ from .geometry import (
     Interval,
     Piece,
     as_scalar,
-    interval,
     normalize_piece,
     piece_union,
     scalar_str,

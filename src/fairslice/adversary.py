@@ -44,9 +44,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import InvalidInput, PreconditionViolation, ProtocolViolation
+from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
-from .referee import QueryRecord, replay_log
+from .referee import PlayerView, QueryRecord, QueryReferee, replay_log
 from .valuetree import (
     HEAVY,
     BalancedValueTree,
@@ -166,7 +166,7 @@ class AdversarySession(TernaryTreeValuation):
             self._answering = False
         return self._record("cut", (as_scalar(x), _as_mass(r)), answer)
 
-    # the names finders and the benchmark call
+    # the older names, still called by the benchmark and tests
     answer_eval = eval
     answer_cut = cut
 
@@ -359,8 +359,10 @@ def replay_transcript(
 
 # -- built-in heavy-piece finder strategies -------------------------------------
 #
-# A finder gets the session (as its only oracle), a query budget and a seed,
-# and must return a claimed heavy piece.  These exist to drive the
+# A finder gets a referee's view of the session (its only oracle), the
+# public tree params, a query budget and a seed, and must return a claimed
+# heavy piece.  The referee counts its queries and refuses one past the
+# budget before the session answers it.  These exist to drive the
 # lower-bound demonstration: against the adversary none of them can do
 # better than chance within the threshold.
 
@@ -371,45 +373,45 @@ def _clamped_cell(start: Fraction, params: TreeParams) -> Piece:
     return Piece.of((start, start + width))
 
 
-def finder_blind(session: AdversarySession, budget: int, seed: int) -> Piece:
+def finder_blind(player: PlayerView, params: TreeParams, budget: int, seed: int) -> Piece:
     """No queries: claims a seeded 1/n-wide cell."""
     rng = random.Random(seed)
-    index = rng.randrange(session.params.n)
-    return _clamped_cell(Fraction(index, session.params.n), session.params)
+    index = rng.randrange(params.n)
+    return _clamped_cell(Fraction(index, params.n), params)
 
 
-def finder_greedy_dense(session: AdversarySession, budget: int, seed: int) -> Piece:
+def finder_greedy_dense(player: PlayerView, params: TreeParams, budget: int, seed: int) -> Piece:
     """Ternary descent into the densest-looking third, two evals per level;
     claims a 1/n-wide piece at the left edge of the final block."""
     left, right = ZERO, ONE
     block_mass = 1.0
-    queries = 0
-    while queries + 2 <= budget and (right - left) > Fraction(1, session.params.n):
+    for _ in range(budget // 2):
+        if right - left <= Fraction(1, params.n):
+            break
         third = (right - left) / 3
-        m0 = session.answer_eval(left, left + third)
-        m1 = session.answer_eval(left + third, left + 2 * third)
-        queries += 2
+        m0 = player.eval(left, left + third)
+        m1 = player.eval(left + third, left + 2 * third)
         masses = [m0, m1, max(block_mass - m0 - m1, 0.0)]
         best = max(range(3), key=lambda j: masses[j])
         left = left + best * third
         right = left + third
         block_mass = masses[best]
-    return _clamped_cell(left, session.params)
+    return _clamped_cell(left, params)
 
 
-def finder_mass_split(session: AdversarySession, budget: int, seed: int) -> Piece:
+def finder_mass_split(player: PlayerView, params: TreeParams, budget: int, seed: int) -> Piece:
     """Cut queries at evenly spaced mass quantiles; claims a 1/n-wide piece
     inside the narrowest quantile gap (where mass is densest)."""
     if budget < 1:
-        return finder_blind(session, budget, seed)
+        return finder_blind(player, params, budget, seed)
     points = [ZERO]
     for j in range(1, budget + 1):
-        answer = session.answer_cut(ZERO, Fraction(j, budget + 1))
+        answer = player.cut(ZERO, Fraction(j, budget + 1))
         points.append(as_scalar(answer))
     points.append(ONE)
     gaps = [(points[i + 1] - points[i], i) for i in range(len(points) - 1)]
     _, best = min(gaps)
-    return _clamped_cell(points[best], session.params)
+    return _clamped_cell(points[best], params)
 
 
 STRATEGIES = {
@@ -460,19 +462,21 @@ def run_heavy_piece_game(
     the adversary tries to refute the claim."""
     if strategy not in STRATEGIES:
         raise InvalidInput(f"unknown strategy {strategy!r}; have {sorted(STRATEGIES)}")
-    if budget < 0:
-        raise InvalidInput(f"budget must be non-negative, got {budget}")
     session = AdversarySession(params)
-    claim = STRATEGIES[strategy](session, budget, seed)
-    if session.m > budget:
-        raise ProtocolViolation(f"strategy {strategy} used {session.m} > {budget} queries")
+    referee = QueryReferee([session], budget=budget)
+    try:
+        claim = STRATEGIES[strategy](referee.view(0), params, budget, seed)
+    except BudgetExhausted:
+        raise ProtocolViolation(
+            f"strategy {strategy} used {budget + 1} > {budget} queries"
+        ) from None
     outcome = session.refute_claim(claim)
     return GameReport(
         depth=params.depth,
         strategy=strategy,
         budget=budget,
         threshold=params.threshold,
-        queries_used=session.m,
+        queries_used=referee.total,
         claim=claim,
         outcome=outcome,
         max_revealed_heavy_trace=tuple(session.heavy_trace),

@@ -255,15 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_protocol=True):
+    def common(p):
         p.add_argument("--n", type=int, default=None, help="number of players")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--valuations", metavar="FILE", help="JSON valuations file")
         p.add_argument("--segments", type=int, default=8, help="segments per generated valuation")
         p.add_argument("--budget", type=int, default=None, help="total query budget")
         p.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")
-        if with_protocol:
-            p.add_argument("--protocol", default="even-paz", choices=sorted(PROTOCOLS))
+        p.add_argument("--protocol", default="even-paz", choices=sorted(PROTOCOLS))
 
     p = sub.add_parser("divide", help="run one division protocol")
     common(p)

@@ -132,9 +132,7 @@ def dual_piece(valuation, piece: Piece) -> Piece:
         raise NonPositiveValuation("piece dualization needs a positive valuation")
     images = []
     for iv in piece.intervals:
-        a = as_scalar(valuation.eval(ZERO, iv.left))
-        b = as_scalar(valuation.eval(ZERO, iv.right))
-        images.append(Interval(a, b))
+        images.append(Interval(valuation.eval(ZERO, iv.left), valuation.eval(ZERO, iv.right)))
     return normalize_piece(images)
 
 
@@ -204,11 +202,11 @@ def reduction_pipeline(
 
     Runs ``protocol`` in chore mode against the duals of the given positive
     (0,2)-dense valuations (each dual query billed as two base queries),
-    validates that the output really is a proportional chore allocation,
-    then dualizes every allocated piece back through base cut queries.  At
-    least ceil(n/3) of the returned pieces are verified heavy for their
-    owners; heaviness is checked exactly and pieces may overlap (this is a
-    search result, not an allocation).
+    dualizes every allocated piece back through base cut queries, and
+    checks from the images that the output really is a proportional chore
+    allocation.  At least ceil(n/3) of the returned pieces are verified
+    heavy for their owners; heaviness is checked exactly and pieces may
+    overlap (this is a search result, not an allocation).
     """
     bounds = DensityBounds(Fraction(0), Fraction(2))
     for i, v in enumerate(valuations):
@@ -227,29 +225,16 @@ def reduction_pipeline(
     dual_queries = dual_referee.total
     base_protocol = base_referee.total
 
-    # The reduction guarantee rests on the protocol's proportionality;
-    # verify it exactly, off the meter, rather than returning vacuous
-    # certificates.  The closed-form dual's value of [a, b] is
-    # F^-1(b) - F^-1(a) for the base prefix mass F(t) = v(0, t), read from
-    # v's own tables; the overridable v.cut is not consulted.
+    # Dualize each allocated piece: eval_{v*}(0, t) == cut_v(0, t), so each
+    # endpoint is one billed base cut.  For positive v that map is strictly
+    # increasing, so a piece's chore cost under v* is exactly its image's
+    # width.  The reduction guarantee rests on the protocol's
+    # proportionality, so the widths are checked against 1/n before any
+    # certificate is returned, which leaves heaviness only its value test.
     verify_partition(allocation)
-    chore_bound = Fraction(1, n)
-    for i, piece in enumerate(allocation.pieces):
-        inverse = valuations[i]._inverse
-        cost = ZERO
-        for iv in piece.intervals:
-            cost += inverse(iv.right.numerator, iv.right.denominator) - inverse(iv.left.numerator, iv.left.denominator)
-        if cost > chore_bound:
-            raise ProtocolViolation(
-                f"player {i}: chore cost {cost} exceeds 1/{n}; "
-                "the protocol is not proportional, reduction guarantee void"
-            )
-
-    # Dualize each allocated piece; eval_{v*}(0, t) == cut_v(0, t), so each
-    # endpoint is one billed base cut query.
-    entries = []
-    width_bound = Fraction(1, n)
+    bound = Fraction(1, n)
     value_bound = Fraction(1, 2 * n)
+    entries = []
     for i, piece in enumerate(allocation.pieces):
         images = []
         for iv in piece.intervals:
@@ -257,19 +242,16 @@ def reduction_pipeline(
             b = base_referee.cut(i, ZERO, iv.right)
             if a is None or b is None:
                 raise ProtocolViolation(f"player {i}: a dual endpoint has no base cut point")
-            images.append(Interval(as_scalar(a), as_scalar(b)))
+            images.append(Interval(a, b))
         image = normalize_piece(images)
-        width = image.width
         value = valuations[i].value_of_piece(image)
-        entries.append(
-            CertificateEntry(
-                player=i,
-                piece=image,
-                width=width,
-                value=value,
-                heavy=(width <= width_bound and value >= value_bound),
+        entries.append(CertificateEntry(i, image, image.width, value, heavy=value >= value_bound))
+    for entry in entries:
+        if entry.width > bound:
+            raise ProtocolViolation(
+                f"player {entry.player}: chore cost {entry.width} exceeds 1/{n}; "
+                "the protocol is not proportional, reduction guarantee void"
             )
-        )
     base_dualization = base_referee.total - base_protocol
     return ReductionReport(
         n=n,

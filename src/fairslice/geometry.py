@@ -91,11 +91,6 @@ class Interval:
         return f"Interval({self.left}, {self.right})"
 
 
-def interval(left: ScalarLike, right: ScalarLike) -> Interval:
-    """Shorthand constructor accepting any rational-like endpoints."""
-    return Interval(as_scalar(left), as_scalar(right))
-
-
 @dataclass(frozen=True)
 class Piece:
     """A finite union of disjoint intervals in canonical form.
@@ -125,7 +120,7 @@ class Piece:
         >>> Piece.of(("1/2", "3/4"), (0, "1/4")).intervals
         (Interval(0, 1/4), Interval(1/2, 3/4))
         """
-        return normalize_piece(interval(a, b) for a, b in endpoints)
+        return normalize_piece(Interval(a, b) for a, b in endpoints)
 
     @property
     def width(self) -> Fraction:
@@ -140,7 +135,7 @@ class Piece:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[ScalarLike]]) -> "Piece":
-        return normalize_piece(interval(a, b) for a, b in pairs)
+        return normalize_piece(Interval(a, b) for a, b in pairs)
 
     def __repr__(self) -> str:
         body = ", ".join(f"[{iv.left}, {iv.right}]" for iv in self.intervals)

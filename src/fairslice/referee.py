@@ -79,7 +79,7 @@ class QueryReferee:
         if not valuations:
             raise InvalidInput("referee needs at least one valuation")
         if budget is not None and budget < 0:
-            raise InvalidInput("budget must be non-negative")
+            raise InvalidInput(f"budget must be non-negative, got {budget}")
         self._valuations = tuple(valuations)
         self.budget = budget
         self.counts = [0] * len(self._valuations)

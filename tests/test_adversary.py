@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fairslice import adversary
 from fairslice.adversary import (
     STRATEGIES,
     AdversarySession,
@@ -476,14 +477,43 @@ class TestStrategiesAndGame:
             assert report.claim.width <= Fraction(1, P60.n)
 
     def test_overspending_finder_is_a_protocol_violation(self, monkeypatch):
-        def overspend(session, budget, seed):
+        def overspend(player, params, budget, seed):
             for _ in range(budget + 1):
-                session.answer_eval(0, Fraction(1, 3))
-            return STRATEGIES["blind"](session, budget, seed)
+                player.eval(0, Fraction(1, 3))
+            return STRATEGIES["blind"](player, params, budget, seed)
 
         monkeypatch.setitem(STRATEGIES, "overspend", overspend)
         with pytest.raises(ProtocolViolation, match="2 > 1 queries"):
             run_heavy_piece_game(P60, "overspend", budget=1, seed=0)
+
+    def test_overspending_query_is_refused_before_it_is_answered(self, monkeypatch):
+        queries = [(0, Fraction(1, 3)), (Fraction(1, 9), Fraction(7, 9))]
+        # answered, the second query would reveal nodes the first did not
+        fresh = AdversarySession(P60)
+        fresh.answer_eval(*queries[0])
+        first_reveals = dict(fresh.revealed)
+        fresh.answer_eval(*queries[1])
+        assert len(fresh.revealed) > len(first_reveals)
+
+        sessions = []
+
+        class RecordedSession(AdversarySession):
+            def __init__(self, params):
+                super().__init__(params)
+                sessions.append(self)
+
+        def overspend(player, params, budget, seed):
+            for query in queries:
+                player.eval(*query)
+            return STRATEGIES["blind"](player, params, budget, seed)
+
+        monkeypatch.setattr(adversary, "AdversarySession", RecordedSession)
+        monkeypatch.setitem(STRATEGIES, "overspend", overspend)
+        with pytest.raises(ProtocolViolation, match="used 2 > 1 queries"):
+            run_heavy_piece_game(P60, "overspend", budget=1, seed=0)
+        [session] = sessions
+        assert session.m == 1
+        assert session.revealed == first_reveals
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

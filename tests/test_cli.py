@@ -240,10 +240,10 @@ def test_deterministic_outputs(capsys):
 
 
 def test_overspending_finder_exits_3(capsys, monkeypatch):
-    def overspend(session, budget, seed):
+    def overspend(player, params, budget, seed):
         for _ in range(budget + 1):
-            session.answer_eval(0, Fraction(1, 3))
-        return STRATEGIES["blind"](session, budget, seed)
+            player.eval(0, Fraction(1, 3))
+        return STRATEGIES["blind"](player, params, budget, seed)
 
     monkeypatch.setitem(STRATEGIES, "overspend", overspend)
     code, _, err = run_cli(capsys, "adversary", "--k", "60", "--strategy", "overspend", "--budget", "2")

@@ -11,7 +11,7 @@ from fairslice.dual import (
     reduction_pipeline,
 )
 from fairslice.errors import NonPositiveValuation, ProtocolViolation
-from fairslice.geometry import Piece, normalize_piece, interval
+from fairslice.geometry import Interval, Piece, normalize_piece
 from fairslice.protocols import Allocation, even_paz
 from fairslice.referee import QueryReferee
 from fairslice.valuation import (
@@ -24,6 +24,11 @@ from fairslice.valuation import (
 UNIFORM = PiecewiseConstantValuation.uniform()
 STEP = PiecewiseConstantValuation.from_segments(
     [(Fraction(1, 2), Fraction(3, 2)), (Fraction(1), Fraction(1, 2))]
+)
+# positive and (0,2)-dense, with prefix masses 5/9 at 1/3 and 7/9 at 2/3, so
+# a piece's own width is not its chore cost under the dual
+EDGE_STEP = PiecewiseConstantValuation.from_segments(
+    [(Fraction(1, 4), Fraction(2)), (Fraction(1), Fraction(2, 3))]
 )
 BAND = DensityBounds(0, 2)
 
@@ -155,7 +160,7 @@ class TestDualPiece:
             dual = dual_pwc_closed_form(v)
             pairs = sorted(Fraction(rng.randrange(0, 25), 24) for _ in range(4))
             piece = normalize_piece(
-                [interval(pairs[0], pairs[1]), interval(pairs[2], pairs[3])]
+                [Interval(pairs[0], pairs[1]), Interval(pairs[2], pairs[3])]
             )
             image = dual_piece(v, piece)
             assert image.width == v.value_of_piece(piece)
@@ -208,6 +213,24 @@ class TestReductionPipeline:
 
         with pytest.raises(ProtocolViolation):
             reduction_pipeline([UNIFORM] * 3, broken)
+
+    @pytest.mark.parametrize("valuation", [UNIFORM, EDGE_STEP], ids=["uniform", "step"])
+    def test_chore_bound_is_checked_at_its_edge(self, valuation):
+        # Every player holds the same valuation, so a chore cost of c is the
+        # dual-side point valuation.eval(0, c).  Player 1 gets a chore cost
+        # of exactly 1/3 plus excess; players 0 and 2 stay within 1/3.
+        def protocol_with(excess):
+            def partition(referee, mode):
+                a = valuation.eval(0, Fraction(1, 3))
+                b = valuation.eval(0, Fraction(2, 3) + excess)
+                return Allocation((Piece.of((0, a)), Piece.of((a, b)), Piece.of((b, 1))))
+
+            return partition
+
+        report = reduction_pipeline([valuation] * 3, protocol_with(0))
+        assert report.entries[1].width == Fraction(1, 3)
+        with pytest.raises(ProtocolViolation, match="player 1: chore cost"):
+            reduction_pipeline([valuation] * 3, protocol_with(Fraction(1, 10**30)))
 
     def test_report_json_shape(self):
         report = reduction_pipeline([UNIFORM] * 3, even_paz)

@@ -7,7 +7,6 @@ from fairslice.geometry import (
     Interval,
     Piece,
     as_scalar,
-    interval,
     normalize_piece,
     piece_union,
     scalar_str,
@@ -40,17 +39,17 @@ def test_interval_validation():
 
 
 def test_normalize_merges_touching():
-    got = normalize_piece([interval(0, "1/2"), interval("1/2", 1)])
+    got = normalize_piece([Interval(0, "1/2"), Interval("1/2", 1)])
     assert got == Piece.of((0, 1))
 
 
 def test_normalize_already_normal():
-    got = normalize_piece([interval("1/3", "2/3")])
+    got = normalize_piece([Interval("1/3", "2/3")])
     assert got.to_pairs() == [["1/3", "2/3"]]
 
 
 def test_normalize_sorts():
-    got = normalize_piece([interval("1/2", "3/4"), interval(0, "1/4")])
+    got = normalize_piece([Interval("1/2", "3/4"), Interval(0, "1/4")])
     assert got.to_pairs() == [["0", "1/4"], ["1/2", "3/4"]]
 
 
@@ -63,7 +62,7 @@ def test_width_examples():
 def test_empty_piece_is_legal():
     empty = normalize_piece([])
     assert empty.is_empty() and empty.width == 0
-    assert normalize_piece([interval("1/2", "1/2")]) == empty
+    assert normalize_piece([Interval("1/2", "1/2")]) == empty
 
 
 def test_canonical_constructor_rejects_disorder():
