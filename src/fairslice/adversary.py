@@ -23,8 +23,10 @@ hashed trees and completions use with a label source that reveals nodes as
 the walks reach them, so a referee can hold sessions as players.  Answers
 are logged as referee :class:`QueryRecord`s carrying their reveals, and a
 completion keeps every revealed label, so it replays them exactly.  Only
-``eval`` and ``cut`` reveal: the tree-inspection methods a session inherits
-read revealed nodes and refuse unrevealed ones.
+``eval`` and ``cut`` reveal: the node lookups a session inherits
+(``node``, ``classify_leaf``, ``iter_nodes``) read revealed nodes and raise
+:class:`PreconditionViolation` at an unrevealed one; an internal node must
+be revealed itself, a leaf needs its parent revealed.
 
 Revealed labels are kept in :attr:`AdversarySession.revealed`, a dict
 keyed by node-path bytes, the one path form of :mod:`.valuetree`.  A node

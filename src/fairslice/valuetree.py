@@ -16,11 +16,11 @@ runs build density quickly: a leaf can only reach density >= 1/2 (or
 criticality) when its path carries more than ``ln(n)/6 - 1`` heavy edges.
 That threshold is what the adversary module exploits.
 
-Node profiles and values, prefix masses, eval and cut all come from two
-walks of :class:`TernaryTreeValuation`: a path walk along known digits and
-a descent to a target prefix mass.  Hashed trees, completions and the
-adversary session differ only in their label source, so on shared labels
-they give the same floats by construction.
+The node lookup, prefix masses, eval and cut all come from two walks of
+:class:`TernaryTreeValuation`: a path walk along known digits and a descent
+to a target prefix mass.  Hashed trees, completions and the adversary
+session differ only in their label source, so on shared labels they give
+the same floats by construction.
 
 A node path is the ``bytes`` of its base-3 digits, one byte per digit
 (the root is ``b""``), in and out: one object is the dict key, the blake2b
@@ -184,6 +184,13 @@ class TreeParams:
         """Density >= 1/2 in log space, with the same ambiguity guard."""
         return _guarded_sign(self.log_density(h, q) + LN2, "richness", h, q)
 
+    def classify(self, h: int, q: int, critical: bool) -> str:
+        """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'
+        for a leaf with ``h`` heavy and ``q`` light edges."""
+        if critical:
+            return "critical"
+        return "rich" if self.rich_counts(h, q) else "neither"
+
 
 #: criticality verdicts by (h, q), one table per tree size.  Keyed by the
 #: params value, so params read back separately with equal values still
@@ -273,23 +280,14 @@ def _node_key(path: bytes, depth: int) -> bytes:
     return path
 
 
-@dataclass(frozen=True)
-class NodeProfile:
-    """Edge-type counts on a node's root path, plus its criticality."""
-
-    h: int  # heavy edges
-    q: int  # light edges
-    z: int  # 1/3 edges below a critical ancestor
-    critical: bool
-
-
 class NodeVisit(NamedTuple):
-    """One node seen during whole-tree enumeration."""
+    """One node: what :meth:`TernaryTreeValuation.node` returns and
+    :meth:`TernaryTreeValuation.iter_nodes` yields."""
 
     depth: int
-    h: int
-    q: int
-    z: int
+    h: int  # heavy edges on the root path
+    q: int  # light edges
+    z: int  # 1/3 edges below a critical ancestor
     critical: bool
     value: float
     label_kinds: Optional[tuple[str, str, str]]  # None for leaves
@@ -303,14 +301,14 @@ class TernaryTreeValuation(Valuation, ABC):
     """Shared eval/cut and node bookkeeping over any edge-label source.
 
     Subclasses decide the label kinds of a node's child edges via
-    :meth:`_labels`; everything else (profiles, densities, prefix masses,
-    query answering) is derived here from two walks: :meth:`_walk` follows
-    a known node path and :meth:`_descend` a target prefix mass.  Both read
-    labels through a hook that also gets the walk's step
-    (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings ignore
-    it, and the adversary session decides unrevealed nodes from it.  The
-    public methods check a path once with :func:`_node_key`; the walks and
-    their hooks pass paths the walks made themselves, unchecked.
+    :meth:`_labels`; everything else (the per-node lookup :meth:`node`,
+    prefix masses, query answering) is derived here from two walks:
+    :meth:`_walk` follows a known node path and :meth:`_descend` a target
+    prefix mass.  Both read labels through a hook that also gets the walk's
+    step (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings
+    ignore it, and the adversary session decides unrevealed nodes from it.
+    The public methods check a path once with :func:`_node_key`; the walks
+    and their hooks pass paths the walks made themselves, unchecked.
     """
 
     def __init__(self, params: TreeParams):
@@ -320,15 +318,11 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- labeling ----------------------------------------------------------
 
-    def labels_for(self, path: bytes, h: int, q: int, critical: bool) -> tuple[str, str, str]:
-        """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
-        node at ``path``, which has ``h`` heavy and ``q`` light edges above
-        it and is ``critical`` or not."""
-        return self._labels(_node_key(path, self.params.depth), h, q, critical)
-
     @abstractmethod
     def _labels(self, path: bytes, h: int, q: int, critical: bool) -> tuple[str, str, str]:
-        """:meth:`labels_for` of a path the walks made: the label source."""
+        """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
+        node at ``path``, which has ``h`` heavy and ``q`` light edges above
+        it and is ``critical`` or not: the label source."""
 
     # -- the two walks -------------------------------------------------------
 
@@ -422,31 +416,21 @@ class TernaryTreeValuation(Valuation, ABC):
         within = min(max(within, 0.0), 1.0)
         return index / n + (1 / n) * within
 
-    def node_profile(self, path: bytes) -> NodeProfile:
-        _, h, q, z, critical, _ = self._walk(_node_key(path, self.params.depth))
-        return NodeProfile(h, q, z, critical)
-
-    def node_value(self, path: bytes) -> float:
-        """Direct product of the edge labels on the node's root path."""
-        return self._walk(_node_key(path, self.params.depth))[5]
-
-    def node_density(self, path: bytes) -> float:
-        """Closed-form density beta^h * (3/2 - beta/2)^q of the node."""
-        _, h, q, _, _, _ = self._walk(_node_key(path, self.params.depth))
-        return math.exp(self.params.log_density(h, q))
-
-    def is_critical(self, path: bytes) -> bool:
-        return self.node_profile(path).critical
+    def node(self, path: bytes) -> NodeVisit:
+        """The node at ``path``, as :meth:`iter_nodes` would yield it: one
+        path walk, plus the node's own labels unless it is a leaf."""
+        node = _node_key(path, self.params.depth)
+        _, h, q, z, critical, value = self._walk(node)
+        kinds = None if len(node) == self.params.depth else self._labels(node, h, q, critical)
+        return NodeVisit(len(node), h, q, z, critical, value, kinds)
 
     def classify_leaf(self, path: bytes) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
-        leaf = _node_key(path, self.params.depth)
-        if len(leaf) != self.params.depth:
-            raise InvalidInput(f"not a leaf path: depth {len(leaf)} != {self.params.depth}")
-        _, h, q, _, critical, _ = self._walk(leaf)
-        if critical:
-            return "critical"
-        return "rich" if self.params.rich_counts(h, q) else "neither"
+        depth = len(_node_key(path, self.params.depth))
+        if depth != self.params.depth:
+            raise InvalidInput(f"not a leaf path: depth {depth} != {self.params.depth}")
+        leaf = self.node(path)
+        return self.params.classify(leaf.h, leaf.q, leaf.critical)
 
     # -- valuation interface ---------------------------------------------------
 
@@ -560,9 +544,13 @@ class TernaryTreeValuation(Valuation, ABC):
             key=lambda iv: self.eval(iv.left, iv.right) / float(iv.width),
         )
         depth = self.params.depth
-        leaves = _leaf_range(best, n)
-        chosen = max(leaves, key=lambda i: self.node_density(index_path(i, depth)))
-        return index_path(chosen, depth)
+        log_density = self.params.log_density
+
+        def density_rank(path: bytes) -> float:
+            leaf = self.node(path)
+            return log_density(leaf.h, leaf.q)
+
+        return max((index_path(i, depth) for i in _leaf_range(best, n)), key=density_rank)
 
 
 class BalancedValueTree(TernaryTreeValuation):
@@ -598,13 +586,19 @@ class BalancedValueTree(TernaryTreeValuation):
     def from_json(cls, obj: dict) -> "BalancedValueTree":
         if obj.get("type") != "balanced_value_tree":
             raise InvalidInput(f"expected type 'balanced_value_tree', got {obj.get('type')!r}")
-        try:
-            depth = int(obj["k"])
-            seed = int(obj["seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad 'k'/'seed': {exc}") from exc
-        params = TreeParams.from_depth(depth, permissive=bool(obj.get("permissive", False)))
-        return cls(params, seed)
+        depth, seed = _json_int(obj, "k"), _json_int(obj, "seed")
+        permissive = obj.get("permissive", False)
+        if permissive.__class__ is not bool:
+            raise InvalidInput(f"'permissive' must be a JSON boolean, got {permissive!r}")
+        return cls(TreeParams.from_depth(depth, permissive=permissive), seed)
+
+
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]``, refused unless it is a JSON integer (a bool is not)."""
+    value = obj.get(key)
+    if value.__class__ is not int:
+        raise InvalidInput(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
 
 
 def build_tree(params: TreeParams, seed: int) -> BalancedValueTree:
@@ -636,13 +630,7 @@ def leaf_profiles(params: TreeParams) -> list[LeafProfileClass]:
     for h in range(d + 1):
         q = d - h
         if h == 0 or not critical(h - 1, q):
-            if critical(h, q):
-                cls_name = "critical"
-            elif params.rich_counts(h, q):
-                cls_name = "rich"
-            else:
-                cls_name = "neither"
-            out.append(LeafProfileClass(h, q, 0, cls_name))
+            out.append(LeafProfileClass(h, q, 0, params.classify(h, q, critical(h, q))))
         for q2 in range(0, d - h):
             z = d - h - q2
             if h >= 1 and critical(h, q2) and not critical(h - 1, q2):

@@ -157,10 +157,10 @@ def leaf_densities(tree):
             digits.append(rem % 3)
             rem //= 3
         digits.reverse()
-        profile = tree.node_profile(bytes(digits))
+        leaf = tree.node(bytes(digits))
         density = math.exp(
-            profile.h * math.log(params.beta)
-            + profile.q * math.log(1.5 - params.beta / 2.0)
+            leaf.h * math.log(params.beta)
+            + leaf.q * math.log(1.5 - params.beta / 2.0)
         )
         out[index] = density
     return out

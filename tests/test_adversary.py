@@ -14,7 +14,7 @@ from fairslice.adversary import (
     replay_transcript,
     run_heavy_piece_game,
 )
-from fairslice.errors import PreconditionViolation, ProtocolViolation, ReplayMismatch
+from fairslice.errors import InvalidInput, PreconditionViolation, ProtocolViolation, ReplayMismatch
 from fairslice.geometry import Piece
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee, replay_log
@@ -243,26 +243,26 @@ class TestOracles:
 
 
 class TestInspection:
-    """Only eval and cut reveal nodes; the tree-inspection methods a session
-    inherits read revealed nodes and refuse the others."""
+    """Only eval and cut reveal nodes; the node lookups a session inherits
+    read revealed nodes and refuse the others."""
 
     LEAF = b"\x01" * 11
 
     def test_inspection_reveals_nothing(self):
         session = AdversarySession(P11)
-        for inspect in (
-            session.node_profile,
-            session.node_value,
-            session.node_density,
-            session.classify_leaf,
-            session.is_critical,
-        ):
+        for path in (b"", b"\x01", self.LEAF):
             with pytest.raises(PreconditionViolation):
-                inspect(self.LEAF)
+                session.node(path)
+        with pytest.raises(PreconditionViolation):
+            session.classify_leaf(self.LEAF)
         assert session.revealed == {}
         fresh = AdversarySession(P11)
         assert session.answer_eval(0, Fraction(1, 2)) == fresh.answer_eval(0, Fraction(1, 2))
         assert session.log == fresh.log
+
+    def test_classify_leaf_refuses_an_internal_path_before_walking(self):
+        with pytest.raises(InvalidInput, match="not a leaf"):
+            AdversarySession(P11).classify_leaf(b"\x01")
 
     def test_iter_nodes_is_a_typed_error(self):
         with pytest.raises(PreconditionViolation):
@@ -275,9 +275,21 @@ class TestInspection:
         revealed = len(session.revealed)
         leaf = bytes(oracles.divmod_digits_of_index(5, 11))
         completion = session.complete_labeling(seed=0)
-        assert session.node_profile(leaf) == completion.node_profile(leaf)
-        assert session.node_value(leaf) == completion.node_value(leaf)
+        for path in [leaf[:i] for i in range(12)]:
+            assert session.node(path) == completion.node(path)
+        assert session.classify_leaf(leaf) == completion.classify_leaf(leaf)
         assert len(session.revealed) == revealed and session.m == 1
+
+    def test_unrevealed_child_of_a_revealed_node_is_refused(self):
+        session = AdversarySession(P11)
+        session.answer_eval(0, Fraction(1, 3))
+        revealed = dict(session.revealed)
+        assert b"" in revealed and b"\x02" not in revealed
+        completion = session.complete_labeling(seed=0)
+        assert session.node(b"") == completion.node(b"")
+        with pytest.raises(PreconditionViolation):
+            session.node(b"\x02")
+        assert session.revealed == revealed and session.m == 1
 
 
 class TestCompletions:
@@ -328,10 +340,10 @@ class TestCompletions:
         session = AdversarySession(P60)
         target = b"\x01" * 60
         completion = session.complete_labeling(seed=0, light_leaves=[target])
-        profile = completion.node_profile(target)
-        assert profile.h == 0 and not profile.critical
+        leaf = completion.node(target)
+        assert leaf.h == 0 and not leaf.critical
         # density (3/2 - beta/2)^60 is far below 1/2
-        assert completion.node_density(target) < 0.5
+        assert math.exp(P60.log_density(leaf.h, leaf.q)) < 0.5
 
     def test_completion_agrees_with_reveals(self):
         rng = random.Random(29)
@@ -339,19 +351,7 @@ class TestCompletions:
         random_queries(session, 8, rng)
         completion = session.complete_labeling(seed=9)
         for path, kinds in session.revealed.items():
-            h = q = 0
-            critical = False
-            prefix = b""
-            for c in path:
-                critical = critical or P60.critical_counts(h, q)
-                k = completion.labels_for(prefix, h, q, critical)[c]
-                if k == HEAVY:
-                    h += 1
-                elif k == LIGHT:
-                    q += 1
-                prefix += bytes((c,))
-            critical = critical or P60.critical_counts(h, q)
-            assert completion.labels_for(path, h, q, critical) == kinds
+            assert completion.node(path).label_kinds == kinds
 
 
 class TestRefutation:

@@ -70,6 +70,19 @@ def test_divide_rejects_unnormalized_file(capsys, tmp_path):
     assert "valuations[0]" in err
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"k": 11.9, "seed": 3}, {"k": 11, "seed": 2.5}, {"k": 7, "seed": 3, "permissive": "false"}],
+    ids=["float-k", "float-seed", "string-permissive"],
+)
+def test_divide_rejects_coerced_tree_fields(capsys, tmp_path, fields):
+    vfile = tmp_path / "trees.json"
+    vfile.write_text(json.dumps([{"type": "balanced_value_tree", **fields}]))
+    code, out, err = run_cli(capsys, "divide", "--valuations", str(vfile))
+    assert code == 2 and out == ""
+    assert "valuations[0]" in err and "must be a JSON" in err
+
+
 def test_divide_reports_json_syntax_position(capsys, tmp_path):
     vfile = tmp_path / "syntax.json"
     vfile.write_text('{"valuations": [}')

@@ -89,8 +89,8 @@ def answer_lines(tree, rng: random.Random, count: int) -> list[str]:
         lines.append(repr(tree.cut(x, r)))
     for _ in range(5):
         path = index_path(rng.randrange(tree.params.n), depth)
-        profile = tree.node_profile(path)
-        lines.append(f"{tree.node_value(path)!r} {profile.h} {profile.q} {profile.z} {profile.critical}")
+        node = tree.node(path)
+        lines.append(f"{node.value!r} {node.h} {node.q} {node.z} {node.critical}")
     return lines
 
 

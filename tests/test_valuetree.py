@@ -48,7 +48,7 @@ class TestParams:
         # below depth 6, beta exceeds 2 and the root itself is critical,
         # which collapses the whole tree to the uniform valuation
         tree = BalancedValueTree(TreeParams.from_depth(5, permissive=True), seed=3)
-        assert tree.is_critical(b"")
+        assert tree.node(b"").critical
         assert abs(tree.eval(0, Fraction(1, 3)) - 1 / 3) < 1e-12
 
     def test_depth_below_label_validity_always_rejected(self):
@@ -93,11 +93,7 @@ class TestPaths:
 #: every public method that takes a node path, called with ``path`` on a
 #: hashed depth-11 tree
 PATH_ENTRIES = {
-    "labels_for": lambda tree, path: tree.labels_for(path, 0, 0, False),
-    "node_profile": lambda tree, path: tree.node_profile(path),
-    "node_value": lambda tree, path: tree.node_value(path),
-    "node_density": lambda tree, path: tree.node_density(path),
-    "is_critical": lambda tree, path: tree.is_critical(path),
+    "node": lambda tree, path: tree.node(path),
     "classify_leaf": lambda tree, path: tree.classify_leaf(path),
     "verify_labeling": lambda tree, path: verify_labeling(tree, paths=[path], sample_count=0),
     "complete_labeling": lambda tree, path: AdversarySession(tree.params).complete_labeling(
@@ -128,11 +124,11 @@ def test_bad_node_paths_are_invalid_input(entry, path):
 class TestStructure:
     def test_root_profile(self):
         tree = build_tree(P11, seed=1)
-        profile = tree.node_profile(b"")
-        assert (profile.h, profile.q, profile.z) == (0, 0, 0)
-        assert not profile.critical
-        assert tree.node_density(b"") == 1.0
-        assert tree.node_value(b"") == 1.0
+        root = tree.node(b"")
+        assert (root.depth, root.h, root.q, root.z) == (0, 0, 0, 0)
+        assert not root.critical and not root.is_leaf
+        assert root.value == 1.0
+        assert math.exp(P11.log_density(root.h, root.q)) == 1.0
 
     def test_labels_sum_to_one_everywhere(self):
         tree = BalancedValueTree(SMALL, seed=3)
@@ -167,14 +163,37 @@ class TestStructure:
         b = BalancedValueTree(SMALL, seed=4)
         c = BalancedValueTree(SMALL, seed=5)
         paths = [leaf_path(Fraction(i, 2187), 7) for i in range(0, 2187, 41)]
-        assert [a.node_value(p) for p in paths] == [b.node_value(p) for p in paths]
-        assert any(a.node_value(p) != c.node_value(p) for p in paths)
+        assert [a.node(p).value for p in paths] == [b.node(p).value for p in paths]
+        assert any(a.node(p).value != c.node(p).value for p in paths)
+
+
+def _preorder_paths(depth, path=b""):
+    """Every node path of a depth-``depth`` tree, children 0, 1, 2 in turn."""
+    yield path
+    if len(path) < depth:
+        for c in range(3):
+            yield from _preorder_paths(depth, path + bytes((c,)))
+
+
+class TestNodeLookup:
+    # depth 5 has a critical root, so every node there is labelled thirds
+    @pytest.mark.parametrize(
+        "params", [SMALL, TreeParams.from_depth(5, permissive=True)], ids=lambda p: f"depth-{p.depth}"
+    )
+    def test_path_walk_agrees_with_preorder_walk(self, params):
+        tree = BalancedValueTree(params, seed=3)
+        paths = list(_preorder_paths(params.depth))
+        assert len(paths) == (3 ** (params.depth + 1) - 1) // 2
+        visits = list(tree.iter_nodes())
+        assert len(visits) == len(paths)
+        for path, visit in zip(paths, visits):
+            assert tree.node(path) == visit, path
 
 
 class TestCriticality:
     def test_root_not_critical(self):
         tree = build_tree(P11, seed=2)
-        assert not tree.is_critical(b"")
+        assert not tree.node(b"").critical
 
     def test_two_heavy_edges_trigger(self):
         assert not P11.critical_counts(1, 0)  # beta^2 ~ 1.990 < 2
@@ -185,18 +204,13 @@ class TestCriticality:
         # follow heavy edges from the root until criticality, then descend
         path = b""
         for _ in range(3):
-            kinds = tree.labels_for(
-                path, *_hq(tree, path), tree.is_critical(path)
-            )
-            heavy_at = kinds.index("H") if "H" in kinds else 0
-            path = path + bytes((heavy_at,))
-        assert tree.is_critical(path)
-        deeper = path + b"\x00\x01\x02"
-        assert tree.is_critical(deeper)
-        profile = tree.node_profile(deeper)
+            path += bytes((_heavy_child(tree.node(path).label_kinds),))
+        assert tree.node(path).critical
+        deeper = tree.node(path + b"\x00\x01\x02")
+        assert deeper.critical
         # criticality fired at h=2 (depth 2), so the third step and all
         # deeper edges are thirds
-        assert profile.z == 4
+        assert deeper.z == 4
 
     def test_ambiguity_guard_raises(self, monkeypatch):
         # force a margin below 1e-9 at an (h, q) no depth-11 walk reaches,
@@ -261,34 +275,33 @@ def test_per_size_verdicts_match_the_log_formula(params):
                     assert verdict(h, q) == (margin > 0), (h, q)
 
 
-def _hq(tree, path):
-    profile = tree.node_profile(path)
-    return profile.h, profile.q
+def _heavy_child(kinds):
+    """The digit of a node's heavy edge, or 0 below a critical node."""
+    return kinds.index("H") if "H" in kinds else 0
+
+
+def _descend_by(tree, pick):
+    """The leaf reached from the root by stepping to ``pick(label_kinds)``."""
+    path = b""
+    for _ in range(tree.params.depth):
+        path += bytes((pick(tree.node(path).label_kinds),))
+    return path
 
 
 class TestLeafClassification:
     def test_all_light_leaf_is_neither(self):
         tree = build_tree(P11, seed=6)
-        # an all-light path: walk avoiding heavy edges
-        path = b""
-        for _ in range(11):
-            profile = tree.node_profile(path)
-            kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + bytes((kinds.index("L"),))
+        path = _descend_by(tree, lambda kinds: kinds.index("L"))
         assert tree.classify_leaf(path) == "neither"
-        profile = tree.node_profile(path)
-        assert profile.h == 0 and profile.q == 11
+        leaf = tree.node(path)
+        assert leaf.h == 0 and leaf.q == 11
 
     def test_heavy_path_leaf_is_critical(self):
         tree = build_tree(P11, seed=6)
-        path = b""
-        for _ in range(11):
-            profile = tree.node_profile(path)
-            kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + bytes((kinds.index("H") if "H" in kinds else 0,))
+        path = _descend_by(tree, _heavy_child)
         assert tree.classify_leaf(path) == "critical"
         # criticality triggered after two heavies; everything below is thirds
-        assert tree.node_profile(path).h == 2
+        assert tree.node(path).h == 2
 
     def test_classify_requires_leaf_depth(self):
         tree = build_tree(P11, seed=6)
@@ -339,7 +352,7 @@ class TestQueries:
         tree = BalancedValueTree(SMALL, seed=9)
         for index in (0, 7, 100, 242, 2186):
             got = tree.eval(Fraction(index, 3**7), Fraction(index + 1, 3**7))
-            assert abs(got - tree.node_value(index_path(index, 7))) < 1e-12
+            assert abs(got - tree.node(index_path(index, 7)).value) < 1e-12
 
     def test_cut_inverts_eval(self):
         tree = BalancedValueTree(SMALL, seed=9)
@@ -389,8 +402,8 @@ class TestCandidateLeaf:
     def _dense_leaf(self, tree):
         best = None
         for index in range(tree.params.n):
-            profile = tree.node_profile(index_path(index, tree.params.depth))
-            density = math.exp(tree.params.log_density(profile.h, profile.q))
+            leaf = tree.node(index_path(index, tree.params.depth))
+            density = math.exp(tree.params.log_density(leaf.h, leaf.q))
             if best is None or density > best[1]:
                 best = (index, density)
         return best
@@ -398,11 +411,7 @@ class TestCandidateLeaf:
     def test_exact_leaf_piece(self):
         tree = build_tree(P11, seed=21)
         # find a rich-or-critical leaf by probing heavy paths
-        path = b""
-        for _ in range(11):
-            profile = tree.node_profile(path)
-            kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + bytes((kinds.index("H") if "H" in kinds else 0,))
+        path = _descend_by(tree, _heavy_child)
         got = tree.extract_candidate_leaf(_leaf_cell(path, P11.n))
         assert got == path
         assert tree.classify_leaf(got) in ("rich", "critical")
@@ -418,8 +427,8 @@ class TestCandidateLeaf:
         piece = Piece.of((start, start + width))
         if tree.value_of_piece(piece) >= float(Fraction(1, 2 * tree.params.n)):
             got = tree.extract_candidate_leaf(piece)
-            got_profile = tree.node_profile(got)
-            assert math.exp(tree.params.log_density(got_profile.h, got_profile.q)) >= 0.5
+            leaf = tree.node(got)
+            assert math.exp(tree.params.log_density(leaf.h, leaf.q)) >= 0.5
 
     def test_rejects_non_heavy_piece(self):
         tree = build_tree(P11, seed=21)
@@ -427,11 +436,7 @@ class TestCandidateLeaf:
         with pytest.raises(PreconditionViolation):
             tree.extract_candidate_leaf(wide)
         # an all-light leaf has density far below 1/2: value precondition fails
-        path = b""
-        for _ in range(11):
-            profile = tree.node_profile(path)
-            kinds = tree.labels_for(path, profile.h, profile.q, profile.critical)
-            path = path + bytes((kinds.index("L"),))
+        path = _descend_by(tree, lambda kinds: kinds.index("L"))
         with pytest.raises(PreconditionViolation):
             tree.extract_candidate_leaf(_leaf_cell(path, P11.n))
 
@@ -456,6 +461,32 @@ class TestJsonAndVerification:
         }
         again = BalancedValueTree.from_json(obj)
         assert again.params == tree.params and again.seed == tree.seed
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"k": 11.9, "seed": 3},
+            {"k": 11, "seed": 2.5},
+            {"k": "11", "seed": 3},
+            {"k": True, "seed": 3},
+            {"k": 11, "seed": False},
+            {"k": 11},
+            {"seed": 3},
+            {"k": 7, "seed": 3, "permissive": "false"},
+            {"k": 7, "seed": 3, "permissive": 1},
+            {"k": 7, "seed": 3, "permissive": None},
+        ],
+        ids=repr,
+    )
+    def test_from_json_refuses_coerced_fields(self, fields):
+        with pytest.raises(InvalidInput, match="must be a JSON"):
+            BalancedValueTree.from_json({"type": "balanced_value_tree", **fields})
+
+    def test_from_json_reads_permissive_flag(self):
+        spec = {"type": "balanced_value_tree", "k": 7, "seed": 3}
+        assert BalancedValueTree.from_json({**spec, "permissive": True}).params == SMALL
+        with pytest.raises(InvalidInput, match="permissive"):
+            BalancedValueTree.from_json({**spec, "permissive": False})
 
     def test_verify_labeling_passes(self):
         tree = BalancedValueTree(SMALL, seed=8)
