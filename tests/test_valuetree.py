@@ -90,10 +90,19 @@ class TestPaths:
             assert index_path(index, depth) == bytes(divmod_digits_of_index(index, depth))
 
 
-#: every public method that takes a node path, called with ``path`` on a
-#: hashed depth-11 tree
+def _node_density(tree, path):
+    visit = tree.node(path)
+    return tree.params.log_density(visit.h, visit.q)
+
+
+#: every public way to read a node by path, called with ``path`` on a
+#: hashed depth-11 tree; the node-record reads are named for what they look up
 PATH_ENTRIES = {
-    "node": lambda tree, path: tree.node(path),
+    "node_profile": lambda tree, path: tree.node(path),
+    "node_value": lambda tree, path: tree.node(path).value,
+    "node_density": _node_density,
+    "is_critical": lambda tree, path: tree.node(path).critical,
+    "labels_for": lambda tree, path: tree.node(path).label_kinds,
     "classify_leaf": lambda tree, path: tree.classify_leaf(path),
     "verify_labeling": lambda tree, path: verify_labeling(tree, paths=[path], sample_count=0),
     "complete_labeling": lambda tree, path: AdversarySession(tree.params).complete_labeling(
