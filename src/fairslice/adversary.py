@@ -52,6 +52,7 @@ from .referee import PlayerView, QueryRecord, QueryReferee, replay_log
 from .valuetree import (
     HEAVY,
     BalancedValueTree,
+    Signature,
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
@@ -103,24 +104,23 @@ class AdversarySession(TernaryTreeValuation):
 
     # -- labels: revealed, or revealed now --------------------------------
 
-    def _labels(self, path, h, q, critical):
+    def _labels(self, path, sig):
         kinds = self.revealed.get(path)
         if kinds is None:
             raise _not_revealed(path)
         return kinds
 
-    def _path_labels(self, path, h, q, critical, digit):
-        return self._reveal(path, h, q, _HEAVY_AT[1 if digit == 0 else 0])
+    def _path_labels(self, path, sig, digit):
+        return self._reveal(path, sig, _HEAVY_AT[1 if digit == 0 else 0])
 
-    def _descent_labels(self, path, h, q, critical, value, remaining):
+    def _descent_labels(self, path, sig, value, remaining):
         # gamma > beta/3, phrased exactly like the descent's child test
         heavy_at = 0 if value * self.params.heavy_label < remaining else 2
-        return self._reveal(path, h, q, _HEAVY_AT[heavy_at])
+        return self._reveal(path, sig, _HEAVY_AT[heavy_at])
 
-    def _reveal(self, path: bytes, h: int, q: int, kinds: Kinds) -> Kinds:
+    def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
         """The binding labels at ``path``: those revealed before, or else
-        ``kinds``, revealed now if a query is being answered.  ``h`` and
-        ``q`` count the heavy and light edges on the node's root path."""
+        ``kinds``, revealed now if a query is being answered."""
         known = self.revealed.get(path)
         if known is not None:
             return known
@@ -132,8 +132,9 @@ class AdversarySession(TernaryTreeValuation):
         self._pending.append(Reveal(path, kinds))
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
-        self._heavy = max(self._heavy, h + (HEAVY in kinds))
-        if self.params.critical_counts(h, q):
+        self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
+        # the density test at the node itself, not the inherited flag
+        if self.params.critical_counts(sig.h, sig.q):
             self._critical.append(path)
         return kinds
 
@@ -300,15 +301,15 @@ class CompletedTree(TernaryTreeValuation):
             for i in range(1, len(leaf) + 1):
                 self._light_prefixes.add(leaf[:i])
 
-    def _labels(self, path, h, q, critical):
+    def _labels(self, path, sig):
         kinds = self._revealed.get(path)
         if kinds is not None:
             return kinds
-        if self._light_prefixes and not critical:
+        if self._light_prefixes and not sig.critical:
             protected = [c for c in (0, 1, 2) if path + _STEP[c] in self._light_prefixes]
             if protected and len(protected) < 3:
                 return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
-        return self._hashed._labels(path, h, q, critical)
+        return self._hashed._labels(path, sig)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class DualValuation(Valuation):
     def cut(self, x, r) -> Optional[Real]:
         x, _ = unit_span(x, ONE, CUT_START)
         r = r if isinstance(r, float) else as_scalar(r)
-        if not 0 <= r < math.inf:
+        if not (0.0 <= r < math.inf if isinstance(r, float) else r.numerator >= 0):
             # refused before the first base query, so nothing is billed
             raise InvalidInput(f"cut needs a finite r >= 0, got {r}")
         cx = self.base.cut(ZERO, x)
@@ -95,7 +95,8 @@ class DualValuation(Valuation):
                 "normalized valuation"
             )
         position = cx + r
-        if position > 1:
+        exact = isinstance(position, Fraction)
+        if position.numerator > position.denominator if exact else position > 1:
             # No answer; bill the second base query anyway (the total-mass
             # confirmation) to keep the 2-per-query cost uniform.
             self.base.eval(ZERO, ONE)

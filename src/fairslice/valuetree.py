@@ -38,8 +38,11 @@ float.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, log constants, the density tests, the adversary's query threshold,
-and a criticality table that every tree, completion and session of that
-size shares.  A hashed tree copies one keyed blake2b state per node label.
+and the root :class:`Signature` (a node's edge counts and criticality).
+Every walk moves to a child by :meth:`Signature.step`, the one per-edge
+rule, and every tree, completion and session of one size shares its
+signatures; values and prefix masses stay per path, in path order.  A
+hashed tree copies one keyed blake2b state per node label.
 
 Values here are irrational, so node arithmetic runs in floats with
 comparisons done in log space; any classification within 1e-9 of a
@@ -96,9 +99,9 @@ LOW_HEAVY_DENSITY_LIMIT = 2.0 ** (1.5 - 3.0 / LN3)
 class TreeParams:
     """Size-derived constants and density tests of a balanced value tree.
 
-    The label values, log constants, threshold and criticality table are
-    made on first use and kept on the instance; equality and hashing see
-    only the four fields, so equal params share one criticality table.
+    The label values, log constants, threshold and root signature are made
+    on first use and kept on the instance; equality and hashing see only
+    the four fields, so equal params share one root signature.
     """
 
     n: int
@@ -166,19 +169,17 @@ class TreeParams:
         """log(D * beta) - log 2; positive means critical."""
         return self.log_density(h + 1, q) - LN2
 
-    @cached_property
-    def critical_table(self) -> dict[tuple[int, int], bool]:
-        """Criticality verdicts by (h, q), one per size; the walks read it
-        inline and call :meth:`critical_counts` on a miss."""
-        return _CRITICAL_TABLES.setdefault(self, {})
-
     def critical_counts(self, h: int, q: int) -> bool:
-        table = self.critical_table
-        cached = table.get((h, q))
-        if cached is None:
-            cached = _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
-            table[h, q] = cached
-        return cached
+        """critical_margin > 0, refused inside the ambiguity guard band."""
+        return _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
+
+    @cached_property
+    def root(self) -> "Signature":
+        """Signature of the root, shared by every params equal to this one."""
+        root = _ROOTS.get(self)
+        if root is None:
+            root = _ROOTS[self] = Signature(self, 0, 0, 0, self.critical_counts(0, 0), {})
+        return root
 
     def rich_counts(self, h: int, q: int) -> bool:
         """Density >= 1/2 in log space, with the same ambiguity guard."""
@@ -192,10 +193,45 @@ class TreeParams:
         return "rich" if self.rich_counts(h, q) else "neither"
 
 
-#: criticality verdicts by (h, q), one table per tree size.  Keyed by the
-#: params value, so params read back separately with equal values still
-#: share a table.  Ambiguous verdicts are never stored.
-_CRITICAL_TABLES: dict[TreeParams, dict[tuple[int, int], bool]] = {}
+class Signature:
+    """What the edge kinds on a node's root path fix: its ``h`` heavy, ``q``
+    light and ``z`` 1/3 edges, and whether it is critical (inherited, or
+    else tested at its own counts).  Interned per tree size by exactly these
+    four values -- a session may reveal ordinary labels below a critical
+    node, so equal counts can differ in the flag -- and reached from
+    :attr:`TreeParams.root`; ``children`` holds the steps taken so far.
+    """
+
+    __slots__ = ("h", "q", "z", "critical", "children", "_params", "_interned")
+
+    def __init__(self, params: TreeParams, h: int, q: int, z: int, critical: bool, interned: dict):
+        self.h, self.q, self.z, self.critical = h, q, z, critical
+        self.children: dict[str, Signature] = {}
+        self._params, self._interned = params, interned
+        interned[h, q, z, critical] = self
+
+    def step(self, kind: str) -> "Signature":
+        """Signature of the child across an edge of ``kind``: the one place
+        an edge is counted.  A new child tests criticality unless it
+        inherits it; an ambiguous test raises and stores nothing."""
+        child = self.children.get(kind)
+        if child is None:
+            h, q, z = self.h, self.q, self.z
+            if kind == HEAVY:
+                h += 1
+            elif kind == LIGHT:
+                q += 1
+            else:
+                z += 1
+            key = (h, q, z, self.critical or self._params.critical_counts(h, q))
+            child = self._interned.get(key) or Signature(self._params, *key, self._interned)
+            self.children[kind] = child
+        return child
+
+
+#: root signature of each tree size.  Keyed by the params value, so params
+#: read back separately with equal values still share every signature.
+_ROOTS: dict[TreeParams, Signature] = {}
 
 
 def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
@@ -301,12 +337,13 @@ class TernaryTreeValuation(Valuation, ABC):
     """Shared eval/cut and node bookkeeping over any edge-label source.
 
     Subclasses decide the label kinds of a node's child edges via
-    :meth:`_labels`; everything else (the per-node lookup :meth:`node`,
-    prefix masses, query answering) is derived here from two walks:
-    :meth:`_walk` follows a known node path and :meth:`_descend` a target
-    prefix mass.  Both read labels through a hook that also gets the walk's
-    step (:meth:`_path_labels`, :meth:`_descent_labels`): fixed labelings
-    ignore it, and the adversary session decides unrevealed nodes from it.
+    :meth:`_labels`, from its path and :class:`Signature`; everything else
+    (the per-node lookup :meth:`node`, prefix masses, query answering) is
+    derived here from two walks: :meth:`_walk` follows a known node path
+    and :meth:`_descend` a target prefix mass.  Both read labels through a
+    hook that also gets the walk's step (:meth:`_path_labels`,
+    :meth:`_descent_labels`): fixed labelings ignore it, and the adversary
+    session decides unrevealed nodes from it.
     The public methods check a path once with :func:`_node_key`; the walks
     and their hooks pass paths the walks made themselves, unchecked.
     """
@@ -319,56 +356,43 @@ class TernaryTreeValuation(Valuation, ABC):
     # -- labeling ----------------------------------------------------------
 
     @abstractmethod
-    def _labels(self, path: bytes, h: int, q: int, critical: bool) -> tuple[str, str, str]:
+    def _labels(self, path: bytes, sig: Signature) -> tuple[str, str, str]:
         """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
-        node at ``path``, which has ``h`` heavy and ``q`` light edges above
-        it and is ``critical`` or not: the label source."""
+        node at ``path``, whose :class:`Signature` is ``sig``: the label
+        source."""
 
     # -- the two walks -------------------------------------------------------
 
-    def _path_labels(self, path, h, q, critical, digit: int):
+    def _path_labels(self, path, sig, digit: int):
         """Labels a path walk reads at ``path`` before stepping to ``digit``."""
-        return self._labels(path, h, q, critical)
+        return self._labels(path, sig)
 
-    def _descent_labels(self, path, h, q, critical, value: float, remaining: float):
+    def _descent_labels(self, path, sig, value: float, remaining: float):
         """Labels a mass descent reads at a node of value ``value`` with
         ``remaining`` mass still to pass."""
-        return self._labels(path, h, q, critical)
+        return self._labels(path, sig)
 
-    def _walk(self, node: bytes, visit=None) -> tuple[float, int, int, int, bool, float]:
-        """(prefix mass, h, q, z, critical, value) of the node at path ``node``.
+    def _walk(self, node: bytes, visit=None) -> tuple[float, Signature, float]:
+        """(prefix mass, signature, value) of the node at path ``node``.
 
         The prefix mass is the value of everything left of the node.
         ``visit(path, critical, kinds)``, when given, sees every node passed.
         """
-        params = self.params
-        label_of = params.label_values
-        table = params.critical_table
+        label_of = self.params.label_values
+        sig = self.params.root
         mass = 0.0
         value = 1.0
-        h = q = z = 0
-        critical = False
         for i, c in enumerate(node):
-            if not critical:
-                critical = table.get((h, q))
-                if critical is None:
-                    critical = params.critical_counts(h, q)
             path = node[:i]
-            kinds = self._path_labels(path, h, q, critical, c)
+            kinds = self._path_labels(path, sig, c)
             if visit is not None:
-                visit(path, critical, kinds)
+                visit(path, sig.critical, kinds)
             for j in range(c):
                 mass += value * label_of[kinds[j]]
             kind = kinds[c]
-            if kind == HEAVY:
-                h += 1
-            elif kind == LIGHT:
-                q += 1
-            else:
-                z += 1
+            sig = sig.step(kind)
             value *= label_of[kind]
-        critical = critical or params.critical_counts(h, q)
-        return mass, h, q, z, critical, value
+        return mass, sig, value
 
     def _descend(self, target: float) -> float:
         """Leftmost point whose prefix mass is ``target``.
@@ -383,20 +407,14 @@ class TernaryTreeValuation(Valuation, ABC):
         """
         params = self.params
         label_of = params.label_values
-        table = params.critical_table
         n = params.n
+        sig = params.root
         remaining = target
         value = 1.0
-        h = q = 0
-        critical = False
         index = 0
         path = bytearray()
         for _ in range(params.depth):
-            if not critical:
-                critical = table.get((h, q))
-                if critical is None:
-                    critical = params.critical_counts(h, q)
-            kinds = self._descent_labels(bytes(path), h, q, critical, value, remaining)
+            kinds = self._descent_labels(bytes(path), sig, value, remaining)
             chosen = 2
             for c in (0, 1):
                 child_mass = value * label_of[kinds[c]]
@@ -405,10 +423,7 @@ class TernaryTreeValuation(Valuation, ABC):
                     break
                 remaining -= child_mass
             kind = kinds[chosen]
-            if kind == HEAVY:
-                h += 1
-            elif kind == LIGHT:
-                q += 1
+            sig = sig.step(kind)
             value *= label_of[kind]
             path.append(chosen)
             index = index * 3 + chosen
@@ -420,9 +435,9 @@ class TernaryTreeValuation(Valuation, ABC):
         """The node at ``path``, as :meth:`iter_nodes` would yield it: one
         path walk, plus the node's own labels unless it is a leaf."""
         node = _node_key(path, self.params.depth)
-        _, h, q, z, critical, value = self._walk(node)
-        kinds = None if len(node) == self.params.depth else self._labels(node, h, q, critical)
-        return NodeVisit(len(node), h, q, z, critical, value, kinds)
+        _, sig, value = self._walk(node)
+        kinds = None if len(node) == self.params.depth else self._labels(node, sig)
+        return NodeVisit(len(node), sig.h, sig.q, sig.z, sig.critical, value, kinds)
 
     def classify_leaf(self, path: bytes) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
@@ -451,7 +466,7 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, _, _, _, _, value = self._walk(_index_path(index, self.params.depth))
+            mass, _, value = self._walk(_index_path(index, self.params.depth))
             mass += value * (rem / den)
             self._masses[num, den] = mass
         return mass
@@ -483,35 +498,17 @@ class TernaryTreeValuation(Valuation, ABC):
                 f"whole-tree enumeration supports depth <= {EAGER_MAX_DEPTH}; "
                 f"use lazy node queries at depth {params.depth}"
             )
-        depth_max = params.depth
         label_of = params.label_values
-        table = params.critical_table
-        stack: list[tuple[bytes, int, int, int, int, bool, float]] = [
-            (b"", 0, 0, 0, 0, False, 1.0)
-        ]
+        stack: list[tuple[bytes, Signature, float]] = [(b"", params.root, 1.0)]
         while stack:
-            path, depth, h, q, z, critical, value = stack.pop()
-            if not critical:
-                critical = table.get((h, q))
-                if critical is None:
-                    critical = params.critical_counts(h, q)
-            if depth == depth_max:
-                yield NodeVisit(depth, h, q, z, critical, value, None)
-                continue
-            kinds = self._labels(path, h, q, critical)
-            yield NodeVisit(depth, h, q, z, critical, value, kinds)
-            for c in (2, 1, 0):
-                kind = kinds[c]
-                nh, nq, nz = h, q, z
-                if kind == HEAVY:
-                    nh += 1
-                elif kind == LIGHT:
-                    nq += 1
-                else:
-                    nz += 1
-                stack.append(
-                    (path + _STEP[c], depth + 1, nh, nq, nz, critical, value * label_of[kind])
-                )
+            path, sig, value = stack.pop()
+            depth = len(path)
+            kinds = None if depth == params.depth else self._labels(path, sig)
+            yield NodeVisit(depth, sig.h, sig.q, sig.z, sig.critical, value, kinds)
+            if kinds is not None:
+                for c in (2, 1, 0):
+                    kind = kinds[c]
+                    stack.append((path + _STEP[c], sig.step(kind), value * label_of[kind]))
 
     def max_leaf_density(self) -> float:
         """Maximum leaf density; for a tree of uniform leaves this bounds the
@@ -567,8 +564,8 @@ class BalancedValueTree(TernaryTreeValuation):
         self.seed = seed
         self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)
 
-    def _labels(self, path, h, q, critical):
-        if critical:
+    def _labels(self, path, sig):
+        if sig.critical:
             return (THIRD, THIRD, THIRD)
         state = self._keyed.copy()
         state.update(path)

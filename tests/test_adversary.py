@@ -237,7 +237,8 @@ class TestOracles:
         assert session.revealed_is_connected()
         # no walk reveals a node before its parent; force one past the walks
         session._answering = True
-        session._reveal(bytes((2, 2, 2)), 0, 3, (HEAVY, LIGHT, LIGHT))
+        three_light = P60.root.step(LIGHT).step(LIGHT).step(LIGHT)  # h = 0, q = 3
+        session._reveal(bytes((2, 2, 2)), three_light, (HEAVY, LIGHT, LIGHT))
         assert not oracles.revealed_is_connected(session.revealed)
         assert not session.revealed_is_connected()
 

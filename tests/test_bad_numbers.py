@@ -124,3 +124,32 @@ def test_range_edges_are_accepted(kind):
         assert valuation.eval(x, x) == 0
         assert valuation.cut(x, 0) == x
     assert valuation.cut(1, HALF) is None
+
+
+def _dual_over_a_referee():
+    base = QueryReferee([STEP])
+    return DualValuation(base.view(0)), base
+
+
+#: the mass a dual cut from 1/2 can pass before it runs past 1
+ROOM = 1 - STEP.cut(0, HALF)
+
+
+def test_dual_cut_of_negative_mass_queries_no_base():
+    dual, base = _dual_over_a_referee()
+    with pytest.raises(InvalidInput) as err:
+        dual.cut(HALF, -TINIER)
+    assert str(err.value) == f"cut needs a finite r >= 0, got {-TINIER}"
+    assert base.counts == [0] and not base.log
+
+
+def test_dual_cut_to_exactly_one_answers():
+    dual, base = _dual_over_a_referee()
+    assert dual.cut(HALF, ROOM) == 1
+    assert base.counts == [2]
+
+
+def test_dual_cut_past_one_by_a_hair_has_no_answer():
+    dual, base = _dual_over_a_referee()
+    assert dual.cut(HALF, ROOM + TINIER) is None
+    assert base.counts == [2]

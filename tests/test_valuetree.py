@@ -9,6 +9,8 @@ from fairslice.errors import InvalidInput, NumericalAmbiguity, PreconditionViola
 from fairslice.geometry import Piece
 from fairslice.valuetree import (
     AMBIGUITY_GUARD,
+    HEAVY,
+    LIGHT,
     LOW_HEAVY_DENSITY_LIMIT,
     BalancedValueTree,
     TreeParams,
@@ -184,15 +186,31 @@ def _preorder_paths(depth, path=b""):
             yield from _preorder_paths(depth, path + bytes((c,)))
 
 
+def _completed_tree():
+    """A depth-7 completion of a session past its threshold (one heavy edge
+    makes a node critical there), steered light along two leaves."""
+    session = AdversarySession(SMALL)
+    session.eval(Fraction(1, 5), Fraction(2, 3))
+    session.cut(Fraction(1, 9), 0.3)
+    session.cut(0, 0.8)
+    return session.complete_labeling(seed=3, light_leaves=[index_path(100, 7), index_path(2000, 7)])
+
+
+#: one tree of each label source; depth 5 has a critical root, so every
+#: node there is labelled thirds
+LOOKUP_TREES = {
+    "depth-7": lambda: BalancedValueTree(SMALL, seed=3),
+    "depth-5": lambda: BalancedValueTree(TreeParams.from_depth(5, permissive=True), seed=3),
+    "completed-depth-7": _completed_tree,
+}
+
+
 class TestNodeLookup:
-    # depth 5 has a critical root, so every node there is labelled thirds
-    @pytest.mark.parametrize(
-        "params", [SMALL, TreeParams.from_depth(5, permissive=True)], ids=lambda p: f"depth-{p.depth}"
-    )
-    def test_path_walk_agrees_with_preorder_walk(self, params):
-        tree = BalancedValueTree(params, seed=3)
-        paths = list(_preorder_paths(params.depth))
-        assert len(paths) == (3 ** (params.depth + 1) - 1) // 2
+    @pytest.mark.parametrize("make", LOOKUP_TREES.values(), ids=LOOKUP_TREES.keys())
+    def test_path_walk_agrees_with_preorder_walk(self, make):
+        tree = make()
+        paths = list(_preorder_paths(tree.params.depth))
+        assert len(paths) == (3 ** (tree.params.depth + 1) - 1) // 2
         visits = list(tree.iter_nodes())
         assert len(visits) == len(paths)
         for path, visit in zip(paths, visits):
@@ -222,38 +240,59 @@ class TestCriticality:
         assert deeper.z == 4
 
     def test_ambiguity_guard_raises(self, monkeypatch):
-        # force a margin below 1e-9 at an (h, q) no depth-11 walk reaches,
-        # so no verdict for it is stored yet
+        # force a margin below 1e-9 at an (h, q) no depth-11 walk reaches
         monkeypatch.setattr(TreeParams, "critical_margin", lambda self, h, q: 1e-12)
-        assert (40, 40) not in P11.critical_table
         with pytest.raises(NumericalAmbiguity):
             P11.critical_counts(40, 40)
 
-    def test_trees_of_one_size_share_one_table(self):
+    def test_trees_of_one_size_share_one_root(self):
         spec = {"type": "balanced_value_tree", "k": 11}
         a = BalancedValueTree.from_json({**spec, "seed": 1})
         b = BalancedValueTree.from_json({**spec, "seed": 2})
         assert a.params is not b.params and a.params == b.params
-        assert a.params.critical_table is b.params.critical_table
-        assert a.params.critical_table is TreeParams.from_depth(11).critical_table
+        assert a.params.root is b.params.root
+        assert a.params.root is TreeParams.from_depth(11).root
         a.eval(Fraction(1, 7), Fraction(5, 7))
-        assert b.params.critical_table
+        assert b.params.root.children
         twelve = build_tree(TreeParams.from_depth(12), seed=1)
-        assert twelve.params.critical_table is not a.params.critical_table
+        assert twelve.params.root is not a.params.root
 
-    def test_ambiguous_verdict_raises_on_every_call(self, monkeypatch):
-        params = TreeParams.from_depth(7, permissive=True)
-        other = TreeParams.from_depth(7, permissive=True)
-        # (50, 50) lies beyond every node of a depth-7 tree, so no walk
-        # has stored a verdict for it
+    def test_ambiguous_step_raises_on_every_walk(self, monkeypatch):
+        # from_depth never returns strict params of depth 7, so no other
+        # walk has stepped from this root yet
+        params = TreeParams(n=SMALL.n, depth=SMALL.depth, beta=SMALL.beta)
+        tree = BalancedValueTree(params, seed=1)
+        root = params.root
         with monkeypatch.context() as patch:
             patch.setattr(TreeParams, "critical_margin", lambda self, h, q: 1e-12)
             for _ in range(2):
                 with pytest.raises(NumericalAmbiguity):
-                    params.critical_counts(50, 50)
-        assert (50, 50) not in other.critical_table
-        assert other.critical_counts(50, 50) == (other.critical_margin(50, 50) > 0)
-        assert params.critical_counts(50, 50) == other.critical_counts(50, 50)
+                    tree.node(b"\x00")
+                assert root.children == {}
+        assert tree.node(b"\x00") == BalancedValueTree(SMALL, seed=1).node(b"\x00")
+        assert len(root.children) == 1
+
+
+class TestSignatures:
+    def test_edge_order_reaches_one_signature(self):
+        root = P11.root
+        heavy_first = root.step(HEAVY).step(LIGHT).step(LIGHT)
+        heavy_last = root.step(LIGHT).step(LIGHT).step(HEAVY)
+        assert heavy_first is heavy_last
+        assert (heavy_first.h, heavy_first.q, heavy_first.z) == (1, 2, 0)
+
+    def test_reachable_signatures_are_distinct(self):
+        tree = build_tree(P11, seed=5)
+        visits = {(v.h, v.q, v.z, v.critical) for v in tree.iter_nodes()}
+        reachable, stack = {}, [P11.root]
+        while stack:
+            sig = stack.pop()
+            if id(sig) not in reachable:
+                reachable[id(sig)] = sig
+                stack.extend(sig.children.values())
+        keys = [(s.h, s.q, s.z, s.critical) for s in reachable.values()]
+        assert len(set(keys)) == len(keys)
+        assert visits <= set(keys)
 
 
 @pytest.mark.parametrize(
@@ -503,7 +542,7 @@ class TestJsonAndVerification:
 
     def test_verify_labeling_catches_violation(self):
         tree = BalancedValueTree(SMALL, seed=8)
-        tree._labels = lambda path, h, q, critical: ("H", "H", "L")
+        tree._labels = lambda path, sig: ("H", "H", "L")
         with pytest.raises(ValueError):
             verify_labeling(tree, sample_count=5)
 
@@ -517,6 +556,6 @@ class TestJsonAndVerification:
     )
     def test_verify_labeling_refuses_unknown_kinds(self, params, kinds):
         tree = BalancedValueTree(params, seed=8)
-        tree._labels = lambda path, h, q, critical: kinds
+        tree._labels = lambda path, sig: kinds
         with pytest.raises(InvalidInput, match="node"):
             verify_labeling(tree, sample_count=5)
