@@ -55,6 +55,7 @@ from .valuation import (
     PiecewiseConstantValuation,
     Valuation,
     density_of_piece,
+    is_heavy,
     random_dense_valuation,
     verify_dense,
 )

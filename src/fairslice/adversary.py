@@ -49,6 +49,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
 from .referee import PlayerView, QueryRecord, QueryReferee, replay_log
+from .valuation import is_heavy
 from .valuetree import (
     HEAVY,
     BalancedValueTree,
@@ -228,7 +229,7 @@ class AdversarySession(TernaryTreeValuation):
 
     def refute_claim(self, piece: Piece) -> Union["Refutation", "CannotRefute"]:
         """Try to disprove that ``piece`` is heavy (width <= 1/n and value
-        >= 1/(2n)).
+        >= 1/(2n), decided exactly by :func:`~fairslice.valuation.is_heavy`).
 
         Width violations refute outright.  Otherwise the session looks for
         a consistent completion under which the piece's value falls short:
@@ -239,20 +240,20 @@ class AdversarySession(TernaryTreeValuation):
         witness found".
         """
         n = self.params.n
-        width_bound = Fraction(1, n)
-        value_bound = Fraction(1, 2 * n)
+        width = piece.width
         refutation = partial(
-            Refutation, claim=piece, width=piece.width, width_bound=width_bound, value_bound=value_bound
+            Refutation, claim=piece, width=width, width_bound=Fraction(1, n), value_bound=Fraction(1, 2 * n)
         )
-        if piece.width > width_bound:
+        if not is_heavy(width, ONE, n):
+            # too wide to be heavy at any value
             return refutation(value=None, violated="width", completion_seed=None, completion=None)
-        if piece.width == 0:
+        if width == 0:
             raise PreconditionViolation("an empty piece cannot be a heavy-piece claim")
         attempts = [(0, claim_leaves(piece, self.params))] + [(s, ()) for s in range(1, 21)]
         for seed, light in attempts:
             completion = self.complete_labeling(seed, light_leaves=light)
             value = completion.value_of_piece(piece)
-            if value < float(value_bound):
+            if not is_heavy(width, value, n):
                 return refutation(
                     value=value, violated="value", completion_seed=seed, completion=completion
                 )

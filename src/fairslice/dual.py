@@ -44,6 +44,7 @@ from .valuation import (
     PiecewiseConstantValuation,
     Real,
     Valuation,
+    is_heavy,
     verify_dense,
 )
 
@@ -140,7 +141,8 @@ def dual_piece(valuation, piece: Piece) -> Piece:
 @dataclass(frozen=True)
 class CertificateEntry:
     """Per-player outcome of the reduction: the dualized piece and whether
-    it certifies heaviness (width <= 1/n and value >= 1/(2n))."""
+    it certifies heaviness (width <= 1/n and value >= 1/(2n), by
+    :func:`~fairslice.valuation.is_heavy`)."""
 
     player: int
     piece: Piece
@@ -230,11 +232,9 @@ def reduction_pipeline(
     # endpoint is one billed base cut.  For positive v that map is strictly
     # increasing, so a piece's chore cost under v* is exactly its image's
     # width.  The reduction guarantee rests on the protocol's
-    # proportionality, so the widths are checked against 1/n before any
-    # certificate is returned, which leaves heaviness only its value test.
+    # proportionality, so each width is checked against 1/n as soon as it
+    # is known, and no certificate is returned from a broken protocol.
     verify_partition(allocation)
-    bound = Fraction(1, n)
-    value_bound = Fraction(1, 2 * n)
     entries = []
     for i, piece in enumerate(allocation.pieces):
         images = []
@@ -245,14 +245,14 @@ def reduction_pipeline(
                 raise ProtocolViolation(f"player {i}: a dual endpoint has no base cut point")
             images.append(Interval(a, b))
         image = normalize_piece(images)
-        value = valuations[i].value_of_piece(image)
-        entries.append(CertificateEntry(i, image, image.width, value, heavy=value >= value_bound))
-    for entry in entries:
-        if entry.width > bound:
+        width = image.width
+        if width.numerator * n > width.denominator:  # chore cost above 1/n
             raise ProtocolViolation(
-                f"player {entry.player}: chore cost {entry.width} exceeds 1/{n}; "
+                f"player {i}: chore cost {width} exceeds 1/{n}; "
                 "the protocol is not proportional, reduction guarantee void"
             )
+        value = valuations[i].value_of_piece(image)
+        entries.append(CertificateEntry(i, image, width, value, heavy=is_heavy(width, value, n)))
     base_dualization = base_referee.total - base_protocol
     return ReductionReport(
         n=n,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import InvalidInput
 
@@ -132,10 +132,6 @@ class Piece:
     def to_pairs(self) -> list[list[str]]:
         """JSON form: a list of ["left", "right"] rational strings."""
         return [[scalar_str(iv.left), scalar_str(iv.right)] for iv in self.intervals]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[ScalarLike]]) -> "Piece":
-        return normalize_piece(Interval(a, b) for a, b in pairs)
 
     def __repr__(self) -> str:
         body = ", ".join(f"[{iv.left}, {iv.right}]" for iv in self.intervals)

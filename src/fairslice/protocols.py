@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import InvalidInput, PartitionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar
 from .referee import QueryReferee
-from .valuation import Real, Valuation, encode_real
+from .valuation import Real, Valuation, encode_real, is_heavy
 
 MODES = ("cake", "chore")
 
@@ -45,7 +45,15 @@ class Allocation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Allocation":
-        return cls(tuple(Piece.from_pairs(pairs) for pairs in obj["pieces"]))
+        """Read :meth:`to_json`'s form; a malformed document or pair raises
+        :class:`InvalidInput`."""
+        pieces = obj.get("pieces") if isinstance(obj, dict) else None
+        if not isinstance(pieces, list):
+            raise InvalidInput(f"an allocation is {{'pieces': [...]}}, got {obj!r}")
+        for j, pairs in enumerate(pieces):
+            if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+                raise InvalidInput(f"pieces[{j}] is not a list of [left, right] pairs: {pairs!r}")
+        return cls(tuple(Piece.of(*pairs) for pairs in pieces))
 
 
 def verify_partition(allocation: Allocation) -> None:
@@ -144,14 +152,14 @@ def count_light_pieces(allocation: Allocation, valuations: Sequence[Valuation]) 
     """Number of players whose piece is light for them.
 
     A piece is light when its width is at least 1/(2n) and its value to the
-    owner is at most 1/n.  Comparisons are exact for rational valuations.
+    owner is at most 1/n: the heavy-piece rule with width and value
+    swapped, as dualizing swaps them.  Comparisons are exact.
     """
     n = allocation.n
-    count = 0
-    for player, piece in enumerate(allocation.pieces):
-        if piece.width >= Fraction(1, 2 * n) and valuations[player].value_of_piece(piece) <= Fraction(1, n):
-            count += 1
-    return count
+    return sum(
+        is_heavy(valuations[player].value_of_piece(piece), piece.width, n)
+        for player, piece in enumerate(allocation.pieces)
+    )
 
 
 def count_narrow_pieces(allocation: Allocation) -> int:

@@ -10,7 +10,10 @@ Counting rules:
 * a ``cut`` that declares "no answer" still costs one query;
 * repeated identical queries are re-counted (no memoization);
 * a query that would exceed the budget is rejected *before* it reaches the
-  valuation, so the log never exceeds the budget.
+  valuation, so the log never exceeds the budget;
+* arguments are normalized before they reach the valuation and the log:
+  positions to exact rationals, a cut mass likewise unless it is a float,
+  which is kept as given.
 
 :class:`QueryRecord` is also the adversary session's log record, so
 :func:`replay_log` is the one replay loop: exact by default, or within a
@@ -20,10 +23,11 @@ tolerance for float-valued trees.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import IO, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
-from .geometry import ScalarLike
+from .geometry import ScalarLike, as_scalar
 from .valuation import Real, Valuation, encode_real
 
 
@@ -113,6 +117,9 @@ class QueryReferee:
     def eval(self, player: int, x: ScalarLike, y: ScalarLike) -> Real:
         self._check_player(player)
         self._admit()
+        # as_scalar, skipped for the Fractions protocols pass
+        x = x if isinstance(x, Fraction) else as_scalar(x)
+        y = y if isinstance(y, Fraction) else as_scalar(y)
         answer = self._valuations[player].eval(x, y)
         self.counts[player] += 1
         self.log.append(QueryRecord("eval", player, (x, y), answer))
@@ -121,6 +128,9 @@ class QueryReferee:
     def cut(self, player: int, x: ScalarLike, r: Real) -> Optional[Real]:
         self._check_player(player)
         self._admit()
+        x = x if isinstance(x, Fraction) else as_scalar(x)
+        if not isinstance(r, (Fraction, float)):
+            r = as_scalar(r)
         answer = self._valuations[player].cut(x, r)
         self.counts[player] += 1
         self.log.append(QueryRecord("cut", player, (x, r), answer))

@@ -47,9 +47,28 @@ def encode_real(value) -> object:
         return None
     if isinstance(value, Fraction):
         return scalar_str(value)
-    if isinstance(value, int):
-        return scalar_str(Fraction(value))
     return float(value)
+
+
+def is_heavy(width: Real, value: Real, n: int) -> bool:
+    """The heavy-piece rule: ``width <= 1/n`` and ``value >= 1/(2n)``.
+
+    Exact for ``Fraction``, ``float`` and ``int`` alike: each side is
+    compared as the integer ratio it holds (denominators are positive),
+    so no float bound rounds the verdict and no ``Fraction`` is built.
+    Dualizing swaps width and value, so ``is_heavy(value, width, n)`` is
+    the rule for a *light* piece.  A NaN or infinity is refused with
+    :class:`InvalidInput`.
+
+    >>> is_heavy(Fraction(1, 3), Fraction(1, 6), 3), is_heavy(0.25, float(Fraction(1, 6)), 3)
+    (True, False)
+    """
+    try:
+        wn, wd = width.as_integer_ratio()
+        vn, vd = value.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise InvalidInput(f"heaviness needs finite numbers, got {width!r}, {value!r}") from None
+    return wn * n <= wd and 2 * n * vn >= vd
 
 
 class Valuation(ABC):

@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
 from .geometry import CUT_START, EVAL_RANGE, ONE, Interval, Piece, as_scalar, unit_span
-from .valuation import Valuation
+from .valuation import Valuation, is_heavy
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -99,31 +99,44 @@ LOW_HEAVY_DENSITY_LIMIT = 2.0 ** (1.5 - 3.0 / LN3)
 class TreeParams:
     """Size-derived constants and density tests of a balanced value tree.
 
-    The label values, log constants, threshold and root signature are made
-    on first use and kept on the instance; equality and hashing see only
-    the four fields, so equal params share one root signature.
+    The depth fixes everything else: the leaf count ``n``, ``beta``, the
+    label values, log constants, threshold and root signature are made on
+    first use and kept on the instance; equality and hashing see only the
+    two fields, so equal params share one root signature.
     """
 
-    n: int
     depth: int
-    beta: float
     permissive: bool = False
 
-    @classmethod
-    def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":
+    def __post_init__(self):
+        depth = self.depth
+        if depth.__class__ is not int:
+            raise InvalidInput(f"depth must be an int, got {depth!r}")
         if depth < PERMISSIVE_MIN_DEPTH:
             raise InvalidInput(
                 f"depth {depth} < {PERMISSIVE_MIN_DEPTH}: edge labels would not be positive"
             )
-        if depth < STRICT_MIN_DEPTH and not permissive:
+        if depth < STRICT_MIN_DEPTH and not self.permissive:
             raise InvalidInput(
                 f"depth {depth} < {STRICT_MIN_DEPTH}: density guarantees need "
                 f"n >= 3^{STRICT_MIN_DEPTH} (pass permissive=True for unit-test sizes)"
             )
-        beta = 2.0 ** (6.0 / (depth * LN3))
-        if not permissive and not (1.0 / 3.0 <= beta / 3.0 < 0.5):
-            raise InvalidInput(f"heavy label beta/3 = {beta/3} outside [1/3, 1/2)")
-        return cls(n=3**depth, depth=depth, beta=beta, permissive=permissive)
+        if not self.permissive and not (1.0 / 3.0 <= self.beta / 3.0 < 0.5):
+            raise InvalidInput(f"heavy label beta/3 = {self.beta/3} outside [1/3, 1/2)")
+
+    @classmethod
+    def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":
+        return cls(depth, permissive)
+
+    @cached_property
+    def n(self) -> int:
+        """Leaf count, 3^depth."""
+        return 3**self.depth
+
+    @cached_property
+    def beta(self) -> float:
+        """The heavy-edge factor 2**(6/ln n)."""
+        return 2.0 ** (6.0 / (self.depth * LN3))
 
     @classmethod
     def from_leaf_count(cls, n: int, permissive: bool = False) -> "TreeParams":
@@ -524,17 +537,16 @@ class TernaryTreeValuation(Valuation, ABC):
         A heavy piece has average density >= 1/2, so its densest interval
         does too; that interval is narrower than a leaf cell, so it meets at
         most two leaves and the denser of those inherits the bound.  The
-        returned leaf therefore classifies as rich or critical.
+        returned leaf therefore classifies as rich or critical.  A piece of
+        zero width, or one :func:`~fairslice.valuation.is_heavy` rejects,
+        raises :class:`PreconditionViolation`.
         """
         n = self.params.n
-        if piece.width == 0 or piece.width > Fraction(1, n):
+        width, total = piece.width, self.value_of_piece(piece)
+        if width == 0 or not is_heavy(width, total, n):
             raise PreconditionViolation(
-                f"piece width {piece.width} outside (0, 1/{n}]: not a heavy piece"
-            )
-        total = self.value_of_piece(piece)
-        if total < float(Fraction(1, 2 * n)) * (1.0 - 1e-9):
-            raise PreconditionViolation(
-                f"piece value {total} below 1/(2*{n}): not a heavy piece"
+                f"piece of width {width} and value {total} is not heavy: "
+                f"need 0 < width <= 1/{n} and value >= 1/(2*{n})"
             )
         best = max(
             piece.intervals,

@@ -74,7 +74,7 @@ def test_canonical_constructor_rejects_disorder():
 
 def test_piece_json_pairs_roundtrip():
     piece = Piece.of((0, "1/4"), ("1/2", "3/4"))
-    assert Piece.from_pairs(piece.to_pairs()) == piece
+    assert Piece.of(*piece.to_pairs()) == piece
 
 
 @given(st.lists(intervals_strategy(), max_size=8))

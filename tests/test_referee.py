@@ -143,3 +143,25 @@ def test_replay_tolerance():
     with pytest.raises(ReplayMismatch, match="record 0"):
         replay_log([off_by_an_ulp], [tree])
     assert replay_log([off_by_an_ulp], [tree], tol=1e-9)
+
+
+def test_log_normalizes_string_int_and_float_arguments():
+    ref = QueryReferee([STEP])
+    ref.eval(0, "1/3", 1)
+    ref.eval(0, 0.25, "3/4")
+    ref.cut(0, "1/4", "1/2")
+    ref.cut(0, 0, 0.375)
+    assert [rec.args for rec in ref.log] == [
+        (Fraction(1, 3), Fraction(1)),
+        (Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(1, 4), Fraction(1, 2)),
+        (Fraction(0), 0.375),
+    ]
+    lines = ref.log_lines()
+    assert [json.loads(line)["args"] for line in lines] == [
+        ["1/3", "1"], ["1/4", "3/4"], ["1/4", "1/2"], ["0", 0.375]
+    ]
+    out = io.StringIO()
+    ref.export_log(out)
+    assert out.getvalue().splitlines() == lines
+    assert replay_log(ref.log, [STEP], tol=0)

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairslice.errors import InvalidInput
 from fairslice.geometry import Piece
 from fairslice.valuation import (
     DensityBounds,
     PiecewiseConstantValuation,
     density_of_piece,
+    is_heavy,
     random_dense_valuation,
     verify_dense,
 )
@@ -277,3 +280,35 @@ def test_generated_valuations_agree_with_grid_oracle(seed):
     got = v.eval(Fraction(1, 8), Fraction(7, 8))
     oracle = grid_integral(v.segments(), Fraction(1, 8), Fraction(7, 8), steps=40_000)
     assert abs(float(got) - oracle) < 2e-3
+
+
+class TestHeavyRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 27, 3**60])
+    def test_exact_edges(self, n):
+        assert is_heavy(Fraction(1, n), Fraction(1, 2 * n), n)
+        assert not is_heavy(Fraction(1, n) + Fraction(1, 10**30), Fraction(1, 2 * n), n)
+        assert not is_heavy(Fraction(1, n), math.nextafter(float(Fraction(1, 2 * n)), 0), n)
+
+    def test_a_float_just_below_the_bound_is_not_heavy(self):
+        sixth = float(Fraction(1, 6))
+        assert sixth < Fraction(1, 6)
+        assert not is_heavy(Fraction(1, 3), sixth, 3)
+        assert is_heavy(Fraction(1, 3), math.nextafter(sixth, 1), 3)
+
+    def test_ints_and_floats(self):
+        assert is_heavy(0, 1, 1) and is_heavy(1, 1, 1) and not is_heavy(2, 1, 1)
+        assert is_heavy(0.5, 0.25, 2) and not is_heavy(0.5, 0.2499, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_is_invalid_input(self, bad):
+        with pytest.raises(InvalidInput):
+            is_heavy(Fraction(1, 3), bad, 3)
+
+    @given(
+        st.one_of(st.fractions(min_value=0, max_value=1), st.floats(0, 1)),
+        st.one_of(st.fractions(min_value=0, max_value=1), st.floats(0, 1)),
+        st.integers(1, 10**6),
+    )
+    def test_matches_the_fraction_comparison(self, width, value, n):
+        expected = Fraction(width) <= Fraction(1, n) and Fraction(value) >= Fraction(1, 2 * n)
+        assert is_heavy(width, value, n) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 
 from fairslice.adversary import AdversarySession
 from fairslice.errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
+from fairslice import valuetree
 from fairslice.geometry import Piece
+from fairslice.valuation import is_heavy
 from fairslice.valuetree import (
     AMBIGUITY_GUARD,
     HEAVY,
@@ -59,6 +62,16 @@ class TestParams:
 
     def test_from_leaf_count(self):
         assert TreeParams.from_leaf_count(3**11) == P11
+
+    @pytest.mark.parametrize("depth", [2, 7, 11.0, "12", None, True])
+    def test_constructor_checks_the_depth(self, depth):
+        with pytest.raises(InvalidInput):
+            TreeParams(depth)
+
+    def test_depth_fixes_every_constant(self):
+        assert [f.name for f in dataclasses.fields(TreeParams)] == ["depth", "permissive"]
+        assert TreeParams(11) == P11 and TreeParams(11).beta == P11.beta
+        assert TreeParams(7, permissive=True).n == 3**7
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_from_leaf_count_below_one_is_invalid(self, n):
@@ -258,9 +271,10 @@ class TestCriticality:
         assert twelve.params.root is not a.params.root
 
     def test_ambiguous_step_raises_on_every_walk(self, monkeypatch):
-        # from_depth never returns strict params of depth 7, so no other
-        # walk has stepped from this root yet
-        params = TreeParams(n=SMALL.n, depth=SMALL.depth, beta=SMALL.beta)
+        # with no interned roots, these params get a root no walk has
+        # stepped from yet
+        monkeypatch.setattr(valuetree, "_ROOTS", {})
+        params = TreeParams.from_depth(7, permissive=True)
         tree = BalancedValueTree(params, seed=1)
         root = params.root
         with monkeypatch.context() as patch:
@@ -473,7 +487,7 @@ class TestCandidateLeaf:
         # straddle this leaf and its neighbour
         start = left - width / 2 if left > 0 else left
         piece = Piece.of((start, start + width))
-        if tree.value_of_piece(piece) >= float(Fraction(1, 2 * tree.params.n)):
+        if is_heavy(piece.width, tree.value_of_piece(piece), tree.params.n):
             got = tree.extract_candidate_leaf(piece)
             leaf = tree.node(got)
             assert math.exp(tree.params.log_density(leaf.h, leaf.q)) >= 0.5
@@ -487,6 +501,16 @@ class TestCandidateLeaf:
         path = _descend_by(tree, lambda kinds: kinds.index("L"))
         with pytest.raises(PreconditionViolation):
             tree.extract_candidate_leaf(_leaf_cell(path, P11.n))
+
+    def test_rejects_a_value_just_below_the_bound(self, monkeypatch):
+        tree = build_tree(P11, seed=21)
+        cell = _leaf_cell(_descend_by(tree, _heavy_child), P11.n)
+        bound = float(Fraction(1, 2 * P11.n))
+        monkeypatch.setattr(tree, "value_of_piece", lambda piece: (1 - 1e-10) * bound)
+        with pytest.raises(PreconditionViolation, match="not heavy"):
+            tree.extract_candidate_leaf(cell)
+        with pytest.raises(PreconditionViolation, match="not heavy"):
+            tree.extract_candidate_leaf(Piece())
 
 
 def _leaf_cell(path, n):
