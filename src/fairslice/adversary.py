@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
@@ -52,6 +53,7 @@ from .referee import PlayerView, QueryRecord, QueryReferee, replay_log
 from .valuation import is_heavy
 from .valuetree import (
     HEAVY,
+    THIRD,
     BalancedValueTree,
     Signature,
     TernaryTreeValuation,
@@ -135,12 +137,12 @@ class AdversarySession(TernaryTreeValuation):
         # only through its own heavy edge
         self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
         # the density test at the node itself, not the inherited flag
-        if self.params.critical_counts(sig.h, sig.q):
+        if sig.own_critical:
             self._critical.append(path)
         return kinds
 
     def _prefix(self, t: Fraction) -> float:
-        if 0 < t < 1:
+        if 0 < t.numerator < t.denominator:
             return super()._prefix(t)
         # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
         self._walk(leaf_path(t, self.params.depth))
@@ -188,7 +190,8 @@ class AdversarySession(TernaryTreeValuation):
         return self._orphans == 0
 
     def revealed_critical_nodes(self) -> list[bytes]:
-        """Revealed nodes whose density test says critical, in reveal order.
+        """Revealed nodes whose own density test says critical (not the
+        inherited flag), in reveal order.
 
         Empty while the heavy-edge budget holds; the reveal strategy never
         labels a node's edges as thirds, so a critical node here means the
@@ -203,8 +206,10 @@ class AdversarySession(TernaryTreeValuation):
         for rec in self.log:
             obj = rec.to_json_obj()
             del obj["player"]
-            obj["reveals"] = [{"path": list(r.path), "labels": list(r.kinds)} for r in rec.reveals]
-            lines.append(json.dumps(obj, separators=(",", ":")))
+            # the record head without its closing brace, then the reveals
+            head = json.dumps(obj, separators=(",", ":"))[:-1]
+            reveals = ",".join(starmap(_reveal_json, rec.reveals))
+            lines.append(f'{head},"reveals":[{reveals}]}}')
         return lines
 
     # -- completion and refutation ----------------------------------------------
@@ -261,6 +266,31 @@ class AdversarySession(TernaryTreeValuation):
             reason=f"piece stayed heavy under {len(attempts)} completion(s)",
             attempts=len(attempts),
         )
+
+
+#: ASCII digit of each node-path byte
+_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
+
+#: compact JSON array of each label-kind triple a node can carry
+_LABELS_JSON = {
+    kinds: json.dumps(list(kinds), separators=(",", ":"))
+    for kinds in (*_HEAVY_AT, (THIRD, THIRD, THIRD))
+}
+
+
+def _reveal_json(path: bytes, kinds: Kinds) -> str:
+    """One reveal as a transcript writes it: the compact ``json.dumps`` of
+    ``{"path": list(path), "labels": list(kinds)}``, character for
+    character, from string fragments.
+
+    >>> _reveal_json(b"\\x02\\x00", ("L", "H", "L"))
+    '{"path":[2,0],"labels":["L","H","L"]}'
+    >>> _reveal_json(b"", ("H", "L", "L"))
+    '{"path":[],"labels":["H","L","L"]}'
+    """
+    # replacing "" puts a comma between every two digits and at both ends
+    digits = path.translate(_DIGITS).decode().replace("", ",")[1:-1]
+    return f'{{"path":[{digits}],"labels":{_LABELS_JSON[kinds]}}}'
 
 
 def _not_revealed(path: bytes) -> PreconditionViolation:

@@ -23,14 +23,14 @@ session differ only in their label source, so on shared labels they give
 the same floats by construction.
 
 A node path is the ``bytes`` of its base-3 digits, one byte per digit
-(the root is ``b""``), in and out: one object is the dict key, the blake2b
-label input and, through ``list(path)``, the transcript form, and each
-level's path is a C slice of the leaf's bytes.  :func:`leaf_path` and
-:func:`index_path` make one from a position or a leaf index, and every
-public method that takes a path refuses anything else with
-:class:`InvalidInput`.  Each tree remembers the prefix mass of every exact
-position it has walked, since protocols ask the same tree about the same
-point again (Even-Paz evaluates a block's left end, then cuts from it).
+(the root is ``b""``), in and out: one object is the dict key and the
+blake2b label input, a session transcript writes its digits straight
+from it, and each level's path is a C slice of the leaf's bytes.
+:func:`leaf_path` and :func:`index_path` make one from a position or a
+leaf index, and every public method that takes a path refuses anything
+else with :class:`InvalidInput`.  Each tree remembers the prefix mass of
+every exact position it has walked, since protocols ask the same tree
+about the same point again (Even-Paz evaluates a block's left end, then cuts from it).
 That is sound because a node's labels never change once read: hashed and
 completed labels are functions of the path, and a session binds every node
 a walk reveals, so a second walk to the same point would return the same
@@ -215,13 +215,26 @@ class Signature:
     :attr:`TreeParams.root`; ``children`` holds the steps taken so far.
     """
 
-    __slots__ = ("h", "q", "z", "critical", "children", "_params", "_interned")
+    __slots__ = ("h", "q", "z", "critical", "children", "_params", "_interned", "_own")
 
     def __init__(self, params: TreeParams, h: int, q: int, z: int, critical: bool, interned: dict):
         self.h, self.q, self.z, self.critical = h, q, z, critical
         self.children: dict[str, Signature] = {}
         self._params, self._interned = params, interned
+        self._own: Optional[bool] = None
         interned[h, q, z, critical] = self
+
+    @property
+    def own_critical(self) -> bool:
+        """The density test at this node's own counts, not the inherited
+        flag; run at most once per signature.  A flag that is not set was
+        decided by that very test (in :meth:`step`, or at the root), so only
+        a critical signature runs it here: below a critical node a lighter
+        child inherits the flag but may fail the test itself."""
+        own = self._own
+        if own is None:
+            own = self._own = self.critical and self._params.critical_counts(self.h, self.q)
+        return own
 
     def step(self, kind: str) -> "Signature":
         """Signature of the child across an edge of ``kind``: the one place

@@ -19,11 +19,14 @@ is the digit conversion as first written, one ``divmod`` per digit, which
 the chunked ``index_path`` must match.  ``even_paz_order`` and
 ``reference_even_paz`` are Even-Paz's mark order and block recursion as
 first written, with ``Fraction`` sort keys, which the float-first keys of
-``order_marks`` must match.
+``order_marks`` must match.  ``transcript_lines_as_first_written`` is an
+adversary session's transcript as first written, one ``json.dumps`` per
+record, which the session's fragment encoder must match line for line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from bisect import bisect_right
@@ -283,3 +286,16 @@ def reference_even_paz(valuations, mode):
 
     divide(list(range(len(valuations))), Fraction(0), Fraction(1))
     return blocks
+
+
+def transcript_lines_as_first_written(session):
+    """An adversary session's log as JSON-lines: each record without its
+    player, plus its reveals as path-digit and label lists, dumped by one
+    compact ``json.dumps``."""
+    lines = []
+    for rec in session.log:
+        obj = rec.to_json_obj()
+        del obj["player"]
+        obj["reveals"] = [{"path": list(r.path), "labels": list(r.kinds)} for r in rec.reveals]
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    return lines

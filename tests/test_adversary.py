@@ -227,9 +227,29 @@ class TestOracles:
             self.assert_heavy_matches(session)
         expected = oracles.revealed_critical_nodes(session.revealed, params)
         assert expected, "the drive should reach critical nodes"
+        self.assert_critical_matches(session, expected)
+
+    def test_critical_nodes_below_a_critical_node(self):
+        # at depth 6 a heavy child of the root is critical and its light
+        # children are not: they inherit the flag but fail the test at
+        # their own counts, so only the node's own test lists them right
+        params = TreeParams.from_depth(6, permissive=True)
+        rng = random.Random(0)
+        session = AdversarySession(params)
+        for _ in range(12):
+            random_queries(session, 1, rng)
+            self.assert_heavy_matches(session)
+        expected = oracles.revealed_critical_nodes(session.revealed, params)
+        below = [p for p in session.revealed if p and p[:-1] in expected and p not in expected]
+        assert below, "the drive should reveal a non-critical child of a critical node"
+        self.assert_critical_matches(session, expected)
+
+    @staticmethod
+    def assert_critical_matches(session, expected):
         found = session.revealed_critical_nodes()
-        assert len(found) == len(set(found))
         assert set(found) == expected
+        # in reveal order: session.revealed keeps insertion order
+        assert found == [p for p in session.revealed if p in expected]
 
     def test_connectivity_check_sees_an_orphan(self):
         session = AdversarySession(P60)
@@ -430,6 +450,27 @@ class TestSerialization:
             set(r) == {"path", "labels"} for r in lines[0]["reveals"]
         )
         assert lines[2]["answer"] is None
+
+    @pytest.mark.parametrize("depth", [11, 60, 200])
+    def test_transcript_matches_the_first_encoder(self, depth):
+        session = AdversarySession(TreeParams.from_depth(depth))
+        session.eval(0, Fraction(1, 3))  # an endpoint at 0: the root is revealed
+        session.eval("2/9", 1)  # a "p/q" string, and an int endpoint at 1
+        session.eval(0, 1)
+        session.eval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 3**depth))  # a tiny mass
+        session.cut(Fraction(1, 9), 0)  # r = 0
+        session.cut(1, 0)
+        session.cut("1/3", 0.1)  # inexact float repr
+        session.cut(0, 1e-300)  # float repr with an exponent
+        session.cut(0, 1)  # int mass
+        session.cut(Fraction(2, 3), 1.5)  # over-full: no answer
+        session.cut("1/2", "3/4")
+        random_queries(session, 20, random.Random(depth))
+        lines = session.transcript_lines()
+        assert lines == oracles.transcript_lines_as_first_written(session)
+        assert '{"path":[],' in lines[0]
+        assert any(rec.answer is None for rec in session.log)
+        assert any("e-" in line.split(',"reveals":')[0] for line in lines)
 
     def test_refutation_json_fields(self):
         session = AdversarySession(P60)
