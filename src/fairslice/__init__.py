@@ -23,7 +23,6 @@ from .errors import (
     FairsliceError,
     InvalidInput,
     NonPositiveValuation,
-    NumericalAmbiguity,
     PartitionViolation,
     PreconditionViolation,
     ProtocolViolation,

@@ -68,15 +68,6 @@ class NonPositiveValuation(FairsliceError):
     valuation with a zero-density region."""
 
 
-class NumericalAmbiguity(FairsliceError):
-    """A density comparison fell inside the floating-point guard band.
-
-    Classifications near a threshold are refused instead of silently
-    resolved; all supported tree sizes keep comfortable margins, so this
-    signals a degenerate instance rather than expected behaviour.
-    """
-
-
 class PreconditionViolation(FairsliceError):
     """An argument failed a documented precondition (e.g. a piece handed to
     the candidate-leaf extractor was not heavy)."""

@@ -44,10 +44,11 @@ rule, and every tree, completion and session of one size shares its
 signatures; values and prefix masses stay per path, in path order.  A
 hashed tree copies one keyed blake2b state per node label.
 
-Values here are irrational, so node arithmetic runs in floats with
-comparisons done in log space; any classification within 1e-9 of a
-threshold raises :class:`NumericalAmbiguity` instead of guessing.  At the
-supported sizes the true margins are wider than 1e-3.
+Node values and answers are floats, but every criticality and richness
+verdict is exact: it is decided on the rational labels ``H`` (the float
+heavy label, exactly), ``L = (1 - H)/2`` and ``T = 1/3``, which sum to
+exactly 1.  Each test is one integer comparison, and each signature runs
+its criticality test once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from hashlib import blake2b
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import InvalidInput, NumericalAmbiguity, PreconditionViolation
+from .errors import InvalidInput, PreconditionViolation
 from .geometry import CUT_START, EVAL_RANGE, ONE, Interval, Piece, as_scalar, unit_span
 from .valuation import Valuation, is_heavy
 
@@ -78,9 +79,6 @@ _HEAVY_AT = ((HEAVY, LIGHT, LIGHT), (LIGHT, HEAVY, LIGHT), (LIGHT, LIGHT, HEAVY)
 
 #: path bytes of one step to child 0, 1 or 2
 _STEP = (b"\x00", b"\x01", b"\x02")
-
-#: side length of the comparison guard band in log space
-AMBIGUITY_GUARD = 1e-9
 
 #: minimum depth for the density guarantees to hold (gives beta/3 < 1/2)
 STRICT_MIN_DEPTH = 11
@@ -138,13 +136,6 @@ class TreeParams:
         """The heavy-edge factor 2**(6/ln n)."""
         return 2.0 ** (6.0 / (self.depth * LN3))
 
-    @classmethod
-    def from_leaf_count(cls, n: int, permissive: bool = False) -> "TreeParams":
-        depth = round(math.log(n, 3)) if n >= 1 else 0
-        if 3**depth != n:
-            raise InvalidInput(f"leaf count {n} is not a power of 3")
-        return cls.from_depth(depth, permissive)
-
     @cached_property
     def heavy_label(self) -> float:
         return self.beta / 3.0
@@ -178,13 +169,26 @@ class TreeParams:
         """log of the density beta^h * (3/2 - beta/2)^q at h heavy, q light edges."""
         return h * self.ln_beta + q * self.ln_light_density
 
-    def critical_margin(self, h: int, q: int) -> float:
-        """log(D * beta) - log 2; positive means critical."""
-        return self.log_density(h + 1, q) - LN2
+    @cached_property
+    def _density_factors(self) -> tuple[int, int, int]:
+        """(3a, 3(2^e - a), e) for the heavy label ``H = a/2^e`` taken
+        exactly: ``3H = 3a/2^e`` and ``3L = 3(2^e - a)/2^(e+1)``."""
+        a, den = self.heavy_label.as_integer_ratio()
+        return 3 * a, 3 * (den - a), den.bit_length() - 1
+
+    def _scaled_density(self, h: int, q: int) -> tuple[int, int]:
+        """(m, s) with ``(3H)^h * (3L)^q == m / 2^s`` exactly."""
+        heavy, light, e = self._density_factors
+        return heavy**h * light**q, e * h + (e + 1) * q
 
     def critical_counts(self, h: int, q: int) -> bool:
-        """critical_margin > 0, refused inside the ambiguity guard band."""
-        return _guarded_sign(self.critical_margin(h, q), "criticality", h, q)
+        """D * 3H > 2 for the exact density D at (h, q).
+
+        >>> TreeParams(11).critical_counts(1, 0), TreeParams(11).critical_counts(2, 0)
+        (False, True)
+        """
+        m, s = self._scaled_density(h + 1, q)
+        return m > 1 << (s + 1)
 
     @cached_property
     def root(self) -> "Signature":
@@ -195,8 +199,9 @@ class TreeParams:
         return root
 
     def rich_counts(self, h: int, q: int) -> bool:
-        """Density >= 1/2 in log space, with the same ambiguity guard."""
-        return _guarded_sign(self.log_density(h, q) + LN2, "richness", h, q)
+        """The exact density at (h, q) is at least 1/2."""
+        m, s = self._scaled_density(h, q)
+        return m << 1 >= 1 << s
 
     def classify(self, h: int, q: int, critical: bool) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'
@@ -239,7 +244,7 @@ class Signature:
     def step(self, kind: str) -> "Signature":
         """Signature of the child across an edge of ``kind``: the one place
         an edge is counted.  A new child tests criticality unless it
-        inherits it; an ambiguous test raises and stores nothing."""
+        inherits it."""
         child = self.children.get(kind)
         if child is None:
             h, q, z = self.h, self.q, self.z
@@ -258,15 +263,6 @@ class Signature:
 #: root signature of each tree size.  Keyed by the params value, so params
 #: read back separately with equal values still share every signature.
 _ROOTS: dict[TreeParams, Signature] = {}
-
-
-def _guarded_sign(margin: float, test: str, h: int, q: int) -> bool:
-    """margin > 0, refused when the margin is inside the guard band."""
-    if abs(margin) < AMBIGUITY_GUARD:
-        raise NumericalAmbiguity(
-            f"{test} test at h={h}, q={q} within {AMBIGUITY_GUARD} of the threshold"
-        )
-    return margin > 0
 
 
 def _as_mass(r) -> float:

@@ -10,9 +10,12 @@ by full traversal, and ``critical_margin`` / ``rich_margin`` restate the
 per-size density tests from ``math.log(beta)`` and
 ``math.log(1.5 - beta/2)``.  Slow and approximate by
 design; exact expected values asserted in tests were first cross-checked
-against these.  ``scan_eval`` and ``scan_cut`` are the exception: exact
-segment-by-segment scans of a step valuation, kept as the reference its
-table lookups must match answer for answer, and ``fraction_dense_draw`` is
+against these.  ``exact_verdicts`` and ``exact_piece_value`` are exact
+instead: ``Fraction`` arithmetic on the rational labels ``H`` (the float
+heavy label, exactly), ``L = (1 - H)/2`` and ``T = 1/3``, which sum to 1.
+``scan_eval`` and ``scan_cut`` are exact too: segment-by-segment scans
+of a step valuation, kept as the reference its table lookups must match
+answer for answer, and ``fraction_dense_draw`` is
 the step generator as first written in ``Fraction`` arithmetic, which the
 integer generator must match draw for draw.  ``divmod_digits_of_index``
 is the digit conversion as first written, one ``divmod`` per digit, which
@@ -220,6 +223,48 @@ def critical_margin(params, h, q):
 def rich_margin(params, h, q):
     """log D - log(1/2) for density D at (h, q); positive is rich."""
     return _log_density(params, h, q) + math.log(2.0)
+
+
+def exact_labels(params):
+    """Exact value of each label kind: H, L = (1 - H)/2 and T = 1/3."""
+    heavy = Fraction(params.heavy_label)
+    return {"H": heavy, "L": (1 - heavy) / 2, "T": Fraction(1, 3)}
+
+
+def exact_verdicts(params, h, q):
+    """(critical, rich) at h heavy and q light edges, in ``Fraction``
+    arithmetic: the exact density D = (3H)^h * (3L)^q (any 1/3 edges
+    contribute 3T = 1) is critical when D * 3H > 2 and rich when D >= 1/2.
+    Each test moves (3L)^q to the right-hand side, so no product is reduced
+    to lowest terms."""
+    labels = exact_labels(params)
+    heavy, light = 3 * labels["H"], (3 * labels["L"]) ** q
+    return heavy ** (h + 1) > 2 / light, heavy**h >= Fraction(1, 2) / light
+
+
+def exact_piece_value(tree, piece):
+    """Exact value of ``piece`` under ``tree``: each leaf's value is the
+    product of the exact labels of the edges on its root path, read one
+    node at a time from ``tree.node(prefix).label_kinds``, and it counts
+    n times the width of the piece inside the leaf's cell."""
+    params = tree.params
+    n = params.n
+    labels = exact_labels(params)
+    leaves = {
+        index
+        for iv in piece.intervals
+        for index in range(math.floor(iv.left * n), math.ceil(iv.right * n))
+    }
+    total = Fraction(0)
+    for index in sorted(leaves):
+        left, right = Fraction(index, n), Fraction(index + 1, n)
+        overlap = sum(max(min(iv.right, right) - max(iv.left, left), 0) for iv in piece.intervals)
+        digits = divmod_digits_of_index(index, params.depth)
+        value = Fraction(1)
+        for level, digit in enumerate(digits):
+            value *= labels[tree.node(bytes(digits[:level])).label_kinds[digit]]
+        total += value * overlap * n
+    return total
 
 
 def revealed_critical_nodes(revealed, params):

@@ -569,6 +569,35 @@ class TestStrategiesAndGame:
         assert obj["within_threshold"] is True
 
 
+def _refuted_claim_values(budget):
+    """For greedy-dense games at 3^60, seeds 0-4: the exact value of each
+    value-refuted claim under its own refuting completion."""
+    values = []
+    for seed in range(5):
+        outcome = run_heavy_piece_game(P60, "greedy-dense", budget=budget, seed=seed).outcome
+        if isinstance(outcome, Refutation) and outcome.violated == "value":
+            values.append(oracles.exact_piece_value(outcome.completion, outcome.claim))
+    return values
+
+
+@pytest.mark.parametrize("budget", [0, 4])
+def test_refutations_within_the_threshold_are_genuine(budget):
+    values = _refuted_claim_values(budget)
+    assert len(values) == 5
+    assert all(value < Fraction(1, 2 * P60.n) for value in values), [float(v) for v in values]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="heaviness is decided on float piece values, which cancel at 3^60: "
+    "these claims are heavy under the completions that 'refute' them",
+)
+@pytest.mark.parametrize("budget", [40, 80])
+def test_refutations_past_the_threshold_are_genuine(budget):
+    values = _refuted_claim_values(budget)
+    assert all(value < Fraction(1, 2 * P60.n) for value in values), [float(v) for v in values]
+
+
 def test_referee_over_sessions():
     # a session is a tree valuation, so a referee can hold sessions as
     # players; the referee's counts and log agree with each session's own

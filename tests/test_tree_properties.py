@@ -123,7 +123,7 @@ def test_answers_do_not_depend_on_earlier_queries(depth):
     check()
 
 
-# Known defect of float cut answers (exact positions are ROADMAP item 2):
+# Known defect of float cut answers (exact positions are ROADMAP item 1):
 # cut(x, 0) returns float(x), which rounds to nearest and so can lie below
 # x.  A positive cut answers from the descent, clamped at float(x), so it
 # never orders before cut(x, 0); but eval(x, y) refuses any y < x.
