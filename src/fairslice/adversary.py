@@ -116,9 +116,9 @@ class AdversarySession(TernaryTreeValuation):
     def _path_labels(self, path, sig, digit):
         return self._reveal(path, sig, _HEAVY_AT[1 if digit == 0 else 0])
 
-    def _descent_labels(self, path, sig, value, remaining):
+    def _descent_labels(self, path, sig, remaining):
         # gamma > beta/3, phrased exactly like the descent's child test
-        heavy_at = 0 if value * self.params.heavy_label < remaining else 2
+        heavy_at = 0 if sig.value * self.params.heavy_label < remaining else 2
         return self._reveal(path, sig, _HEAVY_AT[heavy_at])
 
     def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
@@ -332,7 +332,7 @@ class CompletedTree(TernaryTreeValuation):
             for i in range(1, len(leaf) + 1):
                 self._light_prefixes.add(leaf[:i])
 
-    def _labels(self, path, sig):
+    def _labels(self, path, sig, step=None):
         kinds = self._revealed.get(path)
         if kinds is not None:
             return kinds
@@ -341,6 +341,8 @@ class CompletedTree(TernaryTreeValuation):
             if protected and len(protected) < 3:
                 return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
         return self._hashed._labels(path, sig)
+
+    _path_labels = _descent_labels = _labels
 
 
 @dataclass(frozen=True)

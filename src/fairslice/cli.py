@@ -203,7 +203,7 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    params = TreeParams.from_depth(args.k, permissive=args.permissive_n)
+    params = TreeParams(args.k, args.permissive_n)
     budget = params.threshold if args.budget is None else args.budget
     seeds = _resolve_seeds(args)
     games = [

@@ -155,6 +155,8 @@ def replay_log(
     :class:`ReplayMismatch` naming the first divergence.
     """
     for i, rec in enumerate(records):
+        if not 0 <= rec.player < len(valuations):
+            raise UnknownPlayer(f"record {i}: player {rec.player} out of range 0..{len(valuations) - 1}")
         val = valuations[rec.player]
         if rec.kind == "eval":
             answer = val.eval(*rec.args)

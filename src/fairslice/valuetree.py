@@ -38,17 +38,18 @@ float.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, log constants, the density tests, the adversary's query threshold,
-and the root :class:`Signature` (a node's edge counts and criticality).
-Every walk moves to a child by :meth:`Signature.step`, the one per-edge
-rule, and every tree, completion and session of one size shares its
-signatures; values and prefix masses stay per path, in path order.  A
-hashed tree copies one keyed blake2b state per node label.
+and the root :class:`Signature` (a node's edge counts, criticality and
+value).  Every walk moves to a child by :meth:`Signature.step`, the one
+per-edge rule, and every tree, completion and session of one size shares
+its signatures.  Node values are per signature, so no walk multiplies
+values down a path; prefix masses stay per path, in path order.  A hashed
+tree copies one keyed blake2b state per node label.
 
-Node values and answers are floats, but every criticality and richness
-verdict is exact: it is decided on the rational labels ``H`` (the float
-heavy label, exactly), ``L = (1 - H)/2`` and ``T = 1/3``, which sum to
-exactly 1.  Each test is one integer comparison, and each signature runs
-its criticality test once.
+Answers are floats, but every criticality and richness verdict is exact
+and every node value is correctly rounded: both come from the rational
+labels ``H`` (the float heavy label, exactly), ``L = (1 - H)/2`` and
+``T = 1/3``, which sum to exactly 1.  A verdict is one integer
+comparison, a value one integer division, each once per signature.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class TreeParams:
             raise InvalidInput(f"heavy label beta/3 = {self.beta/3} outside [1/3, 1/2)")
 
     @classmethod
-    def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":
+    def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":  # only the benchmark and tests call this
         return cls(depth, permissive)
 
     @cached_property
@@ -213,17 +214,20 @@ class TreeParams:
 
 class Signature:
     """What the edge kinds on a node's root path fix: its ``h`` heavy, ``q``
-    light and ``z`` 1/3 edges, and whether it is critical (inherited, or
-    else tested at its own counts).  Interned per tree size by exactly these
-    four values -- a session may reveal ordinary labels below a critical
-    node, so equal counts can differ in the flag -- and reached from
+    light and ``z`` 1/3 edges, whether it is critical (inherited, or else
+    tested at its own counts), and its ``value``, the correctly rounded
+    ``H^h * L^q * T^z``.  Interned per tree size by the first four -- a
+    session may reveal ordinary labels below a critical node, so equal
+    counts can differ in the flag -- and reached from
     :attr:`TreeParams.root`; ``children`` holds the steps taken so far.
     """
 
-    __slots__ = ("h", "q", "z", "critical", "children", "_params", "_interned", "_own")
+    __slots__ = ("h", "q", "z", "critical", "value", "children", "_params", "_interned", "_own")
 
     def __init__(self, params: TreeParams, h: int, q: int, z: int, critical: bool, interned: dict):
         self.h, self.q, self.z, self.critical = h, q, z, critical
+        m, s = params._scaled_density(h, q)  # (3H)^h * (3L)^q == m / 2^s, exactly
+        self.value = m / (3 ** (h + q + z) << s)
         self.children: dict[str, Signature] = {}
         self._params, self._interned = params, interned
         self._own: Optional[bool] = None
@@ -362,12 +366,11 @@ class TernaryTreeValuation(Valuation, ABC):
     :meth:`_labels`, from its path and :class:`Signature`; everything else
     (the per-node lookup :meth:`node`, prefix masses, query answering) is
     derived here from two walks: :meth:`_walk` follows a known node path
-    and :meth:`_descend` a target prefix mass.  Both read labels through a
-    hook that also gets the walk's step (:meth:`_path_labels`,
-    :meth:`_descent_labels`): fixed labelings ignore it, and the adversary
-    session decides unrevealed nodes from it.
-    The public methods check a path once with :func:`_node_key`; the walks
-    and their hooks pass paths the walks made themselves, unchecked.
+    and :meth:`_descend` a target prefix mass.  Each reads labels through
+    a hook that also gets the walk's step: fixed labelings alias both to
+    :meth:`_labels`, and the session decides unrevealed nodes from it.  The
+    public methods check a path once with :func:`_node_key`; the walks and
+    their hooks pass paths the walks made themselves, unchecked.
     """
 
     def __init__(self, params: TreeParams):
@@ -383,83 +386,74 @@ class TernaryTreeValuation(Valuation, ABC):
         node at ``path``, whose :class:`Signature` is ``sig``: the label
         source."""
 
+    @abstractmethod
+    def _path_labels(self, path: bytes, sig: Signature, digit: int) -> tuple[str, str, str]:
+        """Labels a path walk reads at ``path`` before stepping to ``digit``."""
+
+    @abstractmethod
+    def _descent_labels(self, path: bytes, sig: Signature, remaining: float) -> tuple[str, str, str]:
+        """Labels a mass descent reads at ``path`` with ``remaining`` mass to pass."""
+
     # -- the two walks -------------------------------------------------------
 
-    def _path_labels(self, path, sig, digit: int):
-        """Labels a path walk reads at ``path`` before stepping to ``digit``."""
-        return self._labels(path, sig)
-
-    def _descent_labels(self, path, sig, value: float, remaining: float):
-        """Labels a mass descent reads at a node of value ``value`` with
-        ``remaining`` mass still to pass."""
-        return self._labels(path, sig)
-
-    def _walk(self, node: bytes, visit=None) -> tuple[float, Signature, float]:
-        """(prefix mass, signature, value) of the node at path ``node``.
-
-        The prefix mass is the value of everything left of the node.
-        ``visit(path, critical, kinds)``, when given, sees every node passed.
-        """
+    def _walk(self, node: bytes, visit=None) -> tuple[float, Signature]:
+        """(prefix mass, signature) of the node at path ``node``; the mass
+        sums ``sig.value`` times each left sibling's label, level by level.
+        ``visit(path, sig)``, when given, sees every node passed after the
+        walk has read its labels."""
         label_of = self.params.label_values
         sig = self.params.root
         mass = 0.0
-        value = 1.0
         for i, c in enumerate(node):
             path = node[:i]
             kinds = self._path_labels(path, sig, c)
             if visit is not None:
-                visit(path, sig.critical, kinds)
+                visit(path, sig)
             for j in range(c):
-                mass += value * label_of[kinds[j]]
-            kind = kinds[c]
-            sig = sig.step(kind)
-            value *= label_of[kind]
-        return mass, sig, value
+                mass += sig.value * label_of[kinds[j]]
+            sig = sig.step(kinds[c])
+        return mass, sig
 
     def _descend(self, target: float) -> float:
         """Leftmost point whose prefix mass is ``target``.
 
         Tracks the remaining mass incrementally; the child test
-        ``value * label >= remaining`` is the only comparison, so a lazy
-        labeling that decides a node from (value, remaining) by the same
-        test routes the descent exactly where it intends.  The answer is
-        ``index / n + (1 / n) * within`` for the chosen leaf ``index``: int
-        true division rounds correctly, so this is the float of the leaf's
-        exact left end plus its width times the fraction ``within``.
+        ``sig.value * label >= remaining`` is the only comparison, so a lazy
+        labeling that decides a node by the same product routes the descent
+        exactly where it intends.  The answer is ``index / n + (1 / n) *
+        within`` for the chosen leaf ``index``: int true division rounds
+        correctly, so this is the float of the leaf's exact left end plus
+        its width times the fraction ``within``.
         """
         params = self.params
         label_of = params.label_values
         n = params.n
         sig = params.root
         remaining = target
-        value = 1.0
         index = 0
         path = bytearray()
         for _ in range(params.depth):
-            kinds = self._descent_labels(bytes(path), sig, value, remaining)
+            kinds = self._descent_labels(bytes(path), sig, remaining)
             chosen = 2
             for c in (0, 1):
-                child_mass = value * label_of[kinds[c]]
+                child_mass = sig.value * label_of[kinds[c]]
                 if child_mass >= remaining:
                     chosen = c
                     break
                 remaining -= child_mass
-            kind = kinds[chosen]
-            sig = sig.step(kind)
-            value *= label_of[kind]
+            sig = sig.step(kinds[chosen])
             path.append(chosen)
             index = index * 3 + chosen
-        within = remaining / value if value > 0 else 0.0
-        within = min(max(within, 0.0), 1.0)
+        within = min(max(remaining / sig.value, 0.0), 1.0) if sig.value > 0 else 0.0
         return index / n + (1 / n) * within
 
     def node(self, path: bytes) -> NodeVisit:
         """The node at ``path``, as :meth:`iter_nodes` would yield it: one
         path walk, plus the node's own labels unless it is a leaf."""
         node = _node_key(path, self.params.depth)
-        _, sig, value = self._walk(node)
+        _, sig = self._walk(node)
         kinds = None if len(node) == self.params.depth else self._labels(node, sig)
-        return NodeVisit(len(node), sig.h, sig.q, sig.z, sig.critical, value, kinds)
+        return NodeVisit(len(node), sig.h, sig.q, sig.z, sig.critical, sig.value, kinds)
 
     def classify_leaf(self, path: bytes) -> str:
         """'critical', 'rich' (non-critical, density >= 1/2) or 'neither'."""
@@ -488,8 +482,8 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, _, value = self._walk(_index_path(index, self.params.depth))
-            mass += value * (rem / den)
+            mass, sig = self._walk(_index_path(index, self.params.depth))
+            mass += sig.value * (rem / den)
             self._masses[num, den] = mass
         return mass
 
@@ -520,17 +514,14 @@ class TernaryTreeValuation(Valuation, ABC):
                 f"whole-tree enumeration supports depth <= {EAGER_MAX_DEPTH}; "
                 f"use lazy node queries at depth {params.depth}"
             )
-        label_of = params.label_values
-        stack: list[tuple[bytes, Signature, float]] = [(b"", params.root, 1.0)]
+        stack: list[tuple[bytes, Signature]] = [(b"", params.root)]
         while stack:
-            path, sig, value = stack.pop()
+            path, sig = stack.pop()
             depth = len(path)
             kinds = None if depth == params.depth else self._labels(path, sig)
-            yield NodeVisit(depth, sig.h, sig.q, sig.z, sig.critical, value, kinds)
+            yield NodeVisit(depth, sig.h, sig.q, sig.z, sig.critical, sig.value, kinds)
             if kinds is not None:
-                for c in (2, 1, 0):
-                    kind = kinds[c]
-                    stack.append((path + _STEP[c], sig.step(kind), value * label_of[kind]))
+                stack.extend((path + _STEP[c], sig.step(kinds[c])) for c in (2, 1, 0))
 
     def max_leaf_density(self) -> float:
         """Maximum leaf density; for a tree of uniform leaves this bounds the
@@ -585,12 +576,15 @@ class BalancedValueTree(TernaryTreeValuation):
         self.seed = seed
         self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)
 
-    def _labels(self, path, sig):
+    def _labels(self, path, sig, step=None):
         if sig.critical:
             return (THIRD, THIRD, THIRD)
         state = self._keyed.copy()
         state.update(path)
         return _HEAVY_AT[int.from_bytes(state.digest(), "big") % 3]
+
+    # a fixed labeling ignores the walk's step
+    _path_labels = _descent_labels = _labels
 
     def to_json(self) -> dict:
         return {
@@ -608,7 +602,7 @@ class BalancedValueTree(TernaryTreeValuation):
         permissive = obj.get("permissive", False)
         if permissive.__class__ is not bool:
             raise InvalidInput(f"'permissive' must be a JSON boolean, got {permissive!r}")
-        return cls(TreeParams.from_depth(depth, permissive=permissive), seed)
+        return cls(TreeParams(depth, permissive), seed)
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -661,7 +655,7 @@ def low_heavy_density_cap(depth: int) -> float:
     depth-``depth`` tree; increasing in depth with limit
     :data:`LOW_HEAVY_DENSITY_LIMIT` (~0.426), hence always below 1/2.
     """
-    params = TreeParams.from_depth(depth, permissive=True)
+    params = TreeParams(depth, permissive=True)
     exponent = depth - depth * LN3 / 6.0
     # beta ** (ln_n / 6) == 2 exactly
     return 2.0 * math.exp(exponent * params.ln_light_density)
@@ -689,9 +683,11 @@ def verify_labeling(
 
     label_of = params.label_values
 
-    def check(path, critical, kinds):
-        # the kinds are checked first, so an unknown kind is a typed error
-        if critical:
+    def check(path, sig):
+        # the label source's own kinds, checked first, so an unknown kind
+        # is a typed error
+        kinds = source._labels(path, sig)
+        if sig.critical:
             if kinds != (THIRD, THIRD, THIRD):
                 raise InvalidInput(f"critical node {tuple(path)} not labeled (1/3,1/3,1/3): {kinds}")
         elif kinds not in _HEAVY_AT:

@@ -104,9 +104,9 @@ def completion_for(depth: int, seed: int):
 
 
 SESSION_DIGESTS = {
-    (60, 1): "7208da5264a57b856ef73e5994ecd0911d53e56bcaec94fcb7a0c306aabdc6d0",
-    (60, 2): "7e5be7ff78dd8ebaa52c21f4c2ec1dffee31fbaa0b36655fb71b94c2c300edf7",
-    (200, 3): "69fab2a1021b419c2f696a1c0a62d76ea542cbd484f49d12dd23533d09f4feb2",
+    (60, 1): "94aba8720445cc865fe5aa109159f9ece9100d3852ff10ee5c9083ceae5575ce",
+    (60, 2): "603bd57cff0d397b2d81c474951f4057bac76ed32221c0018e55a75c889b3446",
+    (200, 3): "e245b7616513869b98d9c34a4d41cda12dae9e880a7926f9a06dabb70efc8411",
 }
 
 
@@ -116,8 +116,8 @@ def test_session_transcripts(depth, seed):
 
 
 GAME_DIGESTS = {
-    60: "9c5b20433f5ba14cd0e8f15816c00974a15da88a06a17c00fa08b00ef66fa0ff",
-    200: "243ffdcf353f125cc28f06ecb74ad57c33f1a89ae79b7348c83abda1c1c7c52c",
+    60: "ae4716f2aa52578a0901ef72d5d5ed24fd137246bdca524f2b183dc456f58ff2",
+    200: "c07d07f3c8416e4870bb673261b9a37fa73ff007794ada616d260494271af3ae",
 }
 
 
@@ -127,8 +127,8 @@ def test_game_reports(depth):
 
 
 TREE_DIGESTS = {
-    11: "193cc1d32685c1138e65a1aa901b338690a91eb34e978a04ed1add6478a43301",
-    60: "5d70f8b18132bcb348ef1525458dc1fe95b72a173938f027eecf692df8ffebe7",
+    11: "3dc67d0925ef8eeffd1e8b1419faf943fa0bdc22b500a2532aba28ebdd50313c",
+    60: "ad0b8ab2d818245d3da32dd8479f18f3eff461365ff4755dfc738d58409afcaa",
 }
 
 
@@ -139,8 +139,8 @@ def test_balanced_tree_answers(depth):
 
 
 COMPLETION_DIGESTS = {
-    11: "6cb1bf6a3e5a68596d7b72cb28479424adbfab591e65626d3f900e0ab79b4f75",
-    60: "a0641481c6d9b0b1d46f431c932fae14f450b1f03e0b5412cf29422576769855",
+    11: "4143378515dbcdca0c4ed14ffa71bcd521a3999a4be1e5bb6f96e64d77aaddfe",
+    60: "0ced9601bb120d3325a3e6afac04d3341516ba611cd9ea725e6f3be930840ae0",
 }
 
 
@@ -277,7 +277,7 @@ def tree_divide_lines(depth: int, seeds) -> list[str]:
     return lines
 
 
-TREE_DIVIDE_DIGEST = "7e129acd7f346c37f8a3c2b920917b9113733d5de26ed7dd4bf70ffad9c42d9b"
+TREE_DIVIDE_DIGEST = "ffc111144d00311372f459ad59747fe091e6c3e97abf1e18d0e698afbe043b66"
 
 
 def test_tree_even_paz_reports():
@@ -291,7 +291,7 @@ def iter_nodes_lines(tree) -> list[str]:
     ]
 
 
-ITER_NODES_DIGEST = "6cb75e79881118e5a4bd96588e9760b48e09034910469f0c4dd9d49ac8a3824a"
+ITER_NODES_DIGEST = "10180ce0343a2e295ec24ccc49fde0881d2a0cbacd619f6fe47e687fdf0bd953"
 
 
 def test_iter_nodes_stream():

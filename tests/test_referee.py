@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch
+from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch, UnknownPlayer
 from fairslice.referee import QueryRecord, QueryReferee, replay_log
 from fairslice.valuation import PiecewiseConstantValuation
 from fairslice.valuetree import BalancedValueTree, TreeParams
@@ -134,6 +134,24 @@ def test_replay_none_matches_only_none(tol):
     logged_number = QueryRecord("cut", 0, (Fraction(3, 4), Fraction(1, 2)), Fraction(7, 8))
     with pytest.raises(ReplayMismatch, match="record 0"):
         replay_log([logged_number], [UNIFORM], tol)  # UNIFORM has no answer
+
+
+def test_replay_refuses_a_negative_player():
+    # -1 would otherwise index the last valuation and replay against it
+    ref = QueryReferee([UNIFORM, UNIFORM])
+    ref.eval(0, 0, Fraction(1, 2))
+    ref.eval(1, 0, Fraction(1, 2))
+    moved = ref.log[1]._replace(player=-1)
+    with pytest.raises(UnknownPlayer, match="record 1: player -1"):
+        replay_log([ref.log[0], moved], [UNIFORM, UNIFORM])
+
+
+def test_replay_refuses_a_player_past_the_last():
+    ref = QueryReferee([UNIFORM, STEP, UNIFORM])
+    ref.cut(2, 0, Fraction(1, 2))
+    with pytest.raises(UnknownPlayer, match="record 0: player 2") as info:
+        replay_log(ref.log, [UNIFORM, STEP])
+    assert isinstance(info.value, FairsliceError)
 
 
 def test_replay_tolerance():

@@ -26,6 +26,7 @@ from fairslice.valuetree import (
 from oracles import (
     critical_margin,
     divmod_digits_of_index,
+    exact_labels,
     exact_verdicts,
     leaf_sum_value,
     rich_margin,
@@ -277,6 +278,48 @@ class TestSignatures:
         keys = [(s.h, s.q, s.z, s.critical) for s in reachable.values()]
         assert len(set(keys)) == len(keys)
         assert visits <= set(keys)
+
+    @pytest.mark.parametrize("depth", [11, 60, 200])
+    def test_every_signature_value_is_the_rounded_exact_product(self, depth):
+        """Each signature reachable from the root, after a whole-tree
+        enumeration at depth 11 or 200 random leaf walks deeper down, holds
+        the correctly rounded ``H^h * L^q * T^z``."""
+        params = TreeParams(depth)
+        tree = BalancedValueTree(params, seed=depth)
+        if depth <= 11:
+            for _ in tree.iter_nodes():
+                pass
+        else:
+            rng = random.Random(depth)
+            for _ in range(200):
+                tree.node(index_path(rng.randrange(params.n), depth))
+        labels = exact_labels(params)
+        seen, stack = set(), [params.root]
+        while stack:
+            sig = stack.pop()
+            if id(sig) not in seen:
+                seen.add(id(sig))
+                stack.extend(sig.children.values())
+                exact = labels[HEAVY] ** sig.h * labels[LIGHT] ** sig.q * labels["T"] ** sig.z
+                assert sig.value == float(exact), (sig.h, sig.q, sig.z)
+        assert len(seen) > depth
+
+    @pytest.mark.parametrize("depth", [11, 60])
+    def test_leaf_value_is_the_rounded_exact_label_product(self, depth):
+        """``node(path).value`` at a random leaf is the float of the exact
+        labels multiplied along its path, read one node at a time."""
+        params = TreeParams(depth)
+        tree = BalancedValueTree(params, seed=depth + 1)
+        labels = exact_labels(params)
+        rng = random.Random(depth)
+        for _ in range(150):
+            path = index_path(rng.randrange(params.n), depth)
+            exact = Fraction(1)
+            for level, digit in enumerate(path):
+                exact *= labels[tree.node(path[:level]).label_kinds[digit]]
+            leaf = tree.node(path)
+            assert exact == labels[HEAVY] ** leaf.h * labels[LIGHT] ** leaf.q * labels["T"] ** leaf.z
+            assert leaf.value == float(exact), path
 
 
 @pytest.mark.parametrize(
