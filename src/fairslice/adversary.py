@@ -20,11 +20,15 @@ edges along the claim's leaves and exhibiting the resulting low value.
 
 The session is itself a tree valuation, answering through the walks that
 hashed trees and completions use with a label source that reveals nodes as
-the walks reach them, so a referee can hold sessions as players.  Answers
-are logged as referee :class:`QueryRecord`s carrying their reveals, and a
-completion keeps every revealed label, so it replays them exactly.  Only
-``eval`` and ``cut`` reveal: the node lookups a session inherits
-(``node``, ``classify_leaf``, ``iter_nodes``) read revealed nodes and raise
+the walks reach them, so a referee can hold sessions as players.  The
+session builds no query record: the referee module's
+:func:`~fairslice.referee.ask_eval`/``ask_cut`` record each query with the
+reveals its answer made, for the referee's log in a game, or for the
+session's own :attr:`AdversarySession.log` when it is asked through
+``answer_eval``/``answer_cut``.  A completion keeps every revealed label,
+so it replays those records exactly.  Only ``eval`` and ``cut`` reveal:
+the node lookups a session inherits (``node``, ``classify_leaf``,
+``iter_nodes``) read revealed nodes and raise
 :class:`PreconditionViolation` at an unrevealed one; an internal node must
 be revealed itself, a leaf needs its parent revealed.
 
@@ -49,7 +53,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
-from .referee import PlayerView, QueryRecord, QueryReferee, replay_log
+from .referee import PlayerView, QueryRecord, QueryReferee, ask_cut, ask_eval, replay_log
 from .valuation import is_heavy
 from .valuetree import (
     HEAVY,
@@ -60,7 +64,6 @@ from .valuetree import (
     TreeParams,
     _HEAVY_AT,
     _STEP,
-    _as_mass,
     _leaf_range,
     _node_key,
     index_path,
@@ -82,28 +85,31 @@ class AdversarySession(TernaryTreeValuation):
 
     Revealed labels are binding, and a walk reveals any other node it
     reaches by the module's rule for its step -- an eval endpoint's path
-    walk, or a cut answer's mass descent.  Each ``eval``/``cut`` logs a
-    :class:`QueryRecord` with the reveals it made.  Outside them a walk
-    that reaches an unrevealed node raises :class:`PreconditionViolation`.
+    walk, or a cut answer's mass descent.  Each ``eval``/``cut`` keeps the
+    reveals it made until :meth:`take_reveals` hands them to the query's
+    record.  Outside them a walk that reaches an unrevealed node raises
+    :class:`PreconditionViolation`.
     """
 
     def __init__(self, params: TreeParams):
         super().__init__(params)
         #: the revealed labels by node path
         self.revealed: dict[bytes, Kinds] = {}
+        #: the records of the queries asked through answer_eval/answer_cut;
+        #: a referee keeps those asked through it
         self.log: list[QueryRecord] = []
         #: max_revealed_heavy() after each answered query
         self.heavy_trace: list[int] = []
         self._answering = False  # inside eval/cut: walks may reveal
-        self._pending: list[Reveal] = []  # reveals not yet attached to an answer
+        self._pending: list[Reveal] = []  # the last answer's reveals, until taken
         self._heavy = 0  # most revealed heavy edges on a root path
         self._critical: list[bytes] = []  # revealed critical nodes
         self._orphans = 0  # revealed nodes whose parent was not revealed
 
     @property
     def m(self) -> int:
-        """Queries answered so far."""
-        return len(self.log)
+        """Queries answered so far, with or without a referee."""
+        return len(self.heavy_trace)
 
     # -- labels: revealed, or revealed now --------------------------------
 
@@ -150,31 +156,41 @@ class AdversarySession(TernaryTreeValuation):
 
     # -- queries ----------------------------------------------------------
 
-    def _record(self, kind: str, args: tuple, answer: Optional[float]) -> Optional[float]:
-        reveals, self._pending = tuple(self._pending), []
-        self.log.append(QueryRecord(kind, 0, args, answer, reveals))
+    def _answer(self, query, x, arg) -> Optional[float]:
+        # reveals a query left untaken go, so they never reach a later record
+        self._pending = []
+        self._answering = True
+        try:
+            answer = query(self, x, arg)
+        finally:
+            self._answering = False
         self.heavy_trace.append(self._heavy)
         return answer
 
     def eval(self, x, y) -> float:
-        self._answering = True
-        try:
-            answer = super().eval(x, y)
-        finally:
-            self._answering = False
-        return self._record("eval", (as_scalar(x), as_scalar(y)), answer)
+        return self._answer(TernaryTreeValuation.eval, x, y)
 
     def cut(self, x, r) -> Optional[float]:
-        self._answering = True
-        try:
-            answer = super().cut(x, r)
-        finally:
-            self._answering = False
-        return self._record("cut", (as_scalar(x), _as_mass(r)), answer)
+        return self._answer(TernaryTreeValuation.cut, x, r)
 
-    # the older names, still called by the benchmark and tests
-    answer_eval = eval
-    answer_cut = cut
+    def take_reveals(self) -> tuple[Reveal, ...]:
+        """The nodes the last ``eval``/``cut`` revealed, handed over once."""
+        reveals, self._pending = tuple(self._pending), []
+        return reveals
+
+    # -- a session asked without a referee --------------------------------
+
+    def answer_eval(self, x, y) -> float:
+        """``eval``, recorded in :attr:`log` by the referee's ``ask_eval``."""
+        rec = ask_eval(self, 0, x, y)
+        self.log.append(rec)
+        return rec.answer
+
+    def answer_cut(self, x, r) -> Optional[float]:
+        """``cut``, recorded in :attr:`log` by the referee's ``ask_cut``."""
+        rec = ask_cut(self, 0, x, r)
+        self.log.append(rec)
+        return rec.answer
 
     # -- invariants (verification helpers) ------------------------------------
 

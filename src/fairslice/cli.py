@@ -13,8 +13,9 @@ Four subcommands, all deterministic under a fixed configuration:
 Exit codes: 0 success; 3 property violation, on a ``ProtocolViolation``
 (a ``PartitionViolation`` among them) or a ``ReplayMismatch`` -- a guarantee
 that should hold by construction failed, a bug surfaced loudly; 2 on any
-other ``FairsliceError``, chiefly ``InvalidInput`` for a bad configuration
-or input file.  The library raises these where it finds the failure, and
+other ``FairsliceError``, chiefly ``InvalidInput`` for a bad configuration,
+a bad or unreadable input file, or an output file that cannot be written.
+The library raises these where it finds the failure, and
 ``main`` maps the type to the code; the commands convert nothing.  Reports
 carry no timestamps, so repeated runs are byte-identical.
 """
@@ -64,10 +65,12 @@ def load_valuation(obj: dict, where: str) -> Valuation:
 
 def load_valuations_file(path: str) -> list[Valuation]:
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             data = json.load(fp)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -105,8 +108,11 @@ def _resolve_valuations(args, bounds: DensityBounds) -> list[Valuation]:
 
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fp:
-            fp.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fp:
+                fp.write(payload)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

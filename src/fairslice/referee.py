@@ -15,7 +15,12 @@ Counting rules:
   positions to exact rationals, a cut mass likewise unless it is a float,
   which is kept as given.
 
-:class:`QueryRecord` is also the adversary session's log record, so
+Records are built only by :func:`ask_eval` and :func:`ask_cut`, which
+normalize, answer, and take what the answer revealed from the valuation
+(:meth:`~fairslice.valuation.Valuation.take_reveals`; an adversary
+session's newly labeled nodes).  The referee runs them after its player
+and budget checks; a session asked without a referee runs them through
+its ``answer_eval``/``answer_cut``.  So a query leaves one record, and
 :func:`replay_log` is the one replay loop: exact by default, or within a
 tolerance for float-valued trees.
 """
@@ -48,6 +53,25 @@ class QueryRecord(NamedTuple):
             "args": [encode_real(a) for a in self.args],
             "answer": encode_real(self.answer),
         }
+
+
+def ask_eval(valuation: Valuation, player: int, x: ScalarLike, y: ScalarLike) -> QueryRecord:
+    """Normalize an eval query's arguments, ask ``valuation``, and return
+    the query's record with what the answer revealed.  Counts nothing."""
+    # as_scalar, skipped for the Fractions protocols pass
+    x = x if isinstance(x, Fraction) else as_scalar(x)
+    y = y if isinstance(y, Fraction) else as_scalar(y)
+    answer = valuation.eval(x, y)
+    return QueryRecord("eval", player, (x, y), answer, valuation.take_reveals())
+
+
+def ask_cut(valuation: Valuation, player: int, x: ScalarLike, r: Real) -> QueryRecord:
+    """:func:`ask_eval` for a cut query."""
+    x = x if isinstance(x, Fraction) else as_scalar(x)
+    if not isinstance(r, (Fraction, float)):
+        r = as_scalar(r)
+    answer = valuation.cut(x, r)
+    return QueryRecord("cut", player, (x, r), answer, valuation.take_reveals())
 
 
 class PlayerView:
@@ -117,24 +141,18 @@ class QueryReferee:
     def eval(self, player: int, x: ScalarLike, y: ScalarLike) -> Real:
         self._check_player(player)
         self._admit()
-        # as_scalar, skipped for the Fractions protocols pass
-        x = x if isinstance(x, Fraction) else as_scalar(x)
-        y = y if isinstance(y, Fraction) else as_scalar(y)
-        answer = self._valuations[player].eval(x, y)
+        rec = ask_eval(self._valuations[player], player, x, y)
         self.counts[player] += 1
-        self.log.append(QueryRecord("eval", player, (x, y), answer))
-        return answer
+        self.log.append(rec)
+        return rec.answer
 
     def cut(self, player: int, x: ScalarLike, r: Real) -> Optional[Real]:
         self._check_player(player)
         self._admit()
-        x = x if isinstance(x, Fraction) else as_scalar(x)
-        if not isinstance(r, (Fraction, float)):
-            r = as_scalar(r)
-        answer = self._valuations[player].cut(x, r)
+        rec = ask_cut(self._valuations[player], player, x, r)
         self.counts[player] += 1
-        self.log.append(QueryRecord("cut", player, (x, r), answer))
-        return answer
+        self.log.append(rec)
+        return rec.answer
 
     def log_lines(self) -> list[str]:
         """The query log as JSON-lines, one record per query in wall order."""

@@ -87,6 +87,11 @@ class Valuation(ABC):
         """True when every non-empty subinterval has positive value."""
         return False
 
+    def take_reveals(self) -> tuple:
+        """What the last answer revealed, handed over once: the query
+        record's ``reveals``.  Only an adversary session reveals anything."""
+        return ()
+
     def value_of_piece(self, piece: Piece) -> Real:
         total: Real = ZERO
         for iv in piece.intervals:

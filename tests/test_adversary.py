@@ -454,17 +454,17 @@ class TestSerialization:
     @pytest.mark.parametrize("depth", [11, 60, 200])
     def test_transcript_matches_the_first_encoder(self, depth):
         session = AdversarySession(TreeParams.from_depth(depth))
-        session.eval(0, Fraction(1, 3))  # an endpoint at 0: the root is revealed
-        session.eval("2/9", 1)  # a "p/q" string, and an int endpoint at 1
-        session.eval(0, 1)
-        session.eval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 3**depth))  # a tiny mass
-        session.cut(Fraction(1, 9), 0)  # r = 0
-        session.cut(1, 0)
-        session.cut("1/3", 0.1)  # inexact float repr
-        session.cut(0, 1e-300)  # float repr with an exponent
-        session.cut(0, 1)  # int mass
-        session.cut(Fraction(2, 3), 1.5)  # over-full: no answer
-        session.cut("1/2", "3/4")
+        session.answer_eval(0, Fraction(1, 3))  # an endpoint at 0: the root is revealed
+        session.answer_eval("2/9", 1)  # a "p/q" string, and an int endpoint at 1
+        session.answer_eval(0, 1)
+        session.answer_eval(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 3**depth))  # a tiny mass
+        session.answer_cut(Fraction(1, 9), 0)  # r = 0
+        session.answer_cut(1, 0)
+        session.answer_cut("1/3", 0.1)  # inexact float repr
+        session.answer_cut(0, 1e-300)  # float repr with an exponent
+        session.answer_cut(0, 1)  # int mass
+        session.answer_cut(Fraction(2, 3), 1.5)  # over-full: no answer
+        session.answer_cut("1/2", "3/4")
         random_queries(session, 20, random.Random(depth))
         lines = session.transcript_lines()
         assert lines == oracles.transcript_lines_as_first_written(session)
@@ -600,16 +600,70 @@ def test_refutations_past_the_threshold_are_genuine(budget):
 
 def test_referee_over_sessions():
     # a session is a tree valuation, so a referee can hold sessions as
-    # players; the referee's counts and log agree with each session's own
+    # players; the referee's records carry every reveal each session made,
+    # in the order it made them
     sessions = [AdversarySession(P60) for _ in range(9)]
     referee = QueryReferee(sessions)
     allocation = even_paz(referee, "cake")
     for i, session in enumerate(sessions):
         assert referee.counts[i] == session.m
-        assert [rec.answer for rec in session.log] == [
-            rec.answer for rec in referee.log if rec.player == i
-        ]
+        reveals = [reveal for rec in referee.log if rec.player == i for reveal in rec.reveals]
+        assert reveals == list(session.revealed.items())
         assert session.max_revealed_heavy() <= 2 * session.m
     completions = [session.complete_labeling(seed=i) for i, session in enumerate(sessions)]
     assert replay_log(referee.log, completions, tol=1e-9)
     assert check_proportional(allocation, completions, "cake", tol=1e-9).ok
+
+
+class TestOneRecordPerQuery:
+    def test_a_game_keeps_one_record_per_query(self, monkeypatch):
+        made = []
+
+        class RecordedReferee(QueryReferee):
+            def __init__(self, valuations, budget=None):
+                super().__init__(valuations, budget)
+                made.append(self)
+
+        monkeypatch.setattr(adversary, "QueryReferee", RecordedReferee)
+        for name in STRATEGIES:
+            report = run_heavy_piece_game(P60, name, budget=4, seed=1)
+            referee = made.pop()
+            session = referee.valuation(0)
+            assert len(referee.log) == report.queries_used == session.m
+            assert sum(len(rec.reveals) for rec in referee.log) == len(session.revealed)
+            assert session.log == []
+
+    def test_answer_methods_log_what_a_referee_logs(self):
+        queries = [
+            ("eval", 0, Fraction(1, 3)),
+            ("eval", "2/9", 1),
+            ("cut", Fraction(1, 9), 0),
+            ("cut", "1/3", 0.1),
+            ("cut", 0, Fraction(1, 3)),
+            ("cut", Fraction(2, 3), 1.5),
+            ("cut", "1/2", "3/4"),
+        ]
+        rng = random.Random(5)
+        for _ in range(20):
+            a, b = sorted(Fraction(rng.randrange(0, GRID + 1), GRID) for _ in range(2))
+            queries.append(("eval", a, b) if rng.random() < 0.5 else ("cut", a, rng.random()))
+        standalone = AdversarySession(P60)
+        referee = QueryReferee([AdversarySession(P60)])
+        for kind, a, b in queries:
+            if kind == "eval":
+                assert standalone.answer_eval(a, b) == referee.eval(0, a, b)
+            else:
+                assert standalone.answer_cut(a, b) == referee.cut(0, a, b)
+        assert standalone.log == referee.log
+        assert any(rec.reveals for rec in referee.log)
+
+    def test_a_direct_query_leaves_no_reveals_behind(self):
+        session = AdversarySession(P60)
+        session.eval(0, Fraction(1, 3))  # asked without a referee: no record
+        before = dict(session.revealed)
+        assert before and session.log == []
+        session.answer_eval(Fraction(1, 9), Fraction(7, 9))
+        [rec] = session.log
+        assert rec.reveals
+        assert list(rec.reveals) == [item for item in session.revealed.items() if item[0] not in before]
+        assert session.m == 2

@@ -2,8 +2,9 @@
 ``InvalidInput``.
 
 A query with such an argument is refused before it is answered: no
-referee counts or logs it, a session neither logs it nor reveals a node,
-and a dual issues no base query for it.  Step, dual and tree valuations
+referee counts or logs it, a session neither logs it nor reveals a node
+(asked through a referee or through ``answer_eval``/``answer_cut``), and a
+dual issues no base query for it.  Step, dual and tree valuations
 share one range check, and refuse a position just outside [0, 1], or an
 eval range reversed by 1/10**40, with the same message.
 """
@@ -75,6 +76,33 @@ def test_refused_before_it_is_counted(kind, query, bad):
     assert top.counts == [1] and top.log[0].kind == "eval"
     if isinstance(valuation, AdversarySession):
         assert valuation.m == 1
+
+
+class _AnsweringSession:
+    """A session with no referee, asked through ``answer_eval``/``answer_cut``
+    in the referee's call shape, so :data:`QUERIES` can ask it."""
+
+    def __init__(self, session):
+        self.session = session
+
+    def eval(self, player, x, y):
+        return self.session.answer_eval(x, y)
+
+    def cut(self, player, x, r):
+        return self.session.answer_cut(x, r)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_refused_by_a_session_without_a_referee(query, bad):
+    session = AdversarySession(TreeParams.from_depth(60))
+    with pytest.raises(InvalidInput):
+        QUERIES[query](_AnsweringSession(session), bad)
+    assert session.m == 0 and not session.log and not session.revealed
+    # the next query is the first one, and its record holds only its reveals
+    session.answer_eval(0, Fraction(1, 2))
+    assert session.m == 1 and session.log[0].kind == "eval"
+    assert len(session.log[0].reveals) == len(session.revealed)
 
 
 TINY = Fraction(1, 10**30)

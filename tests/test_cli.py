@@ -91,6 +91,22 @@ def test_divide_reports_json_syntax_position(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_divide_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    vfile = tmp_path / "utf16.json"
+    vfile.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "divide", "--valuations", str(vfile))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
+def test_divide_rejects_an_unwritable_out_file(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "divide", "--n", "2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: cannot write ")
+    assert not out.parent.exists()
+
+
 def test_reduce_meets_certificate_floor(capsys):
     code, out, _ = run_cli(capsys, "reduce", "--n", "9", "--seed", "3")
     assert code == 0

@@ -104,8 +104,8 @@ def completion_for(depth: int, seed: int):
 
 
 SESSION_DIGESTS = {
-    (60, 1): "94aba8720445cc865fe5aa109159f9ece9100d3852ff10ee5c9083ceae5575ce",
-    (60, 2): "603bd57cff0d397b2d81c474951f4057bac76ed32221c0018e55a75c889b3446",
+    (60, 1): "4e1f0a27336832e1a4669f3656d4fcba31602f8601137ae6da094eb3b3ab58e6",
+    (60, 2): "ac536f513abd1849dba555d9df507255069bab25ba1daa1ea3a5a251ae0dbbdc",
     (200, 3): "e245b7616513869b98d9c34a4d41cda12dae9e880a7926f9a06dabb70efc8411",
 }
 
