@@ -64,6 +64,7 @@ from .valuetree import (
     TreeParams,
     _HEAVY_AT,
     _STEP,
+    _index_path,
     _leaf_range,
     _node_key,
     index_path,
@@ -123,8 +124,8 @@ class AdversarySession(TernaryTreeValuation):
         return self._reveal(path, sig, _HEAVY_AT[1 if digit == 0 else 0])
 
     def _descent_labels(self, path, sig, remaining):
-        # gamma > beta/3, phrased exactly like the descent's child test
-        heavy_at = 0 if sig.value * self.params.heavy_label < remaining else 2
+        # gamma > beta/3, on the very heavy-child mass the descent compares
+        heavy_at = 0 if sig.table(_HEAVY_AT[0]).mass0 < remaining else 2
         return self._reveal(path, sig, _HEAVY_AT[heavy_at])
 
     def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
@@ -153,6 +154,11 @@ class AdversarySession(TernaryTreeValuation):
         # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
         self._walk(leaf_path(t, self.params.depth))
         return float(t)
+
+    def _prefix_node(self, index: int, rem: int) -> bytes:
+        # a session reveals an endpoint's whole leaf path, even where the
+        # walk could stop at the node the endpoint starts
+        return _index_path(index, self.params.depth)
 
     # -- queries ----------------------------------------------------------
 

@@ -34,16 +34,25 @@ about the same point again (Even-Paz evaluates a block's left end, then cuts fro
 That is sound because a node's labels never change once read: hashed and
 completed labels are functions of the path, and a session binds every node
 a walk reveals, so a second walk to the same point would return the same
-float.
+float.  A prefix walk goes down t's leaf path, except that a t on the
+leaf grid (``t * 3**depth`` an integer) stops at the largest node t is the
+left end of, whose path is the leaf path without its trailing 0 digits:
+a digit-0 level adds no mass, so the float is the full walk's.  A
+coarse position like ``k / 3**9`` thus walks at most 9 levels.  An
+adversary session still walks, and reveals, the whole leaf path.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, log constants, the density tests, the adversary's query threshold,
 and the root :class:`Signature` (a node's edge counts, criticality and
-value).  Every walk moves to a child by :meth:`Signature.step`, the one
-per-edge rule, and every tree, completion and session of one size shares
-its signatures.  Node values are per signature, so no walk multiplies
-values down a path; prefix masses stay per path, in path order.  A hashed
-tree copies one keyed blake2b state per node label.
+value).  :meth:`Signature.step` is the one per-edge rule: it makes every
+child signature, and every tree, completion and session of one size
+shares its signatures.  A walk reads a node's children from the
+:class:`ChildTable` its signature keeps for the node's label kinds: the
+masses ``value * label`` of children 0 and 1 and the three child
+signatures, built once per (signature, kinds) from ``step``.  Node values
+are per signature, so no walk multiplies values down a path; a prefix
+mass adds the stored masses of the left siblings one at a time, in path
+order.  A hashed tree copies one keyed blake2b state per node label.
 
 Answers are floats, but every criticality and richness verdict is exact
 and every node value is correctly rounded: both come from the rational
@@ -212,6 +221,18 @@ class TreeParams:
         return "rich" if self.rich_counts(h, q) else "neither"
 
 
+class ChildTable(NamedTuple):
+    """One node's children under one label-kind triple, as the walks read
+    them: the masses ``value * label`` of children 0 and 1, and the three
+    child signatures."""
+
+    mass0: float
+    mass1: float
+    sig0: "Signature"
+    sig1: "Signature"
+    sig2: "Signature"
+
+
 class Signature:
     """What the edge kinds on a node's root path fix: its ``h`` heavy, ``q``
     light and ``z`` 1/3 edges, whether it is critical (inherited, or else
@@ -219,16 +240,19 @@ class Signature:
     ``H^h * L^q * T^z``.  Interned per tree size by the first four -- a
     session may reveal ordinary labels below a critical node, so equal
     counts can differ in the flag -- and reached from
-    :attr:`TreeParams.root`; ``children`` holds the steps taken so far.
+    :attr:`TreeParams.root`; ``children`` holds the steps taken so far, and
+    ``tables`` the :class:`ChildTable` of each label-kind triple a walk has
+    read here (at most four: three heavy placements and the thirds).
     """
 
-    __slots__ = ("h", "q", "z", "critical", "value", "children", "_params", "_interned", "_own")
+    __slots__ = ("h", "q", "z", "critical", "value", "children", "tables", "_params", "_interned", "_own")
 
     def __init__(self, params: TreeParams, h: int, q: int, z: int, critical: bool, interned: dict):
         self.h, self.q, self.z, self.critical = h, q, z, critical
         m, s = params._scaled_density(h, q)  # (3H)^h * (3L)^q == m / 2^s, exactly
         self.value = m / (3 ** (h + q + z) << s)
         self.children: dict[str, Signature] = {}
+        self.tables: dict[tuple[str, str, str], ChildTable] = {}
         self._params, self._interned = params, interned
         self._own: Optional[bool] = None
         interned[h, q, z, critical] = self
@@ -262,6 +286,20 @@ class Signature:
             child = self._interned.get(key) or Signature(self._params, *key, self._interned)
             self.children[kind] = child
         return child
+
+    def table(self, kinds: tuple[str, str, str]) -> ChildTable:
+        """The :class:`ChildTable` of this node labeled ``kinds``, built on
+        first use: each child mass is the one product ``value * label`` a
+        walk would form, and each child comes from :meth:`step`."""
+        table = self.tables.get(kinds)
+        if table is None:
+            label_of, value = self._params.label_values, self.value
+            table = self.tables[kinds] = ChildTable(
+                value * label_of[kinds[0]],
+                value * label_of[kinds[1]],
+                *map(self.step, kinds),
+            )
+        return table
 
 
 #: root signature of each tree size.  Keyed by the params value, so params
@@ -398,10 +436,10 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def _walk(self, node: bytes, visit=None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``; the mass
-        sums ``sig.value`` times each left sibling's label, level by level.
+        adds, level by level, the stored masses of the left siblings from
+        the node's :class:`ChildTable`, child 0 before child 1.
         ``visit(path, sig)``, when given, sees every node passed after the
         walk has read its labels."""
-        label_of = self.params.label_values
         sig = self.params.root
         mass = 0.0
         for i, c in enumerate(node):
@@ -409,40 +447,48 @@ class TernaryTreeValuation(Valuation, ABC):
             kinds = self._path_labels(path, sig, c)
             if visit is not None:
                 visit(path, sig)
-            for j in range(c):
-                mass += sig.value * label_of[kinds[j]]
-            sig = sig.step(kinds[c])
+            # sig.table(kinds) with the lookup inlined, as it runs at every
+            # level; entries by index
+            table = sig.tables.get(kinds) or sig.table(kinds)
+            if c:
+                mass += table[0]
+                if c == 2:
+                    mass += table[1]
+            sig = table[2 + c]
         return mass, sig
 
     def _descend(self, target: float) -> float:
         """Leftmost point whose prefix mass is ``target``.
 
-        Tracks the remaining mass incrementally; the child test
-        ``sig.value * label >= remaining`` is the only comparison, so a lazy
-        labeling that decides a node by the same product routes the descent
-        exactly where it intends.  The answer is ``index / n + (1 / n) *
-        within`` for the chosen leaf ``index``: int true division rounds
-        correctly, so this is the float of the leaf's exact left end plus
-        its width times the fraction ``within``.
+        Tracks the remaining mass incrementally; the test of a child's
+        stored mass ``value * label >= remaining`` (from the node's
+        :class:`ChildTable`) is the only comparison, so a lazy labeling that
+        decides a node by the same stored mass routes the descent exactly
+        where it intends.  It always walks the full depth.  The answer is
+        ``index / n + (1 / n) * within`` for the chosen leaf ``index``: int
+        true division rounds correctly, so this is the float of the leaf's
+        exact left end plus its width times the fraction ``within``.
         """
         params = self.params
-        label_of = params.label_values
         n = params.n
         sig = params.root
         remaining = target
         index = 0
-        path = bytearray()
+        path = b""
         for _ in range(params.depth):
-            kinds = self._descent_labels(bytes(path), sig, remaining)
-            chosen = 2
-            for c in (0, 1):
-                child_mass = sig.value * label_of[kinds[c]]
-                if child_mass >= remaining:
-                    chosen = c
-                    break
-                remaining -= child_mass
-            sig = sig.step(kinds[chosen])
-            path.append(chosen)
+            kinds = self._descent_labels(path, sig, remaining)
+            table = sig.tables.get(kinds) or sig.table(kinds)  # as in _walk
+            if table[0] >= remaining:
+                chosen = 0
+            else:
+                remaining -= table[0]
+                if table[1] >= remaining:
+                    chosen = 1
+                else:
+                    remaining -= table[1]
+                    chosen = 2
+            sig = table[2 + chosen]
+            path += _STEP[chosen]
             index = index * 3 + chosen
         within = min(max(remaining / sig.value, 0.0), 1.0) if sig.value > 0 else 0.0
         return index / n + (1 / n) * within
@@ -470,8 +516,9 @@ class TernaryTreeValuation(Valuation, ABC):
         return True  # all edge labels are positive
 
     def _prefix(self, t: Fraction) -> float:
-        """Mass of [0, t], walked along the root path of t's leaf the first
-        time t is asked for."""
+        """Mass of [0, t], walked the first time t is asked for: the prefix
+        mass of the node :meth:`_prefix_node` picks, plus the part of t's
+        leaf cell left of t (nothing when t starts that node)."""
         num, den = t.numerator, t.denominator
         if num <= 0:
             return 0.0
@@ -482,10 +529,20 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, sig = self._walk(_index_path(index, self.params.depth))
+            mass, sig = self._walk(self._prefix_node(index, rem))
             mass += sig.value * (rem / den)
             self._masses[num, den] = mass
         return mass
+
+    def _prefix_node(self, index: int, rem: int) -> bytes:
+        """Path of the node a prefix walk ends at, for a position ``rem /
+        den`` of the way into leaf cell ``index``: the leaf, or, for the
+        left end of the leaf (``rem == 0``), the largest node that position
+        starts -- the leaf path without its trailing 0 digits.  Both walks
+        give the same float: a digit-0 level adds no mass, and the term
+        after the walk is ``sig.value * 0.0`` either way."""
+        path = _index_path(index, self.params.depth)
+        return path if rem else path.rstrip(b"\x00")
 
     def eval(self, x, y) -> float:
         x, y = unit_span(x, y, EVAL_RANGE)

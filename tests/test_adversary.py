@@ -172,6 +172,17 @@ class TestInvariants:
             assert sorted(kinds) == [HEAVY, LIGHT, LIGHT]
             prefix += bytes((digit,))
 
+    def test_grid_endpoints_reveal_their_whole_leaf_paths(self):
+        """1/3 and 2/3 start nodes at depth 1, where a tree's prefix walk
+        stops; a session still reveals every node on both leaf paths."""
+        session = AdversarySession(P60)
+        x, y = Fraction(1, 3), Fraction(2, 3)
+        session.eval(x, y)
+        prefixes = {leaf[:i] for leaf in (leaf_path(x, 60), leaf_path(y, 60)) for i in range(60)}
+        assert len(prefixes) == 1 + 2 * 59  # the two paths share only the root
+        assert set(session.revealed) == prefixes
+        assert [reveal.path for reveal in session.take_reveals()] == list(session.revealed)
+
 
 class TestOracles:
     """The session keeps its heavy-edge maximum and critical nodes as it

@@ -1,9 +1,11 @@
-"""Properties of the shared mass descent on hashed trees and completions.
+"""Properties of the shared walks on hashed trees and completions.
 
 ``cut`` answers through the descent and ``eval`` through the path walk, so
 ``eval(x, cut(x, r))`` must give back ``r``, and ``cut`` must be monotone
 in ``r``.  Both run on a hashed tree and on a completion of a driven
-adversary session, at depth 11 and at depth 60.
+adversary session, at depth 11 and at depth 60.  A prefix walk to a
+position on the leaf grid stops at the node the position starts; its mass
+must be the full leaf walk's, float for float, at depths 11, 60 and 200.
 """
 
 import random
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.adversary import AdversarySession
-from fairslice.valuetree import BalancedValueTree, TreeParams
+from fairslice.valuetree import BalancedValueTree, TreeParams, index_path, leaf_path
 
 
 def completed_tree(depth: int, seed: int):
@@ -81,6 +83,89 @@ def test_cut_is_monotone_in_mass(name):
         answers = [tree.cut(x, available * s) for s in sorted(shares)]
         assert all(a is not None for a in answers)
         assert answers == sorted(answers)
+
+    check()
+
+
+BOUNDARY_TREES = {
+    **TREES,
+    "hashed-200": BalancedValueTree(TreeParams.from_depth(200), seed=9),
+    "completed-200": completed_tree(200, seed=10),
+}
+
+
+def full_leaf_walk(tree, t: Fraction) -> float:
+    """The prefix mass of t by the walk down t's whole leaf path, plus the
+    share of the leaf cell left of t."""
+    n = tree.params.n
+    index, rem = divmod(t.numerator * n, t.denominator)
+    mass, sig = tree._walk(index_path(index, tree.params.depth))
+    return mass + sig.value * (rem / t.denominator)
+
+
+def fresh_prefix(tree, t: Fraction) -> float:
+    """``tree._prefix(t)`` walked now, not read from the tree's memo."""
+    tree._masses.clear()
+    return tree._prefix(t)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_TREES))
+def test_grid_positions_walk_to_the_node_they_start(name):
+    """t = k / 3^j is the left end of a node at depth j (fewer when k has
+    trailing zero digits); the walk stops there and gets the full leaf
+    walk's mass with ``==``."""
+    tree = BOUNDARY_TREES[name]
+    depth = tree.params.depth
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        j=st.integers(0, depth),
+        k=st.integers(0, 3**depth),
+        zeros=st.integers(0, 4),
+    )
+    @example(j=depth, k=3**depth - 1, zeros=0)
+    @example(j=0, k=1, zeros=0)
+    @example(j=1, k=1, zeros=0)
+    @example(j=depth, k=2, zeros=3)
+    def check(j, k, zeros):
+        zeros = min(zeros, j)
+        t = Fraction(k % (3 ** (j - zeros) + 1) * 3**zeros, 3**j)
+        if t in (0, 1):
+            # the ends walk nothing
+            assert fresh_prefix(tree, t) == float(t)
+            return
+        assert fresh_prefix(tree, t) == full_leaf_walk(tree, t)
+        # t in lowest terms, a / 3^r, starts a node at depth r exactly
+        node = tree._prefix_node(t.numerator * tree.params.n // t.denominator, 0)
+        assert 3 ** len(node) == t.denominator
+        assert node == leaf_path(t, depth)[: len(node)]
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_TREES))
+def test_positions_inside_a_leaf_walk_the_whole_leaf_path(name):
+    """Off the leaf grid the walk goes down the whole leaf path, trailing
+    zero digits included, and adds its share of the leaf."""
+    tree = BOUNDARY_TREES[name]
+    depth, n = tree.params.depth, tree.params.n
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.one_of(
+            st.integers(0, n - 1),
+            # leaves whose paths end in at least depth - 5 zero digits
+            st.integers(0, 3**5 - 1).map(lambda i: i * 3 ** (depth - 5)),
+        ),
+        num=st.integers(1, 10**6),
+        gap=st.integers(1, 10**6),
+    )
+    @example(index=0, num=1, gap=1)
+    @example(index=3**4, num=1, gap=2)
+    def check(index, num, gap):
+        t = (index + Fraction(num, num + gap)) / n
+        assert fresh_prefix(tree, t) == full_leaf_walk(tree, t)
+        assert tree._prefix_node(index, 1) == index_path(index, depth)
 
     check()
 

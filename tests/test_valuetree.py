@@ -304,6 +304,35 @@ class TestSignatures:
                 assert sig.value == float(exact), (sig.h, sig.q, sig.z)
         assert len(seen) > depth
 
+    @pytest.mark.parametrize("depth", [11, 60, 200])
+    def test_child_tables_hold_the_walks_products_and_steps(self, depth):
+        """Every child table on a signature reachable from the root, after
+        path walks and descents on a hashed tree and a session, holds
+        ``value * label`` for children 0 and 1 and :meth:`Signature.step`
+        for all three."""
+        params = TreeParams(depth)
+        tree = BalancedValueTree(params, seed=depth + 2)
+        session = AdversarySession(params)
+        rng = random.Random(depth)
+        for _ in range(100):
+            tree.node(index_path(rng.randrange(params.n), depth))
+            tree.cut(0, rng.random())
+        for _ in range(10):
+            session.answer_eval(0, Fraction(rng.randrange(3**9 + 1), 3**9))
+            session.answer_cut(Fraction(rng.randrange(3**9 + 1), 3**9), rng.random())
+        label_of = params.label_values
+        tables, seen, stack = 0, set(), [params.root]
+        while stack:
+            sig = stack.pop()
+            if id(sig) not in seen:
+                seen.add(id(sig))
+                stack.extend(sig.children.values())
+                for kinds, table in sig.tables.items():
+                    tables += 1
+                    assert [table.mass0, table.mass1] == [sig.value * label_of[k] for k in kinds[:2]]
+                    assert all(child is sig.step(k) for child, k in zip(table[2:], kinds))
+        assert tables > depth
+
     @pytest.mark.parametrize("depth", [11, 60])
     def test_leaf_value_is_the_rounded_exact_label_product(self, depth):
         """``node(path).value`` at a random leaf is the float of the exact
