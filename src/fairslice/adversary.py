@@ -26,16 +26,18 @@ session builds no query record: the referee module's
 reveals its answer made, for the referee's log in a game, or for the
 session's own :attr:`AdversarySession.log` when it is asked through
 ``answer_eval``/``answer_cut``.  A completion keeps every revealed label,
-so it replays those records exactly.  Only ``eval`` and ``cut`` reveal:
+so it replays those records exactly.  Only ``eval`` and ``cut`` reveal,
+by construction, as only a query's walks read the revealing label hooks:
 the node lookups a session inherits (``node``, ``classify_leaf``,
-``iter_nodes``) read revealed nodes and raise
+``iter_nodes``) and ``verify_labeling`` read revealed nodes and raise
 :class:`PreconditionViolation` at an unrevealed one; an internal node must
 be revealed itself, a leaf needs its parent revealed.
 
-Revealed labels are kept in :attr:`AdversarySession.revealed`, a dict
-keyed by node-path bytes, the one path form of :mod:`.valuetree`.  A node
-is revealed only after its parent, which the session checks as it
-reveals.
+Revealed labels are kept, in reveal order, in
+:attr:`AdversarySession.revealed`, a dict keyed by node-path bytes, the one
+path form of :mod:`.valuetree`; a query's reveals are the ``(path, kinds)``
+items it added.  A node is revealed only after its parent, which the
+session checks as it reveals.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -48,8 +50,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import starmap
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from itertools import islice, starmap
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
@@ -74,22 +76,15 @@ from .valuetree import (
 Kinds = tuple[str, str, str]
 
 
-class Reveal(NamedTuple):
-    """One newly revealed node: its path bytes and the three child-edge kinds."""
-
-    path: bytes
-    kinds: Kinds
-
-
 class AdversarySession(TernaryTreeValuation):
     """Lazy adversarial valuation with partially revealed edge labels.
 
     Revealed labels are binding, and a walk reveals any other node it
     reaches by the module's rule for its step -- an eval endpoint's path
-    walk, or a cut answer's mass descent.  Each ``eval``/``cut`` keeps the
-    reveals it made until :meth:`take_reveals` hands them to the query's
-    record.  Outside them a walk that reaches an unrevealed node raises
-    :class:`PreconditionViolation`.
+    walk, or a cut answer's mass descent.  :meth:`take_reveals` hands the
+    reveals of the last ``eval``/``cut`` to the query's record.  Any other
+    walk reads revealed labels only, and raises
+    :class:`PreconditionViolation` at an unrevealed node.
     """
 
     def __init__(self, params: TreeParams):
@@ -101,8 +96,7 @@ class AdversarySession(TernaryTreeValuation):
         self.log: list[QueryRecord] = []
         #: max_revealed_heavy() after each answered query
         self.heavy_trace: list[int] = []
-        self._answering = False  # inside eval/cut: walks may reveal
-        self._pending: list[Reveal] = []  # the last answer's reveals, until taken
+        self._taken = 0  # len(revealed) when the last answer began, or its reveals were taken
         self._heavy = 0  # most revealed heavy edges on a root path
         self._critical: list[bytes] = []  # revealed critical nodes
         self._orphans = 0  # revealed nodes whose parent was not revealed
@@ -114,14 +108,16 @@ class AdversarySession(TernaryTreeValuation):
 
     # -- labels: revealed, or revealed now --------------------------------
 
-    def _labels(self, path, sig):
+    def _labels(self, path, sig, step=None):
         kinds = self.revealed.get(path)
         if kinds is None:
-            raise _not_revealed(path)
+            raise PreconditionViolation(
+                f"node {tuple(path)} is not revealed; only eval and cut reveal nodes"
+            )
         return kinds
 
-    def _path_labels(self, path, sig, digit):
-        return self._reveal(path, sig, _HEAVY_AT[1 if digit == 0 else 0])
+    def _path_labels(self, path, sig, step=None):
+        return self._reveal(path, sig, _HEAVY_AT[1 if step == 0 else 0])
 
     def _descent_labels(self, path, sig, remaining):
         # gamma > beta/3, on the very heavy-child mass the descent compares
@@ -130,16 +126,13 @@ class AdversarySession(TernaryTreeValuation):
 
     def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
         """The binding labels at ``path``: those revealed before, or else
-        ``kinds``, revealed now if a query is being answered."""
+        ``kinds``, revealed now.  Only a query's walks read labels here."""
         known = self.revealed.get(path)
         if known is not None:
             return known
-        if not self._answering:
-            raise _not_revealed(path)
         if path and path[:-1] not in self.revealed:
             self._orphans += 1
         self.revealed[path] = kinds
-        self._pending.append(Reveal(path, kinds))
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
         self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
@@ -151,8 +144,11 @@ class AdversarySession(TernaryTreeValuation):
     def _prefix(self, t: Fraction) -> float:
         if 0 < t.numerator < t.denominator:
             return super()._prefix(t)
-        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly t)
-        self._walk(leaf_path(t, self.params.depth))
+        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly
+        # t), on its first walk; the memo keeps the ends walked
+        if (t.numerator, t.denominator) not in self._masses:
+            self._walk(leaf_path(t, self.params.depth), self._path_labels)
+            self._masses[t.numerator, t.denominator] = float(t)
         return float(t)
 
     def _prefix_node(self, index: int, rem: int) -> bytes:
@@ -164,12 +160,8 @@ class AdversarySession(TernaryTreeValuation):
 
     def _answer(self, query, x, arg) -> Optional[float]:
         # reveals a query left untaken go, so they never reach a later record
-        self._pending = []
-        self._answering = True
-        try:
-            answer = query(self, x, arg)
-        finally:
-            self._answering = False
+        self._taken = len(self.revealed)
+        answer = query(self, x, arg)
         self.heavy_trace.append(self._heavy)
         return answer
 
@@ -179,10 +171,13 @@ class AdversarySession(TernaryTreeValuation):
     def cut(self, x, r) -> Optional[float]:
         return self._answer(TernaryTreeValuation.cut, x, r)
 
-    def take_reveals(self) -> tuple[Reveal, ...]:
-        """The nodes the last ``eval``/``cut`` revealed, handed over once."""
-        reveals, self._pending = tuple(self._pending), []
-        return reveals
+    def take_reveals(self) -> tuple[tuple[bytes, Kinds], ...]:
+        """The ``(path, kinds)`` pairs the last ``eval``/``cut`` added to
+        :attr:`revealed`, in order, handed over once; read from the end, in
+        time proportional to their number."""
+        revealed = self.revealed
+        new, self._taken = len(revealed) - self._taken, len(revealed)
+        return tuple(islice(reversed(revealed.items()), new))[::-1]
 
     # -- a session asked without a referee --------------------------------
 
@@ -313,12 +308,6 @@ def _reveal_json(path: bytes, kinds: Kinds) -> str:
     # replacing "" puts a comma between every two digits and at both ends
     digits = path.translate(_DIGITS).decode().replace("", ",")[1:-1]
     return f'{{"path":[{digits}],"labels":{_LABELS_JSON[kinds]}}}'
-
-
-def _not_revealed(path: bytes) -> PreconditionViolation:
-    return PreconditionViolation(
-        f"node {tuple(path)} is not revealed; only eval and cut reveal nodes"
-    )
 
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[bytes]:

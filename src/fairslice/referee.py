@@ -17,12 +17,12 @@ Counting rules:
 
 Records are built only by :func:`ask_eval` and :func:`ask_cut`, which
 normalize, answer, and take what the answer revealed from the valuation
-(:meth:`~fairslice.valuation.Valuation.take_reveals`; an adversary
-session's newly labeled nodes).  The referee runs them after its player
-and budget checks; a session asked without a referee runs them through
-its ``answer_eval``/``answer_cut``.  So a query leaves one record, and
-:func:`replay_log` is the one replay loop: exact by default, or within a
-tolerance for float-valued trees.
+(:meth:`~fairslice.valuation.Valuation.take_reveals`; the ``(path,
+kinds)`` pairs an adversary session newly labeled).  The referee runs
+them after its player and budget checks; a session asked without a
+referee runs them through its ``answer_eval``/``answer_cut``.  So a
+query leaves one record, and :func:`replay_log` is the one replay loop:
+exact by default, or within a tolerance for float-valued trees.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .valuation import Real, Valuation, encode_real
 
 class QueryRecord(NamedTuple):
     """One logged query; ``answer`` is ``None`` for a cut with no answer, and
-    ``reveals`` lists the nodes an adversary session labeled to answer it."""
+    ``reveals`` lists the ``(path, kinds)`` pairs of the nodes an adversary
+    session labeled to answer it, in reveal order."""
 
     kind: str  # "eval" | "cut"
     player: int

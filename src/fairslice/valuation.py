@@ -89,7 +89,8 @@ class Valuation(ABC):
 
     def take_reveals(self) -> tuple:
         """What the last answer revealed, handed over once: the query
-        record's ``reveals``.  Only an adversary session reveals anything."""
+        record's ``reveals``, ``(path, kinds)`` pairs.  Only an adversary
+        session reveals anything."""
         return ()
 
     def value_of_piece(self, piece: Piece) -> Real:

@@ -17,10 +17,11 @@ criticality) when its path carries more than ``ln(n)/6 - 1`` heavy edges.
 That threshold is what the adversary module exploits.
 
 The node lookup, prefix masses, eval and cut all come from two walks of
-:class:`TernaryTreeValuation`: a path walk along known digits and a descent
-to a target prefix mass.  Hashed trees, completions and the adversary
-session differ only in their label source, so on shared labels they give
-the same floats by construction.
+:class:`TernaryTreeValuation`: a path walk along known digits, reading
+labels through the reader its caller hands it, and a descent to a target
+prefix mass.  Hashed trees, completions and the adversary session differ
+only in their label source, so on shared labels they give the same floats
+by construction.
 
 A node path is the ``bytes`` of its base-3 digits, one byte per digit
 (the root is ``b""``), in and out: one object is the dict key and the
@@ -403,12 +404,14 @@ class TernaryTreeValuation(Valuation, ABC):
     Subclasses decide the label kinds of a node's child edges via
     :meth:`_labels`, from its path and :class:`Signature`; everything else
     (the per-node lookup :meth:`node`, prefix masses, query answering) is
-    derived here from two walks: :meth:`_walk` follows a known node path
-    and :meth:`_descend` a target prefix mass.  Each reads labels through
-    a hook that also gets the walk's step: fixed labelings alias both to
-    :meth:`_labels`, and the session decides unrevealed nodes from it.  The
-    public methods check a path once with :func:`_node_key`; the walks and
-    their hooks pass paths the walks made themselves, unchecked.
+    derived here from two walks: :meth:`_walk` follows a known node path,
+    reading the labels its caller hands it (:meth:`_path_labels` for a
+    query, the read-only :meth:`_labels` for :meth:`node`, a checker for
+    :func:`verify_labeling`), and :meth:`_descend` a target prefix mass,
+    reading :meth:`_descent_labels`.  Fixed labelings alias both query
+    hooks to :meth:`_labels`.  The public methods check a path once with
+    :func:`_node_key`; the walks and their readers pass paths the walks
+    made themselves, unchecked.
     """
 
     def __init__(self, params: TreeParams):
@@ -419,14 +422,15 @@ class TernaryTreeValuation(Valuation, ABC):
     # -- labeling ----------------------------------------------------------
 
     @abstractmethod
-    def _labels(self, path: bytes, sig: Signature) -> tuple[str, str, str]:
+    def _labels(self, path: bytes, sig: Signature, step=None) -> tuple[str, str, str]:
         """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
         node at ``path``, whose :class:`Signature` is ``sig``: the label
-        source."""
+        source, read-only; a path walk's ``step`` is ignored."""
 
     @abstractmethod
-    def _path_labels(self, path: bytes, sig: Signature, digit: int) -> tuple[str, str, str]:
-        """Labels a path walk reads at ``path`` before stepping to ``digit``."""
+    def _path_labels(self, path: bytes, sig: Signature, step=None) -> tuple[str, str, str]:
+        """Labels a query's prefix walk reads at ``path`` before stepping
+        to child ``step``."""
 
     @abstractmethod
     def _descent_labels(self, path: bytes, sig: Signature, remaining: float) -> tuple[str, str, str]:
@@ -434,19 +438,15 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- the two walks -------------------------------------------------------
 
-    def _walk(self, node: bytes, visit=None) -> tuple[float, Signature]:
-        """(prefix mass, signature) of the node at path ``node``; the mass
+    def _walk(self, node: bytes, labels) -> tuple[float, Signature]:
+        """(prefix mass, signature) of the node at path ``node``, reading
+        each node passed through ``labels(path, sig, step)``; the mass
         adds, level by level, the stored masses of the left siblings from
-        the node's :class:`ChildTable`, child 0 before child 1.
-        ``visit(path, sig)``, when given, sees every node passed after the
-        walk has read its labels."""
+        the node's :class:`ChildTable`, child 0 before child 1."""
         sig = self.params.root
         mass = 0.0
         for i, c in enumerate(node):
-            path = node[:i]
-            kinds = self._path_labels(path, sig, c)
-            if visit is not None:
-                visit(path, sig)
+            kinds = labels(node[:i], sig, c)
             # sig.table(kinds) with the lookup inlined, as it runs at every
             # level; entries by index
             table = sig.tables.get(kinds) or sig.table(kinds)
@@ -495,9 +495,10 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def node(self, path: bytes) -> NodeVisit:
         """The node at ``path``, as :meth:`iter_nodes` would yield it: one
-        path walk, plus the node's own labels unless it is a leaf."""
+        path walk reading :meth:`_labels`, plus the node's own labels unless
+        it is a leaf."""
         node = _node_key(path, self.params.depth)
-        _, sig = self._walk(node)
+        _, sig = self._walk(node, self._labels)
         kinds = None if len(node) == self.params.depth else self._labels(node, sig)
         return NodeVisit(len(node), sig.h, sig.q, sig.z, sig.critical, sig.value, kinds)
 
@@ -529,7 +530,7 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, sig = self._walk(self._prefix_node(index, rem))
+            mass, sig = self._walk(self._prefix_node(index, rem), self._path_labels)
             mass += sig.value * (rem / den)
             self._masses[num, den] = mass
         return mass
@@ -578,7 +579,8 @@ class TernaryTreeValuation(Valuation, ABC):
             kinds = None if depth == params.depth else self._labels(path, sig)
             yield NodeVisit(depth, sig.h, sig.q, sig.z, sig.critical, sig.value, kinds)
             if kinds is not None:
-                stack.extend((path + _STEP[c], sig.step(kinds[c])) for c in (2, 1, 0))
+                table = sig.table(kinds)
+                stack.extend((path + _STEP[c], table[2 + c]) for c in (2, 1, 0))
 
     def max_leaf_density(self) -> float:
         """Maximum leaf density; for a tree of uniform leaves this bounds the
@@ -731,6 +733,7 @@ def verify_labeling(
     two light edges.  Raises InvalidInput on the first violation; returns the
     number of nodes checked.  (Exhaustive verification is impossible for
     astronomically large trees; callers choose the paths that matter.)
+    An adversary session's unrevealed node raises PreconditionViolation.
     """
     params = source.params
     rng = random.Random(sample_seed)
@@ -740,9 +743,9 @@ def verify_labeling(
 
     label_of = params.label_values
 
-    def check(path, sig):
-        # the label source's own kinds, checked first, so an unknown kind
-        # is a typed error
+    def check(path, sig, step=None):
+        # the walk's label reader: the label source's own kinds, checked
+        # before the walk uses them, so an unknown kind is a typed error
         kinds = source._labels(path, sig)
         if sig.critical:
             if kinds != (THIRD, THIRD, THIRD):
@@ -754,9 +757,10 @@ def verify_labeling(
         total = sum(label_of[k] for k in kinds)
         if abs(total - 1.0) > 1e-12:
             raise InvalidInput(f"labels at {tuple(path)} sum to {total}, not 1")
+        return kinds
 
     checked = 0
     for leaf in all_paths:
-        source._walk(leaf, visit=check)
+        source._walk(leaf, check)
         checked += len(leaf)
     return checked

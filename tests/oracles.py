@@ -341,6 +341,6 @@ def transcript_lines_as_first_written(session):
     for rec in session.log:
         obj = rec.to_json_obj()
         del obj["player"]
-        obj["reveals"] = [{"path": list(r.path), "labels": list(r.kinds)} for r in rec.reveals]
+        obj["reveals"] = [{"path": list(path), "labels": list(kinds)} for path, kinds in rec.reveals]
         lines.append(json.dumps(obj, separators=(",", ":")))
     return lines

@@ -52,6 +52,25 @@ class TestAnswers:
         assert abs(session.answer_eval(0, 1) - 1.0) < 1e-9
         assert session.m == 1
 
+    def test_endpoint_paths_are_walked_once(self):
+        """t = 0 and t = 1 are remembered after their first whole-leaf walk,
+        like any other position; the answers and records are those of a
+        session that forgets every walked position before each query."""
+        session, forgetful = AdversarySession(P60), AdversarySession(P60)
+        walked = []
+        walk = session._walk
+        session._walk = lambda node, *args: walked.append(node) or walk(node, *args)
+        for j in range(1, 11):
+            forgetful._masses.clear()
+            assert session.answer_cut(0, j / 11) == forgetful.answer_cut(0, j / 11)
+            forgetful._masses.clear()
+            y = Fraction(j, 3**j)
+            assert session.answer_eval(y, 1) == forgetful.answer_eval(y, 1)
+        assert walked.count(index_path(0, 60)) == 1
+        assert walked.count(index_path(P60.n - 1, 60)) == 1
+        assert session.log == forgetful.log
+        assert session.heavy_trace == forgetful.heavy_trace
+
     def test_repeat_query_same_answer_separate_billing(self):
         session = AdversarySession(P60)
         a = session.answer_eval(Fraction(1, 9), Fraction(5, 9))
@@ -181,7 +200,7 @@ class TestInvariants:
         prefixes = {leaf[:i] for leaf in (leaf_path(x, 60), leaf_path(y, 60)) for i in range(60)}
         assert len(prefixes) == 1 + 2 * 59  # the two paths share only the root
         assert set(session.revealed) == prefixes
-        assert [reveal.path for reveal in session.take_reveals()] == list(session.revealed)
+        assert [path for path, _ in session.take_reveals()] == list(session.revealed)
 
 
 class TestOracles:
@@ -267,7 +286,6 @@ class TestOracles:
         session.answer_eval(0, Fraction(1, 3))
         assert session.revealed_is_connected()
         # no walk reveals a node before its parent; force one past the walks
-        session._answering = True
         three_light = P60.root.step(LIGHT).step(LIGHT).step(LIGHT)  # h = 0, q = 3
         session._reveal(bytes((2, 2, 2)), three_light, (HEAVY, LIGHT, LIGHT))
         assert not oracles.revealed_is_connected(session.revealed)
@@ -311,6 +329,18 @@ class TestInspection:
             assert session.node(path) == completion.node(path)
         assert session.classify_leaf(leaf) == completion.classify_leaf(leaf)
         assert len(session.revealed) == revealed and session.m == 1
+
+    def test_verify_labeling_reads_revealed_paths_only(self):
+        session = AdversarySession(P60)
+        x = Fraction(11, 3**5)
+        session.eval(x, Fraction(1, 2))  # asked without a referee: its reveals wait untaken
+        revealed, m = list(session.revealed.items()), session.m
+        assert verify_labeling(session, [leaf_path(x, 60)], sample_count=0) == 60
+        assert b"\x02" not in session.revealed
+        with pytest.raises(PreconditionViolation):
+            verify_labeling(session, [b"\x02" * 60], sample_count=0)
+        assert list(session.revealed.items()) == revealed and session.m == m
+        assert session.take_reveals() == tuple(revealed)
 
     def test_unrevealed_child_of_a_revealed_node_is_refused(self):
         session = AdversarySession(P11)

@@ -99,7 +99,7 @@ def full_leaf_walk(tree, t: Fraction) -> float:
     share of the leaf cell left of t."""
     n = tree.params.n
     index, rem = divmod(t.numerator * n, t.denominator)
-    mass, sig = tree._walk(index_path(index, tree.params.depth))
+    mass, sig = tree._walk(index_path(index, tree.params.depth), tree._path_labels)
     return mass + sig.value * (rem / t.denominator)
 
 
