@@ -15,8 +15,11 @@ Each query therefore adds heavy edges to at most two root chains, so after
 m queries no root-to-leaf path holds more than 2m revealed heavy edges.
 While m is at most :attr:`TreeParams.threshold`, ``floor((ln(n)/6 - 1)/2)``,
 that is below the heavy-edge count a rich or critical leaf needs, and *any*
-claimed heavy piece can be refuted by completing the labeling with light
-edges along the claim's leaves and exhibiting the resulting low value.
+claimed heavy piece is refuted by one completion: the revealed labels, light
+edges along the claim's leaf paths, and the keyed-hash fill at seed 0.  The
+revealed labels and the claim alone fix it, so anyone can rebuild it, and
+the claim's value under it is summed exactly from its leaves' rational
+masses, so the verdict does not rest on a float that cancels at 3^60.
 
 The session is itself a tree valuation, answering through the walks that
 hashed trees and completions use with a label source that reveals nodes as
@@ -67,8 +70,8 @@ from .valuetree import (
     _HEAVY_AT,
     _STEP,
     _index_path,
-    _leaf_range,
     _node_key,
+    _piece_leaves,
     index_path,
     leaf_path,
 )
@@ -253,13 +256,13 @@ class AdversarySession(TernaryTreeValuation):
         """Try to disprove that ``piece`` is heavy (width <= 1/n and value
         >= 1/(2n), decided exactly by :func:`~fairslice.valuation.is_heavy`).
 
-        Width violations refute outright.  Otherwise the session looks for
-        a consistent completion under which the piece's value falls short:
-        first the targeted completion that keeps the claim's leaf paths
-        light, then a handful of ordinary seeded completions.  Within
-        ``params.threshold`` queries the targeted completion always works;
-        past it this is best effort and ``CannotRefute`` is an honest "no
-        witness found".
+        Width violations refute outright.  Otherwise the session builds one
+        completion, the targeted one: the revealed labels, the claim's leaf
+        paths kept light, and the keyed-hash fill at seed 0, so the
+        revealed labels and the claim alone fix it.  The piece's value under
+        it is the exact sum of :meth:`~TernaryTreeValuation.leaf_masses`.
+        Within ``params.threshold`` queries that value always falls short;
+        past it the piece may stay heavy, and ``CannotRefute`` says so.
         """
         n = self.params.n
         width = piece.width
@@ -268,21 +271,14 @@ class AdversarySession(TernaryTreeValuation):
         )
         if not is_heavy(width, ONE, n):
             # too wide to be heavy at any value
-            return refutation(value=None, violated="width", completion_seed=None, completion=None)
+            return refutation(value=None, violated="width", completion=None)
         if width == 0:
             raise PreconditionViolation("an empty piece cannot be a heavy-piece claim")
-        attempts = [(0, claim_leaves(piece, self.params))] + [(s, ()) for s in range(1, 21)]
-        for seed, light in attempts:
-            completion = self.complete_labeling(seed, light_leaves=light)
-            value = completion.value_of_piece(piece)
-            if not is_heavy(width, value, n):
-                return refutation(
-                    value=value, violated="value", completion_seed=seed, completion=completion
-                )
-        return CannotRefute(
-            reason=f"piece stayed heavy under {len(attempts)} completion(s)",
-            attempts=len(attempts),
-        )
+        completion = self.complete_labeling(0, light_leaves=claim_leaves(piece, self.params))
+        value = sum(mass for _, _, mass in completion.leaf_masses(piece))
+        if is_heavy(width, value, n):
+            return CannotRefute(reason="piece stayed heavy under the targeted completion")
+        return refutation(value=float(value), violated="value", completion=completion)
 
 
 #: ASCII digit of each node-path byte
@@ -312,8 +308,7 @@ def _reveal_json(path: bytes, kinds: Kinds) -> str:
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[bytes]:
     """Node paths of every leaf the piece overlaps with positive width."""
-    leaves = {i for iv in piece.intervals for i in _leaf_range(iv, params.n)}
-    return [index_path(i, params.depth) for i in sorted(leaves)]
+    return [index_path(i, params.depth) for i in _piece_leaves(piece, params.n)]
 
 
 class CompletedTree(TernaryTreeValuation):
@@ -359,8 +354,8 @@ class CompletedTree(TernaryTreeValuation):
 @dataclass(frozen=True)
 class Refutation:
     """Evidence that a claimed piece is not heavy: either its width exceeds
-    1/n outright, or an explicit consistent completion gives it value below
-    1/(2n)."""
+    1/n outright, or the targeted completion gives it a value below
+    1/(2n); ``value`` is the correctly rounded float of that exact value."""
 
     claim: Piece
     width: Fraction
@@ -368,7 +363,6 @@ class Refutation:
     value: Optional[float]
     value_bound: Fraction
     violated: str  # "width" | "value"
-    completion_seed: Optional[int]
     completion: Optional[CompletedTree]
 
     def to_json(self) -> dict:
@@ -380,20 +374,18 @@ class Refutation:
             "value": self.value,
             "value_bound": float(self.value_bound),
             "violated": self.violated,
-            "completion_seed": self.completion_seed,
         }
 
 
 @dataclass(frozen=True)
 class CannotRefute:
-    """No refuting completion was found (truthful negative, not a proof of
-    heaviness)."""
+    """The piece stayed heavy under the targeted completion (a truthful
+    negative past the threshold, not a proof of heaviness)."""
 
     reason: str
-    attempts: int
 
     def to_json(self) -> dict:
-        return {"refuted": False, "reason": self.reason, "attempts": self.attempts}
+        return {"refuted": False, "reason": self.reason}
 
 
 def replay_transcript(

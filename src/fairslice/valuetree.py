@@ -59,7 +59,10 @@ Answers are floats, but every criticality and richness verdict is exact
 and every node value is correctly rounded: both come from the rational
 labels ``H`` (the float heavy label, exactly), ``L = (1 - H)/2`` and
 ``T = 1/3``, which sum to exactly 1.  A verdict is one integer
-comparison, a value one integer division, each once per signature.
+comparison, a value one integer division, each once per signature.  A
+heaviness verdict reads no float either: :meth:`~TernaryTreeValuation.leaf_masses`
+gives a narrow piece's mass in each leaf it overlaps as a ``Fraction``,
+from the leaf signature's exact value.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInput, PreconditionViolation
-from .geometry import CUT_START, EVAL_RANGE, ONE, Interval, Piece, as_scalar, unit_span
+from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, as_scalar, unit_span
 from .valuation import Valuation, is_heavy
 
 LN2 = math.log(2.0)
@@ -238,9 +241,9 @@ class Signature:
     """What the edge kinds on a node's root path fix: its ``h`` heavy, ``q``
     light and ``z`` 1/3 edges, whether it is critical (inherited, or else
     tested at its own counts), and its ``value``, the correctly rounded
-    ``H^h * L^q * T^z``.  Interned per tree size by the first four -- a
-    session may reveal ordinary labels below a critical node, so equal
-    counts can differ in the flag -- and reached from
+    float of :attr:`exact_value`, ``H^h * L^q * T^z``.  Interned per tree
+    size by the first four -- a session may reveal ordinary labels below a
+    critical node, so equal counts can differ in the flag -- and reached from
     :attr:`TreeParams.root`; ``children`` holds the steps taken so far, and
     ``tables`` the :class:`ChildTable` of each label-kind triple a walk has
     read here (at most four: three heavy placements and the thirds).
@@ -269,6 +272,21 @@ class Signature:
         if own is None:
             own = self._own = self.critical and self._params.critical_counts(self.h, self.q)
         return own
+
+    @property
+    def exact_value(self) -> Fraction:
+        """``H^h * L^q * T^z`` as a ``Fraction``, made on each read (no walk
+        pays for it): the number :attr:`value` is rounded from.
+
+        >>> heavy = Fraction(TreeParams(11).heavy_label)
+        >>> sig = TreeParams(11).root.step(HEAVY).step(LIGHT)
+        >>> sig.exact_value == heavy * (1 - heavy) / 2
+        True
+        >>> float(sig.exact_value) == sig.value
+        True
+        """
+        m, s = self._params._scaled_density(self.h, self.q)
+        return Fraction(m, 3 ** (self.h + self.q + self.z) << s)
 
     def step(self, kind: str) -> "Signature":
         """Signature of the child across an edge of ``kind``: the one place
@@ -327,11 +345,13 @@ def leaf_path(t: Fraction, depth: int) -> bytes:
     return _index_path(min(math.floor(t * n), n - 1), depth)
 
 
-def _leaf_range(interval: Interval, n: int) -> range:
-    """Indices of the leaf cells an interval overlaps with positive width."""
-    lo = math.floor(interval.left * n)
-    hi = math.ceil(interval.right * n) - 1
-    return range(max(lo, 0), min(hi, n - 1) + 1)
+def _piece_leaves(piece: Piece, n: int) -> list[int]:
+    """Sorted indices of the leaf cells a piece overlaps with positive width."""
+    leaves = set()
+    for iv in piece.intervals:
+        lo, hi = math.floor(iv.left * n), math.ceil(iv.right * n) - 1
+        leaves.update(range(max(lo, 0), min(hi, n - 1) + 1))
+    return sorted(leaves)
 
 
 #: digits per chunk of :func:`index_path`, and the path bytes of every
@@ -590,35 +610,49 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- heavy-piece post-processing ----------------------------------------------
 
+    def leaf_masses(self, piece: Piece) -> list[tuple[bytes, Signature, Fraction]]:
+        """``(path, signature, mass)`` of each leaf the piece overlaps with
+        positive width, in leaf order: ``mass`` is the exact part of the
+        piece's value in that leaf, the leaf's :attr:`Signature.exact_value`
+        times n times the overlap.  Each leaf takes one path walk reading
+        :meth:`_labels`, so a session raises :class:`PreconditionViolation`
+        at an unrevealed leaf.  A piece wider than 1/n, which at 3^60 could
+        cover 3^57 leaves, is refused the same way.
+        """
+        n, depth = self.params.n, self.params.depth
+        if piece.width * n > 1:
+            raise PreconditionViolation(f"piece of width {piece.width} is wider than 1/{n}")
+        out = []
+        for i in _piece_leaves(piece, n):
+            left, right = Fraction(i, n), Fraction(i + 1, n)
+            overlap = sum(
+                max(min(iv.right, right) - max(iv.left, left), 0) for iv in piece.intervals
+            )
+            path = _index_path(i, depth)
+            _, sig = self._walk(path, self._labels)
+            out.append((path, sig, sig.exact_value * overlap * n))
+        return out
+
     def extract_candidate_leaf(self, piece: Piece) -> bytes:
         """From a heavy piece, locate a leaf of density >= 1/2.
 
-        A heavy piece has average density >= 1/2, so its densest interval
-        does too; that interval is narrower than a leaf cell, so it meets at
-        most two leaves and the denser of those inherits the bound.  The
-        returned leaf therefore classifies as rich or critical.  A piece of
-        zero width, or one :func:`~fairslice.valuation.is_heavy` rejects,
-        raises :class:`PreconditionViolation`.
+        The piece's density is the average of the densities of the leaves
+        it overlaps, weighted by overlap, so the densest of them reaches
+        1/2 when the piece is heavy; that leaf, returned, classifies as rich
+        or critical.  Heaviness is decided exactly, on the sum of
+        :meth:`leaf_masses`; a piece of zero width, or one
+        :func:`~fairslice.valuation.is_heavy` rejects, raises
+        :class:`PreconditionViolation`.
         """
         n = self.params.n
-        width, total = piece.width, self.value_of_piece(piece)
+        leaves = self.leaf_masses(piece)
+        width, total = piece.width, sum(mass for _, _, mass in leaves)
         if width == 0 or not is_heavy(width, total, n):
             raise PreconditionViolation(
-                f"piece of width {width} and value {total} is not heavy: "
+                f"piece of width {width} and value {float(total)} is not heavy: "
                 f"need 0 < width <= 1/{n} and value >= 1/(2*{n})"
             )
-        best = max(
-            piece.intervals,
-            key=lambda iv: self.eval(iv.left, iv.right) / float(iv.width),
-        )
-        depth = self.params.depth
-        log_density = self.params.log_density
-
-        def density_rank(path: bytes) -> float:
-            leaf = self.node(path)
-            return log_density(leaf.h, leaf.q)
-
-        return max((index_path(i, depth) for i in _leaf_range(best, n)), key=density_rank)
+        return max(leaves, key=lambda leaf: leaf[1].exact_value)[0]
 
 
 class BalancedValueTree(TernaryTreeValuation):

@@ -269,8 +269,8 @@ def test_criterion_10_adversary_invariants():
             assert session.max_revealed_heavy() <= 2 * session.m
             assert session.revealed_is_connected()
             assert all(len(kinds) == 3 for kinds in session.revealed.values())
-        for completion_seed in range(20):
-            completion = session.complete_labeling(seed=completion_seed)
+        for fill_seed in range(20):
+            completion = session.complete_labeling(seed=fill_seed)
             assert replay_transcript(session.log, completion, tol=1e-9)
     print("\nACCEPTANCE 10 PASS: adversary invariants + 20-completion replay, 100 sequences at 3^60")
 

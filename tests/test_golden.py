@@ -116,8 +116,8 @@ def test_session_transcripts(depth, seed):
 
 
 GAME_DIGESTS = {
-    60: "ae4716f2aa52578a0901ef72d5d5ed24fd137246bdca524f2b183dc456f58ff2",
-    200: "c07d07f3c8416e4870bb673261b9a37fa73ff007794ada616d260494271af3ae",
+    60: "6ebc18e7df09ccdfc4b97d47d2898e8fdc4ab0a51ad06b4b9e07654f1606701b",
+    200: "4c6150b96bde567536dc815d8ac93053b5c78618ccdc9686d4fc1100c285c9d9",
 }
 
 

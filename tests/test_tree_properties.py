@@ -6,6 +6,9 @@ in ``r``.  Both run on a hashed tree and on a completion of a driven
 adversary session, at depth 11 and at depth 60.  A prefix walk to a
 position on the leaf grid stops at the node the position starts; its mass
 must be the full leaf walk's, float for float, at depths 11, 60 and 200.
+A narrow piece's exact value, summed from ``leaf_masses``, must be the
+oracle's label product, on hashed trees and completions at depths 11, 60
+and 200.
 """
 
 import random
@@ -16,7 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairslice.adversary import AdversarySession
+from fairslice.geometry import Piece
 from fairslice.valuetree import BalancedValueTree, TreeParams, index_path, leaf_path
+
+import oracles
 
 
 def completed_tree(depth: int, seed: int):
@@ -226,3 +232,47 @@ def test_zero_cut_orders_before_tiny_cut():
     tree = TREES["hashed-11"]
     x = Fraction(6, 3**9)
     assert tree.cut(x, 0) <= tree.cut(x, 5e-324)
+
+
+EXACT_TREES = {
+    f"{kind}-{depth}": make(depth)
+    for depth in (11, 60, 200)
+    for kind, make in (
+        ("hashed", lambda depth: BalancedValueTree(TreeParams.from_depth(depth), seed=depth)),
+        ("completed", lambda depth: completed_tree(depth, seed=depth + 1)),
+    )
+}
+
+
+def narrow_pieces(depth: int):
+    """Pieces of 1-3 intervals of total width at most one leaf cell.  Each
+    interval starts inside a random leaf, or inside the leaf left of a
+    coarse grid point, and straddles into the next leaf when its offset and
+    width add up past the cell."""
+    n = 3**depth
+    leaf = st.one_of(
+        st.integers(0, n - 2),
+        st.integers(1, 3**9 - 1).map(lambda k: k * 3 ** (depth - 9) - 1),
+    )
+    offset = st.integers(0, 999).map(lambda k: Fraction(k, 1000))
+    width = st.integers(1, 1000).map(lambda k: Fraction(k, 1000))
+    intervals = st.lists(st.tuples(leaf, offset, width), min_size=1, max_size=3)
+    return intervals.map(
+        lambda ivs: Piece.of(*(((i + u) / n, (i + u + w / len(ivs)) / n) for i, u, w in ivs))
+    )
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TREES))
+def test_exact_piece_value_is_the_oracle_label_product(name):
+    tree = EXACT_TREES[name]
+    n = tree.params.n
+
+    @settings(max_examples=25, deadline=None)
+    @given(piece=narrow_pieces(tree.params.depth))
+    # one interval straddling the boundary of leaves 3 and 4
+    @example(piece=Piece.of((Fraction(7, 2 * n), Fraction(9, 2 * n))))
+    def check(piece):
+        exact = sum(mass for _, _, mass in tree.leaf_masses(piece))
+        assert exact == oracles.exact_piece_value(tree, piece)
+
+    check()

@@ -283,7 +283,7 @@ class TestSignatures:
     def test_every_signature_value_is_the_rounded_exact_product(self, depth):
         """Each signature reachable from the root, after a whole-tree
         enumeration at depth 11 or 200 random leaf walks deeper down, holds
-        the correctly rounded ``H^h * L^q * T^z``."""
+        ``H^h * L^q * T^z`` exactly, and its correctly rounded float."""
         params = TreeParams(depth)
         tree = BalancedValueTree(params, seed=depth)
         if depth <= 11:
@@ -301,6 +301,7 @@ class TestSignatures:
                 seen.add(id(sig))
                 stack.extend(sig.children.values())
                 exact = labels[HEAVY] ** sig.h * labels[LIGHT] ** sig.q * labels["T"] ** sig.z
+                assert sig.exact_value == exact, (sig.h, sig.q, sig.z)
                 assert sig.value == float(exact), (sig.h, sig.q, sig.z)
         assert len(seen) > depth
 
@@ -537,7 +538,7 @@ class TestCandidateLeaf:
         tree = build_tree(P11, seed=21)
         cell = _leaf_cell(_descend_by(tree, _heavy_child), P11.n)
         bound = float(Fraction(1, 2 * P11.n))
-        monkeypatch.setattr(tree, "value_of_piece", lambda piece: (1 - 1e-10) * bound)
+        monkeypatch.setattr(tree, "leaf_masses", lambda piece: [(b"", None, (1 - 1e-10) * bound)])
         with pytest.raises(PreconditionViolation, match="not heavy"):
             tree.extract_candidate_leaf(cell)
         with pytest.raises(PreconditionViolation, match="not heavy"):
