@@ -39,8 +39,11 @@ be revealed itself, a leaf needs its parent revealed.
 Revealed labels are kept, in reveal order, in
 :attr:`AdversarySession.revealed`, a dict keyed by node-path bytes, the one
 path form of :mod:`.valuetree`; a query's reveals are the ``(path, kinds)``
-items it added.  A node is revealed only after its parent, which the
-session checks as it reveals.
+items it added.  The revealing hooks look each node up there, so a known
+node costs one dict lookup; only a new node goes to ``_reveal``, the one
+writer of ``revealed``, which keeps the heavy-edge maximum and the critical
+nodes as it reveals.  A node is revealed only after its parent, which
+``_reveal`` checks.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -53,7 +56,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, starmap
+from itertools import islice
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
@@ -120,27 +123,36 @@ class AdversarySession(TernaryTreeValuation):
         return kinds
 
     def _path_labels(self, path, sig, step=None):
-        return self._reveal(path, sig, _HEAVY_AT[1 if step == 0 else 0])
+        kinds = self.revealed.get(path)
+        if kinds is None:
+            kinds = self._reveal(path, sig, _HEAVY_AT[1 if step == 0 else 0])
+        return kinds
 
     def _descent_labels(self, path, sig, remaining):
-        # gamma > beta/3, on the very heavy-child mass the descent compares
-        heavy_at = 0 if sig.table(_HEAVY_AT[0]).mass0 < remaining else 2
-        return self._reveal(path, sig, _HEAVY_AT[heavy_at])
+        kinds = self.revealed.get(path)
+        if kinds is None:
+            # gamma > beta/3, on the very heavy-child mass the descent
+            # compares; sig.table(_HEAVY_AT[0]) with the lookup inlined, as
+            # in _walk
+            table = sig.tables.get(_HEAVY_AT[0]) or sig.table(_HEAVY_AT[0])
+            kinds = self._reveal(path, sig, _HEAVY_AT[0 if table[0] < remaining else 2])
+        return kinds
 
     def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
-        """The binding labels at ``path``: those revealed before, or else
-        ``kinds``, revealed now.  Only a query's walks read labels here."""
-        known = self.revealed.get(path)
-        if known is not None:
-            return known
+        """Reveal ``kinds`` at the unrevealed node ``path`` and return them:
+        the one writer of :attr:`revealed`.  The query hooks look each node
+        up there first and hand only a new node here."""
         if path and path[:-1] not in self.revealed:
             self._orphans += 1
         self.revealed[path] = kinds
         # the node's parent is revealed, so its deepest heavy count is new
         # only through its own heavy edge
-        self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
-        # the density test at the node itself, not the inherited flag
-        if sig.own_critical:
+        h = sig.h + (HEAVY in kinds)
+        if h > self._heavy:
+            self._heavy = h
+        # the density test at the node itself, not the inherited flag; a
+        # signature without the flag fails it by definition
+        if sig.critical and sig.own_critical:
             self._critical.append(path)
         return kinds
 
@@ -228,7 +240,7 @@ class AdversarySession(TernaryTreeValuation):
             del obj["player"]
             # the record head without its closing brace, then the reveals
             head = json.dumps(obj, separators=(",", ":"))[:-1]
-            reveals = ",".join(starmap(_reveal_json, rec.reveals))
+            reveals = _reveals_json(rec.reveals)
             lines.append(f'{head},"reveals":[{reveals}]}}')
         return lines
 
@@ -284,11 +296,22 @@ class AdversarySession(TernaryTreeValuation):
 #: ASCII digit of each node-path byte
 _DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
 
-#: compact JSON array of each label-kind triple a node can carry
-_LABELS_JSON = {
-    kinds: json.dumps(list(kinds), separators=(",", ":"))
+#: what follows a reveal's path digits: the path's close, then the compact
+#: JSON array of the label-kind triple, for each triple a node can carry
+_LABELS_TAIL = {
+    kinds: '],"labels":' + json.dumps(list(kinds), separators=(",", ":")) + "}"
     for kinds in (*_HEAVY_AT, (THIRD, THIRD, THIRD))
 }
+
+#: each digit as the first of a path, and after an earlier digit
+_FIRST_DIGIT = ("0", "1", "2")
+_NEXT_DIGIT = (",0", ",1", ",2")
+
+
+def _path_digits(path: bytes) -> str:
+    """The comma-joined ASCII digits of a node path."""
+    # replacing "" puts a comma between every two digits and at both ends
+    return path.translate(_DIGITS).decode().replace("", ",")[1:-1]
 
 
 def _reveal_json(path: bytes, kinds: Kinds) -> str:
@@ -301,9 +324,31 @@ def _reveal_json(path: bytes, kinds: Kinds) -> str:
     >>> _reveal_json(b"", ("H", "L", "L"))
     '{"path":[],"labels":["H","L","L"]}'
     """
-    # replacing "" puts a comma between every two digits and at both ends
-    digits = path.translate(_DIGITS).decode().replace("", ",")[1:-1]
-    return f'{{"path":[{digits}],"labels":{_LABELS_JSON[kinds]}}}'
+    return '{"path":[' + _path_digits(path) + _LABELS_TAIL[kinds]
+
+
+def _reveals_json(reveals: Iterable[tuple[bytes, Kinds]]) -> str:
+    """A record's reveals, each as :func:`_reveal_json` writes it,
+    comma-joined, in one pass.  A walk reveals each node after its parent,
+    so a reveal whose path extends the one before by a digit extends that
+    one's digit string by the same digit; any other reveal, such as the
+    first of a walk, is written from scratch.
+
+    >>> walk = [(b"", _HEAVY_AT[1]), (b"\\x01", _HEAVY_AT[0]), (b"\\x01\\x02", _HEAVY_AT[0])]
+    >>> reveals = walk + [(b"\\x00", _HEAVY_AT[1])]
+    >>> _reveals_json(reveals) == ",".join(_reveal_json(*reveal) for reveal in reveals)
+    True
+    """
+    parts = []
+    last, digits = None, ""
+    for path, kinds in reveals:
+        if path[:-1] == last and path:
+            digits = digits + _NEXT_DIGIT[path[-1]] if last else _FIRST_DIGIT[path[-1]]
+        else:
+            digits = _path_digits(path)
+        parts.append('{"path":[' + digits + _LABELS_TAIL[kinds])
+        last = path
+    return ",".join(parts)
 
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[bytes]:

@@ -674,7 +674,9 @@ class BalancedValueTree(TernaryTreeValuation):
             return (THIRD, THIRD, THIRD)
         state = self._keyed.copy()
         state.update(path)
-        return _HEAVY_AT[int.from_bytes(state.digest(), "big") % 3]
+        # the digest's big-endian integer mod 3, as the sum of its bytes:
+        # 256 is 1 mod 3
+        return _HEAVY_AT[sum(state.digest()) % 3]
 
     # a fixed labeling ignores the walk's step
     _path_labels = _descent_labels = _labels

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairslice import adversary
 from fairslice.adversary import (
@@ -19,7 +22,15 @@ from fairslice.errors import InvalidInput, PreconditionViolation, ProtocolViolat
 from fairslice.geometry import Piece
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee, replay_log
-from fairslice.valuetree import HEAVY, LIGHT, TreeParams, index_path, leaf_path, verify_labeling
+from fairslice.valuetree import (
+    HEAVY,
+    LIGHT,
+    THIRD,
+    TreeParams,
+    index_path,
+    leaf_path,
+    verify_labeling,
+)
 
 import oracles
 
@@ -27,6 +38,9 @@ P60 = TreeParams.from_depth(60)
 P11 = TreeParams.from_depth(11)
 
 GRID = 3**9  # query coordinates land on this lattice in the random drivers
+
+#: every label-kind triple a node can carry
+KINDS = ((HEAVY, LIGHT, LIGHT), (LIGHT, HEAVY, LIGHT), (LIGHT, LIGHT, HEAVY), (THIRD, THIRD, THIRD))
 
 
 def random_queries(session, count, rng):
@@ -292,6 +306,78 @@ class TestOracles:
         assert not oracles.revealed_is_connected(session.revealed)
         assert not session.revealed_is_connected()
 
+    @pytest.mark.parametrize("kinds", [(HEAVY, LIGHT, LIGHT), (THIRD, THIRD, THIRD)])
+    def test_a_forced_orphan_deeper_than_the_maximum_counts_its_own_edges(self, kinds):
+        session = AdversarySession(P60)
+        session.answer_eval(0, Fraction(1, 3))
+        # the root and its child 1 are revealed with the heavy edge on child
+        # 1, so every edge of the all-1 path is heavy once it is revealed
+        depth = session.max_revealed_heavy() + 3
+        path = bytes((1,) * depth)
+        sigs = [P60.root]
+        for _ in path:
+            sigs.append(sigs[-1].step(HEAVY))
+        session._reveal(path, sigs[-1], kinds)
+        session.answer_eval(0, Fraction(1, 3))  # reveals nothing; records the maximum
+        assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
+        # reveal the orphan's missing ancestors as its signature counts them
+        for i in range(depth):
+            if path[:i] not in session.revealed:
+                session._reveal(path[:i], sigs[i], (LIGHT, HEAVY, LIGHT))
+        session.answer_eval(0, Fraction(1, 3))
+        assert session.heavy_trace[-1] == oracles.max_revealed_heavy(session.revealed)
+        assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
+        # the traversal reaches the orphan now, but it came before its parent
+        assert oracles.revealed_is_connected(session.revealed)
+        assert not session.revealed_is_connected()
+
+
+#: positions a property's queries repeat often: the ends, grid points and
+#: a point inside a depth-9 cell
+REPEATED = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), Fraction(7, 3**9))
+
+
+def session_queries(depth):
+    """Lists of ``("eval", x, y)`` and ``("cut", x, r)`` queries, with
+    repeated endpoints, t = 0 and 1, r = 0 and over-full cuts."""
+    position = st.one_of(
+        st.sampled_from(REPEATED),
+        st.integers(0, 3**9).map(lambda i: Fraction(i, 3**9)),
+        st.integers(0, 3**depth).map(lambda i: Fraction(i, 3**depth)),
+    )
+    mass = st.one_of(st.sampled_from((0, 1, 1.5)), st.floats(0, 1.5))
+    query = st.one_of(
+        st.tuples(st.just("eval"), position, position),
+        st.tuples(st.just("cut"), position, mass),
+    )
+    return st.lists(query, min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("depth", [11, 60])
+def test_known_and_new_nodes_keep_the_books_the_oracles_keep(depth):
+    """A node already revealed is looked up and a new one revealed; after
+    every query the heavy maximum, the critical nodes, the connectivity
+    verdict and the transcript must be what full traversals give."""
+    params = TreeParams.from_depth(depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(queries=session_queries(depth))
+    def check(queries):
+        session = AdversarySession(params)
+        for kind, x, arg in queries:
+            if kind == "eval":
+                session.answer_eval(*sorted((x, arg)))
+            else:
+                session.answer_cut(x, arg)
+            revealed = session.revealed
+            assert session.heavy_trace[-1] == oracles.max_revealed_heavy(revealed)
+            critical = oracles.revealed_critical_nodes(revealed, params)
+            TestOracles.assert_critical_matches(session, critical)
+            assert session.revealed_is_connected() == oracles.revealed_is_connected(revealed)
+            assert session.transcript_lines() == oracles.transcript_lines_as_first_written(session)
+
+    check()
+
 
 class TestInspection:
     """Only eval and cut reveal nodes; the node lookups a session inherits
@@ -527,6 +613,28 @@ class TestSerialization:
         assert '{"path":[],' in lines[0]
         assert any(rec.answer is None for rec in session.log)
         assert any("e-" in line.split(',"reveals":')[0] for line in lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        walks=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 2), max_size=6),  # where a walk starts
+                st.lists(st.tuples(st.integers(0, 2), st.sampled_from(KINDS)), max_size=6),
+                st.sampled_from(KINDS),
+            ),
+            max_size=6,
+        )
+    )
+    def test_a_record_writes_its_reveals_as_each_reveal_alone(self, walks):
+        reveals = []
+        for start, steps, kinds in walks:
+            path = bytes(start)
+            reveals.append((path, kinds))
+            for digit, kinds in steps:
+                path += bytes((digit,))
+                reveals.append((path, kinds))
+        expected = ",".join(starmap(adversary._reveal_json, reveals))
+        assert adversary._reveals_json(reveals) == expected
 
     def test_refutation_json_fields(self):
         session = AdversarySession(P60)

@@ -175,6 +175,14 @@ class TestStructure:
                 )
                 assert abs(children - visit.value) <= 1e-12 * visit.value
 
+    def test_digest_byte_sum_is_the_digest_integer_mod_3(self):
+        # a hashed label reads its digest mod 3 as the sum of the digest's
+        # bytes, which is the big-endian integer mod 3 since 256 is 1 mod 3
+        rng = random.Random(256)
+        for _ in range(10_000):
+            digest = rng.randbytes(8)
+            assert sum(digest) % 3 == int.from_bytes(digest, "big") % 3
+
     def test_deterministic_in_seed(self):
         a = BalancedValueTree(SMALL, seed=4)
         b = BalancedValueTree(SMALL, seed=4)
