@@ -171,6 +171,11 @@ class AdversarySession(TernaryTreeValuation):
         # walk could stop at the node the endpoint starts
         return _index_path(index, self.params.depth)
 
+    def _settle_level(self, scale: float) -> int:
+        # a session's reveals are its transcript, so its walks and descents
+        # go the full depth even where the float is settled
+        return self.params.depth
+
     # -- queries ----------------------------------------------------------
 
     def _answer(self, query, x, arg) -> Optional[float]:

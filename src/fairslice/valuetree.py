@@ -39,8 +39,13 @@ float.  A prefix walk goes down t's leaf path, except that a t on the
 leaf grid (``t * 3**depth`` an integer) stops at the largest node t is the
 left end of, whose path is the leaf path without its trailing 0 digits:
 a digit-0 level adds no mass, so the float is the full walk's.  A
-coarse position like ``k / 3**9`` thus walks at most 9 levels.  An
-adversary session still walks, and reveals, the whole leaf path.
+coarse position like ``k / 3**9`` thus walks at most 9 levels.  A prefix
+walk and a descent also stop at the first node below which no label can
+change their float, by the rounding arguments of :meth:`~TernaryTreeValuation._walk`
+and :meth:`~TernaryTreeValuation._descend`: for a position or mass in
+[1/10, 9/10] that is about 35 levels down, at depth 60 or 200 alike.  An
+adversary session still walks, and reveals, every endpoint's whole leaf
+path and every descent down to a leaf.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, log constants, the density tests, the adversary's query threshold,
@@ -83,6 +88,8 @@ from .valuation import Valuation, is_heavy
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+#: tree levels per binary order of magnitude
+_LOG3_2 = LN2 / LN3
 
 HEAVY = "H"
 LIGHT = "L"
@@ -458,14 +465,32 @@ class TernaryTreeValuation(Valuation, ABC):
 
     # -- the two walks -------------------------------------------------------
 
-    def _walk(self, node: bytes, labels) -> tuple[float, Signature]:
+    def _walk(self, node: bytes, labels, settle: Optional[int] = None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``, reading
         each node passed through ``labels(path, sig, step)``; the mass
         adds, level by level, the stored masses of the left siblings from
-        the node's :class:`ChildTable`, child 0 before child 1."""
+        the node's :class:`ChildTable`, child 0 before child 1.
+
+        Given a level ``settle``, the walk stops at the first node at that
+        level or deeper with ``sig.value * 2 < ulp(mass)`` and ``mass > 0``,
+        and returns that node's (mass, signature).  Every term the rest of
+        the walk would add -- a left sibling's stored mass, and the
+        caller's leaf share ``sig.value * (rem / den)`` -- is a correctly
+        rounded product of a factor at most 1 and the value of this node or
+        a descendant, which is rounded from a smaller exact product; so
+        each term is at most ``sig.value``, below half an ulp of ``mass``,
+        and round to nearest leaves ``mass`` as it is, term after term.
+        Without
+        ``settle`` (node lookups, ``leaf_masses``, ``verify_labeling``) the
+        walk reads every level and returns the node's own signature.
+        """
         sig = self.params.root
         mass = 0.0
+        if settle is None:
+            settle = len(node)
         for i, c in enumerate(node):
+            if i >= settle and mass > 0 and sig.value * 2 < math.ulp(mass):
+                break
             kinds = labels(node[:i], sig, c)
             # sig.table(kinds) with the lookup inlined, as it runs at every
             # level; entries by index
@@ -484,18 +509,33 @@ class TernaryTreeValuation(Valuation, ABC):
         stored mass ``value * label >= remaining`` (from the node's
         :class:`ChildTable`) is the only comparison, so a lazy labeling that
         decides a node by the same stored mass routes the descent exactly
-        where it intends.  It always walks the full depth.  The answer is
-        ``index / n + (1 / n) * within`` for the chosen leaf ``index``: int
-        true division rounds correctly, so this is the float of the leaf's
-        exact left end plus its width times the fraction ``within``.
+        where it intends.  The answer is ``index / n + (1 / n) * within``
+        for the chosen leaf ``index``: int true division rounds correctly,
+        so this is the float of the leaf's exact left end plus its width
+        times the fraction ``within``.
+
+        From level :meth:`_settle_level` of the target on, the descent
+        stops at the node covering leaves ``[lo, lo + span)`` once ``lo / n
+        == (lo + span - 1) / n`` and ``2 * (1 / n) < ulp(lo / n)``, and
+        answers ``lo / n``: int true division is correctly rounded and
+        monotone, so ``index / n`` is that float for every leaf below, and
+        ``(1 / n) * within <= 1 / n`` is under half its ulp, so the sum
+        rounds back to it.
         """
         params = self.params
-        n = params.n
+        n, depth = params.n, params.depth
         sig = params.root
         remaining = target
         index = 0
         path = b""
-        for _ in range(params.depth):
+        settle = self._settle_level(target)
+        for i in range(depth):
+            if i >= settle:
+                span = 3 ** (depth - i)
+                lo = index * span
+                left = lo / n
+                if left == (lo + span - 1) / n and 2 * (1 / n) < math.ulp(left):
+                    return left
             kinds = self._descent_labels(path, sig, remaining)
             table = sig.tables.get(kinds) or sig.table(kinds)  # as in _walk
             if table[0] >= remaining:
@@ -550,7 +590,8 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            mass, sig = self._walk(self._prefix_node(index, rem), self._path_labels)
+            settle = self._settle_level(num / den)
+            mass, sig = self._walk(self._prefix_node(index, rem), self._path_labels, settle)
             mass += sig.value * (rem / den)
             self._masses[num, den] = mass
         return mass
@@ -564,6 +605,17 @@ class TernaryTreeValuation(Valuation, ABC):
         after the walk is ``sig.value * 0.0`` either way."""
         path = _index_path(index, self.params.depth)
         return path if rem else path.rstrip(b"\x00")
+
+    def _settle_level(self, scale: float) -> int:
+        """Level from which a prefix walk to a position near ``scale``, or a
+        descent to the target mass ``scale``, tests whether its float is
+        settled.  A node at level i has a value of about ``density * 3**-i``
+        (density in (0, 2]) and covers ``3**-i`` of [0, 1], so neither test
+        can pass much before the level where ``3**-i`` falls under an ulp
+        of ``scale``: ``log3(2**53 / scale)``, taken here two levels early.
+        Only the tests decide where a walk stops; this level only spares
+        the levels above it from them."""
+        return int((53 - math.frexp(scale)[1]) * _LOG3_2) - 2
 
     def eval(self, x, y) -> float:
         x, y = unit_span(x, y, EVAL_RANGE)

@@ -25,6 +25,9 @@ first written, with ``Fraction`` sort keys, which the float-first keys of
 ``order_marks`` must match.  ``transcript_lines_as_first_written`` is an
 adversary session's transcript as first written, one ``json.dumps`` per
 record, which the session's fragment encoder must match line for line.
+``full_depth_prefix`` and ``full_depth_cut`` are a tree's prefix walk and
+cut as first written, reading every level down to a leaf, which the
+walks that stop once their float is settled must match float for float.
 """
 
 from __future__ import annotations
@@ -344,3 +347,64 @@ def transcript_lines_as_first_written(session):
         obj["reveals"] = [{"path": list(path), "labels": list(kinds)} for path, kinds in rec.reveals]
         lines.append(json.dumps(obj, separators=(",", ":")))
     return lines
+
+
+def full_depth_prefix(tree, t):
+    """Mass of [0, t] by the prefix walk as first written: down t's whole
+    leaf path, every level, reading ``tree._labels`` and adding the stored
+    masses of the left siblings, then the share of t's leaf cell left of
+    t."""
+    t = Fraction(t)
+    if t <= 0:
+        return 0.0
+    if t >= 1:
+        return 1.0
+    params = tree.params
+    index, rem = divmod(t.numerator * params.n, t.denominator)
+    path = bytes(divmod_digits_of_index(index, params.depth))
+    sig = params.root
+    mass = 0.0
+    for i, c in enumerate(path):
+        table = sig.table(tree._labels(path[:i], sig))
+        if c:
+            mass += table[0]
+            if c == 2:
+                mass += table[1]
+        sig = table[2 + c]
+    return mass + sig.value * (rem / t.denominator)
+
+
+def full_depth_cut(tree, x, r):
+    """``tree.cut(x, r)`` as first written: x's prefix mass by
+    ``full_depth_prefix``, then a descent that reads ``tree._labels`` at
+    every level down to a leaf and answers ``index / n + (1 / n) *
+    within``, clamped at ``float(x)``; ``None`` past the end."""
+    x, r = Fraction(x), float(r)
+    start = full_depth_prefix(tree, x)
+    if r == 0:
+        return float(x)
+    target = start + r
+    if target > 1.0 + 1e-12:
+        return None
+    params = tree.params
+    n = params.n
+    sig = params.root
+    remaining = min(target, 1.0)
+    index = 0
+    path = b""
+    for _ in range(params.depth):
+        table = sig.table(tree._labels(path, sig))
+        if table[0] >= remaining:
+            chosen = 0
+        else:
+            remaining -= table[0]
+            if table[1] >= remaining:
+                chosen = 1
+            else:
+                remaining -= table[1]
+                chosen = 2
+        sig = table[2 + chosen]
+        path += bytes((chosen,))
+        index = index * 3 + chosen
+    within = min(max(remaining / sig.value, 0.0), 1.0) if sig.value > 0 else 0.0
+    return max(index / n + (1 / n) * within, float(x))

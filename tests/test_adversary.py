@@ -217,6 +217,27 @@ class TestInvariants:
         assert set(session.revealed) == prefixes
         assert [path for path, _ in session.take_reveals()] == list(session.revealed)
 
+    def test_walks_go_the_full_depth_where_the_float_is_settled(self):
+        """A tree's prefix walk and descent stop about 35 levels down at
+        3^60, once the rest cannot change the float; a session's reveals
+        are its transcript, so it still walks every new eval endpoint's
+        whole leaf path, and a fresh session's first cut reveals ``depth``
+        nodes down to the leaf cell of its answer."""
+        depth, n = P60.depth, P60.n
+        session = AdversarySession(P60)
+        y = session.answer_cut(Fraction(1, 7), 0.3)
+        deepest, _ = session.log[-1].reveals[-1]
+        assert len(deepest) == depth - 1
+        assert all(deepest[:i] in session.revealed for i in range(depth))
+        lo = 3 * int(deepest.translate(bytes.maketrans(b"\x00\x01\x02", b"012")), 3)
+        assert lo / n <= y <= (lo + 3) / n
+        endpoints = [(Fraction(1, 5), Fraction(2, 7)), (Fraction(3, 10), Fraction(10**9 + 7, 10**9 + 9))]
+        for a, b in endpoints:
+            session.answer_eval(a, b)
+            for t in (a, b):
+                leaf = leaf_path(t, depth)
+                assert all(leaf[:i] in session.revealed for i in range(depth))
+
 
 class TestOracles:
     """The session keeps its heavy-edge maximum and critical nodes as it

@@ -4,8 +4,12 @@
 ``eval(x, cut(x, r))`` must give back ``r``, and ``cut`` must be monotone
 in ``r``.  Both run on a hashed tree and on a completion of a driven
 adversary session, at depth 11 and at depth 60.  A prefix walk to a
-position on the leaf grid stops at the node the position starts; its mass
-must be the full leaf walk's, float for float, at depths 11, 60 and 200.
+position on the leaf grid stops at the node the position starts, and any
+prefix walk or descent stops once the rest of the tree can no longer
+change its float; prefix masses, eval and cut must be the full-depth
+oracle's, float for float, at depths 11, 60 and 200, and at 3^60 and
+3^200 a walk or descent must read a number of labels that does not grow
+with the depth.
 A narrow piece's exact value, summed from ``leaf_masses``, must be the
 oracle's label product, on hashed trees and completions at depths 11, 60
 and 200.
@@ -101,12 +105,9 @@ BOUNDARY_TREES = {
 
 
 def full_leaf_walk(tree, t: Fraction) -> float:
-    """The prefix mass of t by the walk down t's whole leaf path, plus the
-    share of the leaf cell left of t."""
-    n = tree.params.n
-    index, rem = divmod(t.numerator * n, t.denominator)
-    mass, sig = tree._walk(index_path(index, tree.params.depth), tree._path_labels)
-    return mass + sig.value * (rem / t.denominator)
+    """The prefix mass of t by the oracle's walk down t's whole leaf path,
+    plus the share of the leaf cell left of t."""
+    return oracles.full_depth_prefix(tree, t)
 
 
 def fresh_prefix(tree, t: Fraction) -> float:
@@ -151,8 +152,9 @@ def test_grid_positions_walk_to_the_node_they_start(name):
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_TREES))
 def test_positions_inside_a_leaf_walk_the_whole_leaf_path(name):
-    """Off the leaf grid the walk goes down the whole leaf path, trailing
-    zero digits included, and adds its share of the leaf."""
+    """Off the leaf grid the walk follows the whole leaf path, trailing
+    zero digits included, until the float is settled, and adds its share
+    of the leaf: the mass is the full leaf walk's."""
     tree = BOUNDARY_TREES[name]
     depth, n = tree.params.depth, tree.params.n
 
@@ -174,6 +176,86 @@ def test_positions_inside_a_leaf_walk_the_whole_leaf_path(name):
         assert tree._prefix_node(index, 1) == index_path(index, depth)
 
     check()
+
+
+def settle_positions(depth: int):
+    """Positions below 1e-12, within 1e-6 of 1, on the leaf grid, and
+    anywhere, as fractions and as floats."""
+    n = 3**depth
+    return st.one_of(
+        st.integers(1, 10**6).map(lambda k: Fraction(k, 10**18)),
+        st.integers(0, 10**6).map(lambda k: 1 - Fraction(k, 10**12)),
+        st.integers(0, n).map(lambda i: Fraction(i, n)),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**12),
+        st.floats(0, 1).map(Fraction),
+    )
+
+
+#: cut masses from the smallest positive float to past the whole tree's mass
+SETTLE_MASSES = st.one_of(st.floats(5e-324, 1.2), st.sampled_from([5e-324, 1e-300, 1e-20, 1.2]))
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_TREES))
+def test_settled_walks_match_the_full_depth_oracle(name):
+    """Prefix walks and descents stop once the rest of the tree cannot
+    change their float; a fresh ``_prefix``, ``eval`` and ``cut`` must
+    equal the full-depth oracle's with ``==``, and so must each cut
+    answer's prefix mass and the cut from it, fed back in as the next x,
+    until a cut runs past the end (``None``)."""
+    tree = BOUNDARY_TREES[name]
+    depth = tree.params.depth
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=settle_positions(depth),
+        y=settle_positions(depth),
+        masses=st.lists(SETTLE_MASSES, min_size=1, max_size=4),
+    )
+    @example(x=Fraction(1, 10**18), y=Fraction(1), masses=[5e-324, 1e-20, 0.5, 1.2])
+    @example(x=1 - Fraction(1, 10**12), y=Fraction(1, 3), masses=[1e-300, 1.2])
+    def check(x, y, masses):
+        prefix = oracles.full_depth_prefix
+        assert fresh_prefix(tree, x) == prefix(tree, x)
+        a, b = sorted((x, y))
+        tree._masses.clear()
+        assert tree.eval(a, b) == max(prefix(tree, b) - prefix(tree, a), 0.0)
+        start = x
+        for r in masses:
+            tree._masses.clear()
+            answer = tree.cut(start, r)
+            assert answer == oracles.full_depth_cut(tree, start, r)
+            if answer is None:
+                break
+            assert fresh_prefix(tree, Fraction(answer)) == prefix(tree, answer)
+            start = answer
+
+    check()
+
+
+class CountingTree(BalancedValueTree):
+    """A hashed tree that counts the labels its walks read."""
+
+    reads = 0
+
+    def _labels(self, path, sig, step=None):
+        self.reads += 1
+        return BalancedValueTree._labels(self, path, sig)
+
+    _path_labels = _descent_labels = _labels
+
+
+@pytest.mark.parametrize("depth", [60, 200])
+def test_settled_walks_read_labels_independent_of_depth(depth):
+    """A walk to a position in [1/10, 9/10], and a descent to a target
+    mass there, settle their float about 35 levels down at any depth."""
+    tree = CountingTree(TreeParams.from_depth(depth), seed=depth)
+    for k in range(100, 901, 8):
+        tree.reads = 0
+        fresh_prefix(tree, Fraction(k, 1000))
+        assert tree.reads <= 45
+        tree.reads = 0
+        tree._descend(k / 1000)
+        assert tree.reads <= 45
 
 
 def small_numerator(i: int, k: int) -> Fraction:
