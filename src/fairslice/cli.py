@@ -239,7 +239,7 @@ def cmd_adversary(args) -> int:
 
 
 def _resolve_seeds(args) -> list[int]:
-    if getattr(args, "seeds", None):
+    if args.seeds:
         return _parse_int_list(args.seeds, "--seeds")
     return [args.seed]
 

@@ -60,7 +60,8 @@ def verify_partition(allocation: Allocation) -> None:
     """Raise :class:`PartitionViolation` unless the pieces tile [0, 1].
 
     Pieces must be pairwise disjoint (shared endpoints are fine) and cover
-    the whole segment; the error lists every overlap and gap found.
+    the whole segment; the error lists every gap, and every overlap as
+    ``(left, right, a, b)``: ``b``'s interval starts inside ``a``'s.
     """
     # float(left) first, exact left as tie-break: the order of (left, right, player)
     marked = sorted(
@@ -71,15 +72,15 @@ def verify_partition(allocation: Allocation) -> None:
     overlaps = []
     gaps = []
     cursor = ZERO
-    prev_player = None
+    owner = None  # the player whose interval reaches cursor
     for _, left, right, player in marked:
         if left != cursor:
             if left > cursor:
                 gaps.append((cursor, left))
             else:
-                overlaps.append((left, min(right, cursor), prev_player, player))
-        cursor = max(cursor, right)
-        prev_player = player
+                overlaps.append((left, min(right, cursor), owner, player))
+        if right > cursor:
+            cursor, owner = right, player
     if cursor < ONE:
         gaps.append((cursor, ONE))
     if overlaps or gaps:

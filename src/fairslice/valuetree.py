@@ -6,8 +6,8 @@ edges so the labels sum to 1; a node's value is the product of the edge
 labels on its root path, and leaves are uniform inside their cell.  Two
 labelings occur:
 
-* an ordinary node carries one *heavy* edge (label beta/3) and two *light*
-  edges (label 1/2 - beta/6), where ``beta = 2**(6/ln n)``;
+* an ordinary node carries one *heavy* edge (label ``H = beta/3``) and two
+  *light* edges (label ``(1 - H)/2``), where ``beta = 2**(6/ln n)``;
 * a *critical* node -- one whose density D satisfies ``D * beta > 2`` --
   labels all three edges 1/3, which freezes the density from there down.
 
@@ -48,11 +48,11 @@ adversary session still walks, and reveals, every endpoint's whole leaf
 path and every descent down to a leaf.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
-values, log constants, the density tests, the adversary's query threshold,
-and the root :class:`Signature` (a node's edge counts, criticality and
-value).  :meth:`Signature.step` is the one per-edge rule: it makes every
-child signature, and every tree, completion and session of one size
-shares its signatures.  A walk reads a node's children from the
+values, the density and its log, the density tests, the adversary's query
+threshold, and the root :class:`Signature` (a node's edge counts,
+criticality and value).  :meth:`Signature.step` is the one per-edge rule:
+it makes every child signature, and every tree, completion and session
+of one size shares its signatures.  A walk reads a node's children from the
 :class:`ChildTable` its signature keeps for the node's label kinds: the
 masses ``value * label`` of children 0 and 1 and the three child
 signatures, built once per (signature, kinds) from ``step``.  Node values
@@ -67,7 +67,8 @@ labels ``H`` (the float heavy label, exactly), ``L = (1 - H)/2`` and
 comparison, a value one integer division, each once per signature.  A
 heaviness verdict reads no float either: :meth:`~TernaryTreeValuation.leaf_masses`
 gives a narrow piece's mass in each leaf it overlaps as a ``Fraction``,
-from the leaf signature's exact value.
+from the leaf signature's exact value.  Log densities, leaf profiles and
+the low-heavy density cap come from the same labels.
 """
 
 from __future__ import annotations
@@ -86,10 +87,9 @@ from .errors import InvalidInput, PreconditionViolation
 from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, as_scalar, unit_span
 from .valuation import Valuation, is_heavy
 
-LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 #: tree levels per binary order of magnitude
-_LOG3_2 = LN2 / LN3
+_LOG3_2 = math.log(2.0) / LN3
 
 HEAVY = "H"
 LIGHT = "L"
@@ -104,7 +104,7 @@ _STEP = (b"\x00", b"\x01", b"\x02")
 #: minimum depth for the density guarantees to hold (gives beta/3 < 1/2)
 STRICT_MIN_DEPTH = 11
 
-#: permissive floor: below depth 4 the light label 1/2 - beta/6 goes negative
+#: permissive floor: below depth 4 the light label (1 - beta/3)/2 goes negative
 PERMISSIVE_MIN_DEPTH = 4
 
 #: largest depth for which whole-tree enumeration is supported (3^11 leaves)
@@ -119,7 +119,7 @@ class TreeParams:
     """Size-derived constants and density tests of a balanced value tree.
 
     The depth fixes everything else: the leaf count ``n``, ``beta``, the
-    label values, log constants, threshold and root signature are made on
+    label values, log density factors, threshold and root signature are made on
     first use and kept on the instance; equality and hashing see only the
     two fields, so equal params share one root signature.
     """
@@ -140,8 +140,8 @@ class TreeParams:
                 f"depth {depth} < {STRICT_MIN_DEPTH}: density guarantees need "
                 f"n >= 3^{STRICT_MIN_DEPTH} (pass permissive=True for unit-test sizes)"
             )
-        if not self.permissive and not (1.0 / 3.0 <= self.beta / 3.0 < 0.5):
-            raise InvalidInput(f"heavy label beta/3 = {self.beta/3} outside [1/3, 1/2)")
+        if not self.permissive and not (1.0 / 3.0 <= self.heavy_label < 0.5):
+            raise InvalidInput(f"heavy label beta/3 = {self.heavy_label} outside [1/3, 1/2)")
 
     @classmethod
     def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":  # only the benchmark and tests call this
@@ -163,7 +163,9 @@ class TreeParams:
 
     @cached_property
     def light_label(self) -> float:
-        return 0.5 - self.beta / 6.0
+        """``(1 - H)/2`` for the heavy label ``H``, correctly rounded."""
+        a, den = self.heavy_label.as_integer_ratio()
+        return (den - a) / (2 * den)
 
     @cached_property
     def label_values(self) -> dict[str, float]:
@@ -171,24 +173,10 @@ class TreeParams:
         return {HEAVY: self.heavy_label, LIGHT: self.light_label, THIRD: 1.0 / 3.0}
 
     @cached_property
-    def ln_beta(self) -> float:
-        return 6.0 * LN2 / (self.depth * LN3)
-
-    @cached_property
-    def ln_light_density(self) -> float:
-        # a light edge multiplies density by 3/2 - beta/2 = 1 - (beta - 1)/2,
-        # with beta = exp(ln_beta)
-        return math.log1p(-math.expm1(self.ln_beta) / 2.0)
-
-    @cached_property
     def threshold(self) -> int:
         """Number of queries the adversary's refutation guarantee covers:
         floor((ln(n)/6 - 1)/2), clamped at zero for small trees."""
         return max(math.floor((math.log(self.n) / 6.0 - 1.0) / 2.0), 0)
-
-    def log_density(self, h: int, q: int) -> float:
-        """log of the density beta^h * (3/2 - beta/2)^q at h heavy, q light edges."""
-        return h * self.ln_beta + q * self.ln_light_density
 
     @cached_property
     def _density_factors(self) -> tuple[int, int, int]:
@@ -196,6 +184,20 @@ class TreeParams:
         exactly: ``3H = 3a/2^e`` and ``3L = 3(2^e - a)/2^(e+1)``."""
         a, den = self.heavy_label.as_integer_ratio()
         return 3 * a, 3 * (den - a), den.bit_length() - 1
+
+    @cached_property
+    def _log_factors(self) -> tuple[float, float]:
+        """``(log 3H, log 3L)``, each the ``log1p`` of the correctly rounded
+        ``3H - 1`` or ``3L - 1``."""
+        heavy, light, e = self._density_factors
+        one = 1 << e
+        return math.log1p((heavy - one) / one), math.log1p((light - 2 * one) / (2 * one))
+
+    def log_density(self, h: float, q: float) -> float:
+        """log of the density ``(3H)^h * (3L)^q`` at ``h`` heavy and ``q``
+        light edges; real ``h`` and ``q`` interpolate it."""
+        log_heavy, log_light = self._log_factors
+        return h * log_heavy + q * log_light
 
     def _scaled_density(self, h: int, q: int) -> tuple[int, int]:
         """(m, s) with ``(3H)^h * (3L)^q == m / 2^s`` exactly."""
@@ -654,12 +656,6 @@ class TernaryTreeValuation(Valuation, ABC):
                 table = sig.table(kinds)
                 stack.extend((path + _STEP[c], table[2 + c]) for c in (2, 1, 0))
 
-    def max_leaf_density(self) -> float:
-        """Maximum leaf density; for a tree of uniform leaves this bounds the
-        density of every subinterval."""
-        log_density = self.params.log_density
-        return max(math.exp(log_density(v.h, v.q)) for v in self.iter_nodes() if v.is_leaf)
-
     # -- heavy-piece post-processing ----------------------------------------------
 
     def leaf_masses(self, piece: Piece) -> list[tuple[bytes, Signature, Fraction]]:
@@ -775,37 +771,32 @@ class LeafProfileClass:
 
 
 def leaf_profiles(params: TreeParams) -> list[LeafProfileClass]:
-    """Every (h, q, z) leaf signature consistent with the labeling rules.
-
-    A signature with z == 0 is realizable iff some root path places its
-    heavy edges without an intermediate node turning critical; ordering the
-    light edges first makes (h-1, q) the binding prefix.  A signature with
-    z >= 1 needs criticality to trigger exactly when the last heavy edge is
-    added: critical at (h, q) but not at (h-1, q).
+    """Every (h, q, z) leaf signature a labeling can reach, classified,
+    sorted by ``(h, z > 0, q)``: the signatures :meth:`Signature.step`
+    reaches level by level from the root, stepping a non-critical node
+    across a heavy and a light edge and a critical node across a 1/3 edge.
     """
-    out = []
-    d = params.depth
-    critical = params.critical_counts
-    for h in range(d + 1):
-        q = d - h
-        if h == 0 or not critical(h - 1, q):
-            out.append(LeafProfileClass(h, q, 0, params.classify(h, q, critical(h, q))))
-        for q2 in range(0, d - h):
-            z = d - h - q2
-            if h >= 1 and critical(h, q2) and not critical(h - 1, q2):
-                out.append(LeafProfileClass(h, q2, z, "critical"))
-    return out
+    level = {params.root}
+    for _ in range(params.depth):
+        level = {
+            sig.step(kind)
+            for sig in level
+            for kind in ((THIRD,) if sig.critical else (HEAVY, LIGHT))
+        }
+    leaves = sorted(level, key=lambda sig: (sig.h, sig.z > 0, sig.q))
+    return [
+        LeafProfileClass(sig.h, sig.q, sig.z, params.classify(sig.h, sig.q, sig.critical))
+        for sig in leaves
+    ]
 
 
 def low_heavy_density_cap(depth: int) -> float:
     """Largest leaf density achievable with at most ln(n)/6 heavy edges on a
-    depth-``depth`` tree; increasing in depth with limit
-    :data:`LOW_HEAVY_DENSITY_LIMIT` (~0.426), hence always below 1/2.
+    depth-``depth`` tree (that many heavy, the rest light); increasing in
+    depth with limit :data:`LOW_HEAVY_DENSITY_LIMIT` (~0.426), so below 1/2.
     """
-    params = TreeParams(depth, permissive=True)
-    exponent = depth - depth * LN3 / 6.0
-    # beta ** (ln_n / 6) == 2 exactly
-    return 2.0 * math.exp(exponent * params.ln_light_density)
+    heavy = depth * LN3 / 6.0
+    return math.exp(TreeParams(depth, permissive=True).log_density(heavy, depth - heavy))
 
 
 def verify_labeling(

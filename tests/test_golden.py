@@ -299,11 +299,6 @@ def test_iter_nodes_stream():
     assert digest(iter_nodes_lines(tree)) == ITER_NODES_DIGEST
 
 
-def test_max_leaf_density():
-    tree = BalancedValueTree(TreeParams.from_depth(11), seed=11)
-    assert repr(tree.max_leaf_density()) == "1.9903032297681105"
-
-
 LEAF_PROFILE_DIGESTS = {
     11: "5dccd5adbe616fd040190800c0de66c4770258b98ddff21cf9f861702fc1003c",
     60: "afeae1c27e4b9eb9541a13691818d2594e6f6efa3f340035d8260ab737890a22",

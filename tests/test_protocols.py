@@ -54,6 +54,17 @@ class TestPartitionCheck:
             verify_partition(Allocation((Piece.of((0, "2/3")), Piece.of(("1/3", 1)))))
         assert err.value.overlaps
 
+    def test_overlap_names_the_player_reaching_past_it(self):
+        # player 0's [0, 4/5] reaches past player 1's [1/10, 1/5], so the
+        # overlap with player 2's [3/10, 1] is player 0's, not player 1's
+        pieces = (Piece.of((0, "4/5")), Piece.of(("1/10", "1/5")), Piece.of(("3/10", 1)))
+        with pytest.raises(PartitionViolation) as err:
+            verify_partition(Allocation(pieces))
+        assert err.value.overlaps == (
+            (Fraction(1, 10), Fraction(1, 5), 0, 1),
+            (Fraction(3, 10), Fraction(4, 5), 0, 2),
+        )
+
     def test_empty_pieces_allowed_if_covered(self):
         verify_partition(Allocation((Piece.of((0, 1)), Piece())))
 

@@ -39,6 +39,11 @@ SMALL = TreeParams.from_depth(7, permissive=True)
 
 
 class TestParams:
+    def test_light_label_is_the_rounded_exact_complement(self):
+        for depth in range(4, 401):
+            params = TreeParams(depth, permissive=depth < 11)
+            assert params.light_label == float((1 - Fraction(params.heavy_label)) / 2), depth
+
     def test_strict_constants(self):
         assert P11.n == 3**11
         assert abs(P11.beta - 2 ** (6 / math.log(3**11))) < 1e-15
@@ -437,6 +442,18 @@ class TestDensityCap:
     def test_always_below_half(self):
         assert LOW_HEAVY_DENSITY_LIMIT < 0.5
 
+    @pytest.mark.parametrize("depth", [11, 30, 60])
+    def test_bounds_every_low_heavy_leaf_profile(self, depth):
+        """The cap is below 1/2 and at least the density of every z = 0 leaf
+        profile with at most ln(n)/6 heavy edges."""
+        params = TreeParams(depth)
+        cap = low_heavy_density_cap(depth)
+        assert cap < 0.5
+        low = [p for p in leaf_profiles(params) if p.z == 0 and p.h <= depth * math.log(3) / 6]
+        assert low
+        for p in low:
+            assert math.exp(params.log_density(p.h, p.q)) <= cap, p
+
 
 class TestQueries:
     def test_eval_full_range(self):
@@ -481,11 +498,7 @@ class TestQueries:
         assert report.ok
 
 
-class TestMaxLeafDensity:
-    def test_within_two_for_strict_trees(self):
-        tree = build_tree(P11, seed=14)
-        assert tree.max_leaf_density() <= 2 + 1e-9
-
+class TestLeafEnumeration:
     def test_positive_leaves(self):
         tree = BalancedValueTree(SMALL, seed=14)
         assert min(
@@ -497,7 +510,19 @@ class TestMaxLeafDensity:
     def test_enumeration_capped(self):
         big = TreeParams.from_depth(13)
         with pytest.raises(ValueError, match="enumeration"):
-            BalancedValueTree(big, seed=0).max_leaf_density()
+            next(BalancedValueTree(big, seed=0).iter_nodes())
+
+    @pytest.mark.parametrize("depth", range(4, 12), ids=lambda depth: f"depth-{depth}")
+    def test_every_leaf_has_a_listed_profile(self, depth):
+        """Each leaf of three hashed trees has its (h, q, z, classification)
+        among ``leaf_profiles``; at depths 4 and 5 the root is critical, so
+        every leaf is (0, 0, depth, 'critical')."""
+        params = TreeParams(depth, permissive=depth < 11)
+        profiles = {(p.h, p.q, p.z, p.classification) for p in leaf_profiles(params)}
+        for seed in range(3):
+            for v in BalancedValueTree(params, seed=seed).iter_nodes():
+                if v.is_leaf:
+                    assert (v.h, v.q, v.z, params.classify(v.h, v.q, v.critical)) in profiles, v
 
 
 class TestCandidateLeaf:
