@@ -34,7 +34,6 @@ from .geometry import (
     Piece,
     as_scalar,
     normalize_piece,
-    piece_union,
     scalar_str,
 )
 from .protocols import (

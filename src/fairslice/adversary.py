@@ -319,29 +319,22 @@ def _path_digits(path: bytes) -> str:
     return path.translate(_DIGITS).decode().replace("", ",")[1:-1]
 
 
-def _reveal_json(path: bytes, kinds: Kinds) -> str:
-    """One reveal as a transcript writes it: the compact ``json.dumps`` of
-    ``{"path": list(path), "labels": list(kinds)}``, character for
-    character, from string fragments.
-
-    >>> _reveal_json(b"\\x02\\x00", ("L", "H", "L"))
-    '{"path":[2,0],"labels":["L","H","L"]}'
-    >>> _reveal_json(b"", ("H", "L", "L"))
-    '{"path":[],"labels":["H","L","L"]}'
-    """
-    return '{"path":[' + _path_digits(path) + _LABELS_TAIL[kinds]
-
-
 def _reveals_json(reveals: Iterable[tuple[bytes, Kinds]]) -> str:
-    """A record's reveals, each as :func:`_reveal_json` writes it,
-    comma-joined, in one pass.  A walk reveals each node after its parent,
-    so a reveal whose path extends the one before by a digit extends that
-    one's digit string by the same digit; any other reveal, such as the
-    first of a walk, is written from scratch.
+    """A record's reveals as a transcript writes them, comma-joined, in
+    one pass: each is the compact ``json.dumps`` of ``{"path": list(path),
+    "labels": list(kinds)}``, character for character, from string
+    fragments.  A walk reveals each node after its parent, so a reveal
+    whose path extends the one before by a digit extends that one's digit
+    string by the same digit; any other reveal, such as the first of a
+    walk, is written from scratch.
 
+    >>> _reveals_json([(b"", ("H", "L", "L")), (b"\\x02\\x00", ("L", "H", "L"))])
+    '{"path":[],"labels":["H","L","L"]},{"path":[2,0],"labels":["L","H","L"]}'
     >>> walk = [(b"", _HEAVY_AT[1]), (b"\\x01", _HEAVY_AT[0]), (b"\\x01\\x02", _HEAVY_AT[0])]
     >>> reveals = walk + [(b"\\x00", _HEAVY_AT[1])]
-    >>> _reveals_json(reveals) == ",".join(_reveal_json(*reveal) for reveal in reveals)
+    >>> _reveals_json(reveals) == ",".join(
+    ...     json.dumps({"path": list(p), "labels": list(k)}, separators=(",", ":")) for p, k in reveals
+    ... )
     True
     """
     parts = []

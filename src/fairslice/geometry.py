@@ -68,7 +68,7 @@ def scalar_str(value: Fraction) -> str:
     return str(value) if value.__class__ is Fraction else str(Fraction(value))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Interval:
     """A closed subinterval of [0, 1]; empty iff ``left == right``."""
 
@@ -126,9 +126,6 @@ class Piece:
     def width(self) -> Fraction:
         return sum((iv.width for iv in self.intervals), ZERO)
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     def to_pairs(self) -> list[list[str]]:
         """JSON form: a list of ["left", "right"] rational strings."""
         return [[scalar_str(iv.left), scalar_str(iv.right)] for iv in self.intervals]
@@ -153,8 +150,3 @@ def normalize_piece(raw: Iterable[Interval]) -> Piece:
         else:
             merged.append(iv)
     return Piece(tuple(merged))
-
-
-def piece_union(*pieces: Piece) -> Piece:
-    """Union of pieces, normalized."""
-    return normalize_piece(iv for p in pieces for iv in p.intervals)

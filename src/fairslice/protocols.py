@@ -43,18 +43,6 @@ class Allocation:
     def to_json(self) -> dict:
         return {"pieces": [piece.to_pairs() for piece in self.pieces]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Allocation":
-        """Read :meth:`to_json`'s form; a malformed document or pair raises
-        :class:`InvalidInput`."""
-        pieces = obj.get("pieces") if isinstance(obj, dict) else None
-        if not isinstance(pieces, list):
-            raise InvalidInput(f"an allocation is {{'pieces': [...]}}, got {obj!r}")
-        for j, pairs in enumerate(pieces):
-            if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
-                raise InvalidInput(f"pieces[{j}] is not a list of [left, right] pairs: {pairs!r}")
-        return cls(tuple(Piece.of(*pairs) for pairs in pieces))
-
 
 def verify_partition(allocation: Allocation) -> None:
     """Raise :class:`PartitionViolation` unless the pieces tile [0, 1].

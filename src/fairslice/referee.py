@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
 from .geometry import ScalarLike, as_scalar
@@ -158,10 +158,6 @@ class QueryReferee:
     def log_lines(self) -> list[str]:
         """The query log as JSON-lines, one record per query in wall order."""
         return [json.dumps(rec.to_json_obj(), separators=(",", ":")) for rec in self.log]
-
-    def export_log(self, fp: IO[str]) -> None:
-        for line in self.log_lines():
-            fp.write(line + "\n")
 
 
 def replay_log(

@@ -315,36 +315,30 @@ def random_dense_valuation(
     n_segments: int,
     bounds: DensityBounds,
     seed: int,
-    positive: bool = True,
 ) -> PiecewiseConstantValuation:
     """Seeded generator of normalized step valuations inside a density band.
 
-    Draws random integer densities on a random breakpoint grid, rescales
-    exactly to total mass 1, and rejects draws that leave the band, so the
-    result passes :func:`verify_dense` by construction.  Deterministic in
-    ``seed``.  Breakpoint ``k / grid`` keeps its grid index ``k``, so the
-    total and the band test run in integers and only the answer is built
-    from ``Fraction``s.
+    Draws random integer densities from 60 to 140 on a random breakpoint
+    grid, so every drawn density is positive, rescales exactly to total
+    mass 1, and rejects draws that leave the band, so the result passes
+    :func:`verify_dense` by construction.  Deterministic in ``seed``.
+    Breakpoint ``k / grid`` keeps its grid index ``k``, so the total and
+    the band test run in integers and only the answer is built from
+    ``Fraction``s.
     """
+    if n_segments.__class__ is not int:
+        raise InvalidInput(f"n_segments must be an int, got {n_segments!r}")
     if n_segments < 1:
         raise InvalidInput("need at least one segment")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
     points = _grid_points(grid)
-    low = 0 if (not positive and bounds.alpha == 0) else 60
     alpha, beta = bounds.alpha, bounds.beta
     for _ in range(MAX_DRAW_ATTEMPTS):
-        if n_segments == 1:
-            ks = (0, grid)
-        else:
-            ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
-        raw = [rng.randint(low, 140) for _ in range(n_segments)]
+        ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
+        raw = [rng.randint(60, 140) for _ in range(n_segments)]
         # the raw mass is total / grid, so density i is raw[i] * grid / total
         total = sum(r * (b - a) for a, b, r in zip(ks, ks[1:], raw))
-        if total == 0:
-            continue
-        if positive and 0 in raw:
-            continue
         if min(raw) * grid * alpha.denominator < alpha.numerator * total:
             continue
         if beta is not None and max(raw) * grid * beta.denominator > beta.numerator * total:

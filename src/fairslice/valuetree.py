@@ -349,7 +349,8 @@ def _as_mass(r) -> float:
 
 def leaf_path(t: Fraction, depth: int) -> bytes:
     """Node path of the leaf whose cell contains t (t=1 maps to the last
-    leaf)."""
+    leaf).  A t outside [0, 1] is refused."""
+    t, _ = unit_span(t, ONE, "leaf position needs 0 <= t <= 1, got {x}")
     n = 3**depth
     return _index_path(min(math.floor(t * n), n - 1), depth)
 
@@ -713,6 +714,8 @@ class BalancedValueTree(TernaryTreeValuation):
     """
 
     def __init__(self, params: TreeParams, seed: int):
+        if seed.__class__ is not int:
+            raise InvalidInput(f"seed must be an int, got {seed!r}")
         super().__init__(params)
         self.seed = seed
         self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import weakref
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -108,25 +109,20 @@ def scan_cut(valuation, x, r):
     return None
 
 
-def fraction_dense_draw(n_segments, bounds, seed, positive=True, max_attempts=10_000):
+def fraction_dense_draw(n_segments, bounds, seed, max_attempts=10_000):
     """(breakpoints, densities) of ``random_dense_valuation``'s draw, with
     the total mass, the rescaling and the band test done in ``Fraction``s."""
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
-    low = 0 if (not positive and bounds.alpha == 0) else 60
     for _ in range(max_attempts):
         if n_segments == 1:
             bps = (Fraction(0), Fraction(1))
         else:
             interior = sorted(rng.sample(range(1, grid), n_segments - 1))
             bps = (Fraction(0), *(Fraction(k, grid) for k in interior), Fraction(1))
-        raw = [Fraction(rng.randint(low, 140)) for _ in range(n_segments)]
+        raw = [Fraction(rng.randint(60, 140)) for _ in range(n_segments)]
         total = sum(r * (b - a) for a, b, r in zip(bps, bps[1:], raw))
-        if total == 0:
-            continue
         dens = [r / total for r in raw]
-        if positive and any(d == 0 for d in dens):
-            continue
         if all(bounds.admits(d) for d in dens):
             return bps, tuple(dens)
     raise ValueError(f"no draw inside {bounds} after {max_attempts} attempts")
@@ -175,18 +171,24 @@ def leaf_densities(tree):
     return out
 
 
+#: each tree's leaf densities, computed on its first leaf sum
+_LEAF_DENSITIES = weakref.WeakKeyDictionary()
+
+
 def leaf_sum_value(tree, x, y):
     """Tree value of [x, y] as a sum of per-leaf uniform contributions.
 
     Only practical for small trees; independent of the tree's prefix-descent
-    evaluation.
+    evaluation.  Leaves outside ``[x, y]`` add nothing, so only leaves
+    ``floor(x n)`` to ``ceil(y n) - 1`` are summed, in ascending order.
     """
-    params = tree.params
-    n = params.n
-    densities = leaf_densities(tree)
+    n = tree.params.n
+    densities = _LEAF_DENSITIES.get(tree)
+    if densities is None:
+        densities = _LEAF_DENSITIES[tree] = leaf_densities(tree)
     x, y = Fraction(x), Fraction(y)
     total = 0.0
-    for index in range(n):
+    for index in range(math.floor(x * n), math.ceil(y * n)):
         left = Fraction(index, n)
         right = Fraction(index + 1, n)
         lo = max(left, x)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairslice.dual import dual_pwc_closed_form
-from fairslice.errors import InvalidInput, PartitionViolation
+from fairslice.errors import PartitionViolation
 from fairslice.geometry import Piece
 from fairslice.protocols import (
     Allocation,
@@ -260,27 +260,6 @@ class TestCheckers:
         allocation = Allocation((Piece.of((0, 1)),))
         with pytest.raises(ValueError):
             check_proportional(allocation, [UNIFORM], "banana")
-
-    def test_allocation_json_roundtrip(self):
-        allocation = Allocation((Piece.of((0, "1/3")), Piece.of(("1/3", 1))))
-        assert Allocation.from_json(allocation.to_json()) == allocation
-
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            {},
-            [],
-            {"pieces": 5},
-            {"pieces": [[["0", "1/2"]], "oops"]},
-            {"pieces": [[["0", "1/2", "1"]]]},
-            {"pieces": [[["0", None]]]},
-            {"pieces": [[["1/2", "1/3"]]]},
-            {"pieces": [[["0", "x"]]]},
-        ],
-    )
-    def test_malformed_allocation_json_is_invalid_input(self, doc):
-        with pytest.raises(InvalidInput):
-            Allocation.from_json(doc)
 
     def test_light_count_includes_the_edges(self):
         # width exactly 1/(2n) and value exactly 1/n is light

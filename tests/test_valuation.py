@@ -194,34 +194,27 @@ class TestGenerator:
         v = random_dense_valuation(5, DensityBounds(0, 2), seed=3)
         assert len(v.densities) == 5
 
-    def test_non_positive_generation_allowed(self):
-        # with the positivity requirement dropped, zero-density segments
-        # eventually appear (deterministic given the seed scan)
-        found = False
-        for seed in range(200):
-            v = random_dense_valuation(8, DensityBounds(0, None), seed=seed, positive=False)
-            assert verify_dense(v, DensityBounds(0, None))
-            if not v.is_positive:
-                found = True
-                break
-        assert found
+    @pytest.mark.parametrize("segments", [2.5, 2.0, Fraction(2), "3", True, None, 0, -3], ids=repr)
+    def test_bad_segment_count_is_invalid_input(self, segments):
+        with pytest.raises(InvalidInput):
+            random_dense_valuation(segments, DensityBounds(0, 2), seed=1)
 
     @pytest.mark.parametrize(
-        "segments,bounds,positive",
+        "segments,bounds",
         [
-            (1, DensityBounds(0, 2), True),
-            (6, DensityBounds(Fraction(1, 2), 2), True),
-            (6, DensityBounds(0, None), False),
-            (8, DensityBounds(0, 2), False),
-            (8, DensityBounds(Fraction(1, 2), None), True),
-            (64, DensityBounds(0, 2), True),
-            (64, DensityBounds(0, None), False),
+            (1, DensityBounds(0, 2)),
+            (6, DensityBounds(Fraction(1, 2), 2)),
+            (6, DensityBounds(0, None)),
+            (8, DensityBounds(0, 2)),
+            (8, DensityBounds(Fraction(1, 2), None)),
+            (64, DensityBounds(0, 2)),
+            (64, DensityBounds(0, None)),
         ],
     )
-    def test_integer_draw_matches_fraction_draw(self, segments, bounds, positive):
+    def test_integer_draw_matches_fraction_draw(self, segments, bounds):
         for seed in range(60 if segments < 64 else 15):
-            v = random_dense_valuation(segments, bounds, seed=seed, positive=positive)
-            bps, dens = fraction_dense_draw(segments, bounds, seed=seed, positive=positive)
+            v = random_dense_valuation(segments, bounds, seed=seed)
+            bps, dens = fraction_dense_draw(segments, bounds, seed=seed)
             assert v.breakpoints == bps and v.densities == dens
 
 

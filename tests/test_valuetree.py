@@ -84,6 +84,17 @@ class TestPaths:
         assert leaf_path(Fraction(1, 3), 2) == b"\x01\x00"
         assert leaf_path(Fraction(8, 9), 2) == b"\x02\x02"
 
+    @pytest.mark.parametrize(
+        "t", [Fraction(-1, 3), Fraction(4, 3), -1, 2, -1e-300, math.nan, "x", None], ids=repr
+    )
+    def test_position_outside_the_unit_segment_is_invalid_input(self, t):
+        with pytest.raises(InvalidInput):
+            leaf_path(t, 2)
+
+    def test_position_strings_and_floats_read_exactly(self):
+        assert leaf_path("1/3", 2) == leaf_path(Fraction(1, 3), 2) == b"\x01\x00"
+        assert leaf_path(0.5, 2) == leaf_path(Fraction(1, 2), 2) == b"\x01\x01"
+
     def test_from_index(self):
         assert index_path(5, 3) == b"\x00\x01\x02"
         assert index_path(0, 0) == b""
@@ -618,6 +629,13 @@ class TestJsonAndVerification:
     def test_from_json_refuses_coerced_fields(self, fields):
         with pytest.raises(InvalidInput, match="must be a JSON"):
             BalancedValueTree.from_json({"type": "balanced_value_tree", **fields})
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None], ids=repr)
+    def test_non_int_seed_is_invalid_input(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an int"):
+            BalancedValueTree(P11, seed)
+        with pytest.raises(InvalidInput, match="seed must be an int"):
+            AdversarySession(P11).complete_labeling(seed=seed)
 
     def test_from_json_reads_permissive_flag(self):
         spec = {"type": "balanced_value_tree", "k": 7, "seed": 3}
