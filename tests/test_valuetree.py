@@ -44,6 +44,12 @@ class TestParams:
             params = TreeParams(depth, permissive=depth < 11)
             assert params.light_label == float((1 - Fraction(params.heavy_label)) / 2), depth
 
+    def test_threshold_from_the_labels_matches_the_analytic_formula(self):
+        for depth in range(4, 401):
+            params = TreeParams(depth, permissive=depth < 11)
+            expected = max(math.floor((math.log(params.n) / 6.0 - 1.0) / 2.0), 0)
+            assert params.threshold == expected, depth
+
     def test_strict_constants(self):
         assert P11.n == 3**11
         assert abs(P11.beta - 2 ** (6 / math.log(3**11))) < 1e-15
@@ -98,6 +104,13 @@ class TestPaths:
     def test_from_index(self):
         assert index_path(5, 3) == b"\x00\x01\x02"
         assert index_path(0, 0) == b""
+
+    @pytest.mark.parametrize("depth", [-1, -3, 2.0, True, False, None, "2", Fraction(2)], ids=repr)
+    def test_bad_depth_is_invalid_input(self, depth):
+        with pytest.raises(InvalidInput, match="depth must be an int"):
+            leaf_path(Fraction(1, 2), depth)
+        with pytest.raises(InvalidInput, match="depth must be an int"):
+            index_path(0, depth)
 
     @pytest.mark.parametrize(
         "index, depth", [(-1, 2), (9, 2), (-1, 0), (1, 0), (3**7, 7), (-(3**60), 60), (3**60, 60)]
