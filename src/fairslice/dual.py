@@ -9,13 +9,21 @@ constant number of queries on the base valuation,
 
 so a protocol run against duals costs exactly twice its dual-level query
 count on the base valuations.  A dual cut checks ``r`` by the one mass rule,
-:func:`~fairslice.geometry.cut_mass`, before any base query, and has no
-answer for an exact ``r > 1``.  Dualizing is an involution (v** = v).
+:func:`~fairslice.geometry.cut_mass`, before any base query, has no answer
+for an exact ``r > 1``, and answers ``x`` itself for ``r == 0``.  Dualizing
+is an involution (v** = v).
 
 The payoff: a piece that is *light* for v* (wide but cheap) dualizes to a
 piece that is *heavy* for v (narrow but valuable).  ``reduction_pipeline``
 exploits this to turn any proportional chore protocol into a heavy-piece
-finder for at least ceil(n/3) of n given (0,2)-dense valuations.
+finder for more than n/3, so at least ``n // 3 + 1``, of n given
+(0,2)-dense valuations.  The count: the chore pieces partition the dual
+line, so their dual widths sum to 1.  A piece's dual width is its image's
+value, so a light piece is under 1/(2n) wide, and a heavy one is at most
+2/n wide, since its image is at most 1/n wide and every density is at
+most 2.  With k heavy pieces, 1 < 2k/n + (n - k)/(2n), so k > n/3.
+``ReductionReport.required_certificates`` still checks only the weaker
+``ceil(n/3)``, which is one short whenever 3 divides n.
 """
 
 from __future__ import annotations
@@ -97,7 +105,10 @@ class DualValuation(Valuation):
         if position is None or above_one(position):
             self.base.eval(ZERO, ONE)  # billed anyway: see the class docstring
             return None
-        return self.base.eval(ZERO, position)
+        value = self.base.eval(ZERO, position)
+        # billed anyway too: x itself answers a zero mass, where a float base
+        # can map x through its cut and eval to a point just below x
+        return value if r else x
 
 
 def dual_pwc_closed_form(valuation: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
@@ -188,9 +199,11 @@ def reduction_pipeline(
     (0,2)-dense valuations (each dual query billed as two base queries),
     dualizes every allocated piece back through base cut queries, and
     checks from the images that the output really is a proportional chore
-    allocation.  At least ceil(n/3) of the returned pieces are verified
-    heavy for their owners; heaviness is checked exactly and pieces may
-    overlap (this is a search result, not an allocation).
+    allocation.  More than n/3 of the returned pieces, so at least
+    ``n // 3 + 1``, are verified heavy for their owners (the count is in
+    the module docstring); heaviness is checked exactly and pieces may
+    overlap (this is a search result, not an allocation).  The report's
+    ``required_certificates`` still asks only for ``ceil(n/3)``.
     """
     bounds = DensityBounds(Fraction(0), Fraction(2))
     for i, v in enumerate(valuations):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InvalidInput
@@ -133,13 +133,19 @@ class PiecewiseConstantValuation(Valuation):
     carries constant density ``densities[i-1]``.  The densities must
     integrate to exactly 1; this is checked at construction.
 
-    The check leaves two integer tables behind, and every query is answered
-    from them: ``_bkey[i] = b_i * G`` over the common denominator ``G`` of
-    the breakpoints, and ``_ckey[i] = eval(0, b_i) * L`` over the common
-    denominator ``L`` of the segment masses (``_ckey[-1] == L`` is the mass
-    check).  The prefix mass ``F(t) = eval(0, t)`` is linear between table
-    entries, so ``eval`` and ``cut`` each take one ``bisect`` and build one
-    ``Fraction``, with no loop over segments.
+    Every query is answered from two integer tables: ``_bkey[i] = b_i * G``
+    over the common denominator ``G`` of the breakpoints, and
+    ``_ckey[i] = eval(0, b_i) * L`` over the common denominator ``L`` of the
+    segment masses (``_ckey[-1] == L`` is the mass check).  The prefix mass
+    ``F(t) = eval(0, t)`` is linear between table entries, so ``eval`` and
+    ``cut`` each take one ``bisect`` and build one ``Fraction``, with no loop
+    over segments.
+
+    The tables have two sources: the constructor works them out from the
+    given breakpoints and densities, and :func:`random_dense_valuation`
+    hands over the integer grid indices and weights it drew.  Either way
+    they pass through ``_store``, which checks them on integers and is the
+    only place they are set.
     """
 
     __slots__ = ("breakpoints", "densities", "_bkey", "_ckey", "_positive")
@@ -152,19 +158,33 @@ class PiecewiseConstantValuation(Valuation):
         if bps[0] != ZERO or bps[-1] != ONE:
             raise InvalidInput("breakpoints must start at 0 and end at 1")
         bden = lcm(*(b.denominator for b in bps))
-        bkey = tuple(b.numerator * (bden // b.denominator) for b in bps)
-        if any(a >= b for a, b in zip(bkey, bkey[1:])):
-            raise InvalidInput("breakpoints must be strictly ascending")
-        lowest = min(dens)
-        if lowest < 0:
-            raise InvalidInput("densities must be non-negative")
         masses = [d * (b - a) for a, b, d in zip(bps, bps[1:], dens)]
         mden = lcm(*(m.denominator for m in masses))
-        ckey = (0, *accumulate(m.numerator * (mden // m.denominator) for m in masses))
-        if ckey[-1] != mden:
-            raise InvalidInput(f"total mass must be exactly 1, got {Fraction(ckey[-1], mden)}")
-        self.breakpoints = bps
-        self.densities = dens
+        self._store(
+            bps,
+            dens,
+            tuple(b.numerator * (bden // b.denominator) for b in bps),
+            (0, *accumulate(m.numerator * (mden // m.denominator) for m in masses)),
+            mden,
+        )
+
+    def _store(self, breakpoints, densities, bkey, ckey, mass_den: int) -> None:
+        """Check the integer tables and set every slot.
+
+        ``bkey`` must be strictly ascending, ``ckey`` must not descend (a
+        segment of negative mass has a negative density) and must end at
+        ``mass_den`` (total mass exactly 1).  A segment of zero mass makes
+        the valuation not positive.
+        """
+        if any(a >= b for a, b in zip(bkey, bkey[1:])):
+            raise InvalidInput("breakpoints must be strictly ascending")
+        lowest = min(b - a for a, b in zip(ckey, ckey[1:]))
+        if lowest < 0:
+            raise InvalidInput("densities must be non-negative")
+        if ckey[-1] != mass_den:
+            raise InvalidInput(f"total mass must be exactly 1, got {Fraction(ckey[-1], mass_den)}")
+        self.breakpoints = breakpoints
+        self.densities = densities
         self._bkey = bkey
         self._ckey = ckey
         self._positive = lowest > 0
@@ -317,9 +337,11 @@ def random_dense_valuation(
     mass 1, and rejects draws that leave the band, so the result passes
     :func:`verify_dense` by construction.  Deterministic in ``seed``, an
     ``int`` (not a ``bool``, nor ``None``, which draws from OS entropy).
-    Breakpoint ``k / grid`` keeps its grid index ``k``, so the total and
-    the band test run in integers and only the answer is built from
-    ``Fraction``s.
+    Breakpoint ``k / grid`` keeps its grid index ``k`` and segment ``i``
+    the integer mass ``raw[i] * (k[i+1] - k[i])`` over their sum ``total``,
+    so the band test runs in integers and the valuation's tables are these
+    integers reduced by their gcds, as the constructor would compute them;
+    only the breakpoints and densities are ``Fraction``s.
     """
     if n_segments.__class__ is not int:
         raise InvalidInput(f"n_segments must be an int, got {n_segments!r}")
@@ -327,6 +349,8 @@ def random_dense_valuation(
         raise InvalidInput("need at least one segment")
     if seed.__class__ is not int:
         raise InvalidInput(f"seed must be an int, got {seed!r}")
+    if not isinstance(bounds, DensityBounds):
+        raise InvalidInput(f"bounds must be a DensityBounds, got {bounds!r}")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
     points = _grid_points(grid)
@@ -334,15 +358,24 @@ def random_dense_valuation(
     for _ in range(MAX_DRAW_ATTEMPTS):
         ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
         raw = [rng.randint(60, 140) for _ in range(n_segments)]
+        masses = [r * (b - a) for a, b, r in zip(ks, ks[1:], raw)]
         # the raw mass is total / grid, so density i is raw[i] * grid / total
-        total = sum(r * (b - a) for a, b, r in zip(ks, ks[1:], raw))
+        total = sum(masses)
         if min(raw) * grid * alpha.denominator < alpha.numerator * total:
             continue
         if beta is not None and max(raw) * grid * beta.denominator > beta.numerator * total:
             continue
-        return PiecewiseConstantValuation(
-            [points[k] for k in ks], [Fraction(r * grid, total) for r in raw]
+        # the gcd of the masses divides total, as the gcd of ks divides grid
+        kg, mg = gcd(*ks), gcd(*masses)
+        valuation = object.__new__(PiecewiseConstantValuation)
+        valuation._store(
+            tuple(points[k] for k in ks),
+            tuple(Fraction(r * grid, total) for r in raw),
+            tuple(k // kg for k in ks),
+            (0, *accumulate(m // mg for m in masses)),
+            total // mg,
         )
+        return valuation
     raise InvalidInput(
         f"could not draw a valuation inside {bounds} after {MAX_DRAW_ATTEMPTS} attempts"
     )

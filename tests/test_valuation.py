@@ -199,6 +199,11 @@ class TestGenerator:
         with pytest.raises(InvalidInput, match="seed must be an int"):
             random_dense_valuation(4, DensityBounds(0, 2), seed=seed)
 
+    @pytest.mark.parametrize("bounds", [None, (0, 2), "0,2"], ids=repr)
+    def test_non_band_bounds_is_invalid_input(self, bounds):
+        with pytest.raises(InvalidInput, match="bounds must be a DensityBounds"):
+            random_dense_valuation(4, bounds, seed=1)
+
     @pytest.mark.parametrize(
         "segments,bounds",
         [
@@ -216,6 +221,9 @@ class TestGenerator:
             v = random_dense_valuation(segments, bounds, seed=seed)
             bps, dens = fraction_dense_draw(segments, bounds, seed=seed)
             assert v.breakpoints == bps and v.densities == dens
+            # == reads only breakpoints and densities, not the query tables
+            built = PiecewiseConstantValuation(v.breakpoints, v.densities)
+            assert (v._bkey, v._ckey, v.is_positive) == (built._bkey, built._ckey, built.is_positive)
 
 
 class TestJson:
