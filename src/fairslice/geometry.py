@@ -40,25 +40,41 @@ def as_scalar(value: ScalarLike) -> Fraction:
         raise InvalidInput(f"not a finite rational: {value!r} ({exc})") from None
 
 
-def unit_span(x: ScalarLike, y: ScalarLike, refusal: str) -> tuple[Fraction, Fraction]:
-    """``(x, y)`` as exact rationals, refused unless ``0 <= x <= y <= 1``.
+def unit_ratios(x: ScalarLike, y: ScalarLike, refusal: str) -> tuple[int, int, int, int]:
+    """The integer ratios ``(xn, xd, yn, yd)`` of ``x`` and ``y``, refused
+    unless ``0 <= x <= y <= 1``: the one range rule of every query.
 
-    The test compares numerators and denominators as integers (the
-    denominators are positive), which is exact and costs no ``Fraction``
-    comparison.  A refusal is :class:`InvalidInput` with the message
-    ``refusal.format(x=x, y=y)``; a point check passes ``y=ONE``.
+    Each ratio is read once with ``as_integer_ratio`` (lowest terms, a
+    positive denominator), and the test compares them as integers, which
+    is exact and builds no ``Fraction`` for a ``Fraction`` argument.  A
+    refusal is :class:`InvalidInput` with the message
+    ``refusal.format(x=x, y=y)`` of the exact rationals; a point check
+    passes ``y=ONE``.
+
+    >>> unit_ratios(Fraction(1, 3), 1, "need 0 <= {x} <= {y} <= 1")
+    (1, 3, 1, 1)
+    """
+    # class tests before as_scalar: protocols and the referee pass Fractions
+    xn, xd = (x if x.__class__ is Fraction else as_scalar(x)).as_integer_ratio()
+    yn, yd = (y if y.__class__ is Fraction else as_scalar(y)).as_integer_ratio()
+    if xn < 0 or xn * yd > yn * xd or yn > yd:
+        raise InvalidInput(refusal.format(x=Fraction(xn, xd), y=Fraction(yn, yd)))
+    return xn, xd, yn, yd
+
+
+def unit_span(x: ScalarLike, y: ScalarLike, refusal: str) -> tuple[Fraction, Fraction]:
+    """``(x, y)`` as exact rationals, refused by :func:`unit_ratios` unless
+    ``0 <= x <= y <= 1``.
 
     >>> unit_span("1/3", 1, "need 0 <= {x} <= {y} <= 1")
     (Fraction(1, 3), Fraction(1, 1))
     """
     x, y = as_scalar(x), as_scalar(y)
-    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-    if xn < 0 or xn * yd > yn * xd or yn > yd:
-        raise InvalidInput(refusal.format(x=x, y=y))
+    unit_ratios(x, y, refusal)
     return x, y
 
 
-#: refusals of :func:`unit_span` for an eval range and a cut start
+#: refusals of :func:`unit_ratios` for an eval range and a cut start
 EVAL_RANGE = "eval needs 0 <= x <= y <= 1, got ({x}, {y})"
 CUT_START = "cut needs 0 <= x <= 1, got {x}"
 

@@ -51,11 +51,13 @@ def verify_partition(allocation: Allocation) -> None:
     the whole segment; the error lists every gap, and every overlap as
     ``(left, right, a, b)``: ``b``'s interval starts inside ``a``'s.
     """
-    # float(left) first, exact left as tie-break: the order of (left, right, player)
+    # float(left) first, by integer true division, exact left as tie-break:
+    # the order of (left, right, player)
     marked = sorted(
-        (float(iv.left), iv.left, iv.right, player)
+        (n / d, iv.left, iv.right, player)
         for player, piece in enumerate(allocation.pieces)
         for iv in piece.intervals
+        for n, d in (iv.left.as_integer_ratio(),)
     )
     overlaps = []
     gaps = []
@@ -118,7 +120,11 @@ def check_proportional(
     """Exact per-player proportionality check (partition checked first).
 
     ``tol`` loosens the comparison for float-valued valuations; rational
-    valuations should be checked with the default ``tol=0``.
+    valuations should be checked with the default ``tol=0``.  At ``tol=0``
+    each share is decided on its integer ratio against ``1/n``, as
+    :func:`~fairslice.valuation.is_heavy` decides, so a float share is
+    decided exactly too; a NaN or infinity is refused with
+    :class:`InvalidInput`.
     """
     _check_mode(mode)
     if len(valuations) != allocation.n:
@@ -126,13 +132,18 @@ def check_proportional(
     verify_partition(allocation)
     n = allocation.n
     bound = Fraction(1, n)
+    chore = mode == "chore"
     shares = []
     for player, piece in enumerate(allocation.pieces):
         value = valuations[player].value_of_piece(piece)
-        if mode == "chore":
-            ok = value <= bound + tol
+        if tol:
+            ok = value <= bound + tol if chore else value + tol >= bound
         else:
-            ok = value + tol >= bound
+            try:
+                vn, vd = value.as_integer_ratio()
+            except (OverflowError, ValueError):
+                raise InvalidInput(f"player {player}: a share needs a finite value, got {value!r}") from None
+            ok = vn * n <= vd if chore else vn * n >= vd
         shares.append(PlayerShare(player, value, bound, ok))
     return ProportionalityReport(mode, all(s.ok for s in shares), tuple(shares))
 
@@ -167,16 +178,20 @@ def order_marks(marks: dict[int, Fraction], mode: str) -> list[int]:
 
     This is ``sorted(marks, key=lambda p: (marks[p], p))`` in cake mode and
     ``key=lambda p: (-marks[p], p)`` in chore mode, but keys lead with
-    ``float(mark)``: correctly rounded conversion is monotone, so distinct
-    floats order their marks, and only marks that round to the same float
-    fall back to the exact ``Fraction``.
+    ``float(mark)``, computed as the integer true division of the mark's
+    ratio, which is how ``float`` converts a ``Fraction``: correctly
+    rounded conversion is monotone, so distinct floats order their marks,
+    and only marks that round to the same float fall back to the exact
+    ``Fraction``.
 
     >>> order_marks({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(1, 2)}, "chore")
     [0, 2, 1]
     """
     if mode == "cake":
-        return sorted(marks, key=lambda p: (float(marks[p]), marks[p], p))
-    return sorted(marks, key=lambda p: (float(marks[p]), marks[p], -p), reverse=True)
+        keys = sorted((n / d, m, p) for p, m in marks.items() for n, d in (m.as_integer_ratio(),))
+        return [p for _, _, p in keys]
+    keys = sorted((n / d, m, -p) for p, m in marks.items() for n, d in (m.as_integer_ratio(),))
+    return [-p for _, _, p in reversed(keys)]
 
 
 def cut_and_choose(referee: QueryReferee, mode: str) -> Allocation:
@@ -220,7 +235,10 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
 
     Every player's value of the current block is threaded through the
     recursion (one eval on entering a block of two or more players), so the
-    total query count is at most 2 * n * ceil(log2 n).
+    total query count is at most 2 * n * ceil(log2 n).  A mark target,
+    ``value * k / size``, is built as one ``Fraction`` from the value's
+    integer ratio; ``Fraction`` marks and values are kept as given, and
+    any other answer (a tree's float) is made an exact rational.
     """
     _check_mode(mode)
     n = referee.n_players
@@ -233,28 +251,30 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
             return
         size = len(players)
         k = size // 2
-        share = Fraction(k, size)
         marks = {}
         for player in players:
-            target = values[player] * share
+            vn, vd = values[player].as_integer_ratio()
+            target = Fraction(vn * k, vd * size)
             mark = referee.cut(player, a, target)
             if mark is None:
                 raise ProtocolViolation(
                     f"player {player} has no mark for {target} from {a}; "
                     "the mark target never exceeds the block value"
                 )
-            marks[player] = as_scalar(mark)
+            marks[player] = mark if mark.__class__ is Fraction else as_scalar(mark)
         ordered = order_marks(marks, mode)
         left_group, right_group = ordered[:k], ordered[k:]
         x = marks[left_group[-1]]  # k-th smallest mark (cake) / k-th largest (chore)
         left_values = {}
         if len(left_group) > 1:
             for player in left_group:
-                left_values[player] = as_scalar(referee.eval(player, a, x))
+                value = referee.eval(player, a, x)
+                left_values[player] = value if value.__class__ is Fraction else as_scalar(value)
         right_values = {}
         if len(right_group) > 1:
             for player in right_group:
-                right_values[player] = as_scalar(referee.eval(player, x, b))
+                value = referee.eval(player, x, b)
+                right_values[player] = value if value.__class__ is Fraction else as_scalar(value)
         divide(left_group, a, x, left_values)
         divide(right_group, x, b, right_values)
 

@@ -11,9 +11,19 @@ Counting rules:
 * repeated identical queries are re-counted (no memoization);
 * a query that would exceed the budget is rejected *before* it reaches the
   valuation, so the log never exceeds the budget;
+* a player is an ``int`` in range, by the one rule :func:`check_player`
+  (so ``True``, ``1.0``, ``"0"`` and ``None`` are refused with
+  :class:`UnknownPlayer`), for queries, views and :func:`replay_log` alike;
 * arguments are normalized before they reach the valuation and the log:
   positions to exact rationals, and a cut mass by
   :func:`~fairslice.geometry.cut_mass`, the rule every ``cut`` applies.
+  A ``Fraction`` passes as given, found by an exact-type test, so the
+  ``Fraction``s protocols pass are not rebuilt; a step valuation then
+  reads their integer ratios once and builds one ``Fraction``, its answer.
+
+A query makes no method or property call on the referee: it runs
+:func:`check_player`, compares the budget with the log's length in place,
+and once both pass calls only :func:`ask_eval` or :func:`ask_cut`.
 
 Records are built only by :func:`ask_eval` and :func:`ask_cut`, which
 normalize, answer, and take what the answer revealed from the valuation
@@ -59,19 +69,29 @@ class QueryRecord(NamedTuple):
 def ask_eval(valuation: Valuation, player: int, x: ScalarLike, y: ScalarLike) -> QueryRecord:
     """Normalize an eval query's arguments, ask ``valuation``, and return
     the query's record with what the answer revealed.  Counts nothing."""
-    # as_scalar, skipped for the Fractions protocols pass
-    x = x if isinstance(x, Fraction) else as_scalar(x)
-    y = y if isinstance(y, Fraction) else as_scalar(y)
+    # exact-type tests skip as_scalar for the Fractions protocols pass
+    x = x if x.__class__ is Fraction else as_scalar(x)
+    y = y if y.__class__ is Fraction else as_scalar(y)
     answer = valuation.eval(x, y)
     return QueryRecord("eval", player, (x, y), answer, valuation.take_reveals())
 
 
 def ask_cut(valuation: Valuation, player: int, x: ScalarLike, r: Real) -> QueryRecord:
     """:func:`ask_eval` for a cut query."""
-    x = x if isinstance(x, Fraction) else as_scalar(x)
+    x = x if x.__class__ is Fraction else as_scalar(x)
     r = cut_mass(r)
     answer = valuation.cut(x, r)
     return QueryRecord("cut", player, (x, r), answer, valuation.take_reveals())
+
+
+def check_player(player: int, n: int, context: str = "") -> None:
+    """The one player rule, of every query and :func:`replay_log`: a player
+    is an ``int`` (a ``bool`` is not one) in ``0..n-1``, or is refused with
+    :class:`UnknownPlayer`, whose message starts with ``context``."""
+    if player.__class__ is not int:
+        raise UnknownPlayer(f"{context}player {player!r} is not an int in 0..{n - 1}")
+    if not 0 <= player < n:
+        raise UnknownPlayer(f"{context}player {player} out of range 0..{n - 1}")
 
 
 class PlayerView:
@@ -125,33 +145,32 @@ class QueryReferee:
         return self._valuations[player]
 
     def view(self, player: int) -> PlayerView:
-        self._check_player(player)
+        check_player(player, len(self._valuations))
         return PlayerView(self, player)
 
-    def _check_player(self, player: int) -> None:
-        if not (0 <= player < len(self._valuations)):
-            raise UnknownPlayer(f"player {player} out of range 0..{len(self._valuations) - 1}")
-
-    def _admit(self) -> None:
-        if self.budget is not None and self.total + 1 > self.budget:
-            raise BudgetExhausted(
-                f"query budget of {self.budget} exhausted after {self.total} queries"
-            )
+    def _refuse_over_budget(self) -> None:
+        raise BudgetExhausted(
+            f"query budget of {self.budget} exhausted after {self.total} queries"
+        )
 
     def eval(self, player: int, x: ScalarLike, y: ScalarLike) -> Real:
-        self._check_player(player)
-        self._admit()
-        rec = ask_eval(self._valuations[player], player, x, y)
+        valuations, log = self._valuations, self.log
+        check_player(player, len(valuations))
+        if self.budget is not None and len(log) + 1 > self.budget:
+            self._refuse_over_budget()
+        rec = ask_eval(valuations[player], player, x, y)
         self.counts[player] += 1
-        self.log.append(rec)
+        log.append(rec)
         return rec.answer
 
     def cut(self, player: int, x: ScalarLike, r: Real) -> Optional[Real]:
-        self._check_player(player)
-        self._admit()
-        rec = ask_cut(self._valuations[player], player, x, r)
+        valuations, log = self._valuations, self.log
+        check_player(player, len(valuations))
+        if self.budget is not None and len(log) + 1 > self.budget:
+            self._refuse_over_budget()
+        rec = ask_cut(valuations[player], player, x, r)
         self.counts[player] += 1
-        self.log.append(rec)
+        log.append(rec)
         return rec.answer
 
     def log_lines(self) -> list[str]:
@@ -169,8 +188,7 @@ def replay_log(
     :class:`ReplayMismatch` naming the first divergence.
     """
     for i, rec in enumerate(records):
-        if not 0 <= rec.player < len(valuations):
-            raise UnknownPlayer(f"record {i}: player {rec.player} out of range 0..{len(valuations) - 1}")
+        check_player(rec.player, len(valuations), f"record {i}: ")
         val = valuations[rec.player]
         if rec.kind == "eval":
             answer = val.eval(*rec.args)

@@ -36,7 +36,7 @@ from .geometry import (
     as_scalar,
     cut_mass,
     scalar_str,
-    unit_span,
+    unit_ratios,
 )
 
 Real = Union[Fraction, float]
@@ -97,6 +97,11 @@ class Valuation(ABC):
         return ()
 
     def value_of_piece(self, piece: Piece) -> Real:
+        """The sum of ``eval`` over the piece's intervals; a one-interval
+        piece's value is its ``eval``, with no sum to normalise."""
+        if len(piece.intervals) == 1:
+            (iv,) = piece.intervals
+            return self.eval(iv.left, iv.right)
         total: Real = ZERO
         for iv in piece.intervals:
             total = total + self.eval(iv.left, iv.right)
@@ -138,8 +143,11 @@ class PiecewiseConstantValuation(Valuation):
     ``_ckey[i] = eval(0, b_i) * L`` over the common denominator ``L`` of the
     segment masses (``_ckey[-1] == L`` is the mass check).  The prefix mass
     ``F(t) = eval(0, t)`` is linear between table entries, so ``eval`` and
-    ``cut`` each take one ``bisect`` and build one ``Fraction``, with no loop
-    over segments.
+    ``cut`` each take one ``bisect``, with no loop over segments.  They read
+    each argument's integer ratio once (positions through
+    :func:`~fairslice.geometry.unit_ratios`, the one range rule, and the
+    mass through ``as_integer_ratio``), run ``_prefix`` and ``_inverse`` on
+    integers, and build one ``Fraction``: the answer.
 
     The tables have two sources: the constructor works them out from the
     given breakpoints and densities, and :func:`random_dense_valuation`
@@ -210,9 +218,8 @@ class PiecewiseConstantValuation(Valuation):
         """(left, right, density) triples."""
         return list(zip(self.breakpoints, self.breakpoints[1:], self.densities))
 
-    def _prefix(self, t: Fraction) -> tuple[int, int]:
-        """``eval(0, t)`` as an unreduced (numerator, denominator) pair."""
-        p, q = t.numerator, t.denominator
+    def _prefix(self, p: int, q: int) -> tuple[int, int]:
+        """``eval(0, p/q)`` as an unreduced (numerator, denominator) pair."""
         bkey, ckey = self._bkey, self._ckey
         # Segment i holds t: bkey[i] <= t * G < bkey[i + 1], or the last one.
         i = bisect_right(bkey, p * bkey[-1] // q, 0, len(bkey) - 1) - 1
@@ -234,21 +241,21 @@ class PiecewiseConstantValuation(Valuation):
         return Fraction(left * mass * den + width * (num * ckey[-1] - ckey[k - 1] * den), bkey[-1] * mass * den)
 
     def eval(self, x: ScalarLike, y: ScalarLike) -> Fraction:
-        x, y = unit_span(x, y, EVAL_RANGE)
-        xn, xd = self._prefix(x)
-        yn, yd = self._prefix(y)
+        xn, xd, yn, yd = unit_ratios(x, y, EVAL_RANGE)
+        xn, xd = self._prefix(xn, xd)
+        yn, yd = self._prefix(yn, yd)
         return Fraction(yn * xd - xn * yd, yd * xd)
 
     def cut(self, x: ScalarLike, r: Real) -> Optional[Fraction]:
-        x, _ = unit_span(x, ONE, CUT_START)
-        # exact, so an r above 1 runs past the total mass in _inverse
-        r = as_scalar(cut_mass(r))
-        if not r:
+        xn, xd, _, _ = unit_ratios(x, ONE, CUT_START)
+        # exact for a float too, so an r above 1 runs past the total mass in _inverse
+        rn, rd = cut_mass(r).as_integer_ratio()
+        if not rn:
             # x itself: the smallest t with eval(0, t) == eval(0, x) lies
             # before x when a zero-density run ends at x.
-            return x
-        xn, xd = self._prefix(x)
-        return self._inverse(xn * r.denominator + r.numerator * xd, xd * r.denominator)
+            return Fraction(xn, xd)
+        xn, xd = self._prefix(xn, xd)
+        return self._inverse(xn * rd + rn * xd, xd * rd)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseConstantValuation):

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fairslice.dual import dual_pwc_closed_form
-from fairslice.errors import PartitionViolation
+from fairslice.errors import InvalidInput, PartitionViolation
 from fairslice.geometry import Piece
 from fairslice.protocols import (
     Allocation,
@@ -149,6 +149,17 @@ class TestEvenPaz:
             [[str(a), str(b)]] for a, b in reference_even_paz(players, mode)
         ]
 
+    @pytest.mark.parametrize("mode", ["cake", "chore"])
+    @settings(deadline=None, max_examples=50)
+    @given(n=st.integers(2, 64), segments=st.integers(2, 8), seed=st.integers(0, 2**32))
+    def test_matches_reference_on_distinct_players(self, mode, n, segments, seed):
+        # real marks: the oracle's Fraction targets and exact sort keys
+        # against even_paz's integer-ratio targets and float-led keys
+        players = [random_dense_valuation(segments, DensityBounds(0, 2), seed=seed + i) for i in range(n)]
+        assume(len(set(players)) == n)
+        allocation = even_paz(QueryReferee(players), mode)
+        assert allocation.pieces == tuple(Piece.of((a, b)) for a, b in reference_even_paz(players, mode))
+
     def test_chore_costs_bounded_at_81(self):
         players = random_players(81, seed=5)
         ref = QueryReferee(players)
@@ -221,7 +232,85 @@ class TestLastDiminisher:
             last_diminisher(QueryReferee([UNIFORM, UNIFORM]), "chore")
 
 
+class FloatAnswers(PiecewiseConstantValuation):
+    """A step valuation that answers eval with the float of its exact answer."""
+
+    def eval(self, x, y):
+        return float(super().eval(x, y))
+
+
+def owner_of_share(share, pieces):
+    """A step valuation worth exactly ``share`` on ``pieces`` (sorted,
+    disjoint ``(left, right)`` pairs) and ``1 - share`` off them, each
+    spread evenly."""
+    inside = sum(b - a for a, b in pieces)
+    ends, dens, cursor = [], [], Fraction(0)
+    for a, b in pieces:
+        if a > cursor:
+            ends.append(a)
+            dens.append((1 - share) / (1 - inside))
+        ends.append(b)
+        dens.append(share / inside)
+        cursor = b
+    if cursor < 1:
+        ends.append(Fraction(1))
+        dens.append((1 - share) / (1 - inside))
+    return [Fraction(0), *ends], dens
+
+
+#: just above and just below 1/n, closer than any float to it
+NEAR = Fraction(1, 10**40)
+#: (n, player 0's piece, its value to player 0, verdict in cake mode, in chore mode)
+SHARES = {
+    "exact-half": (2, "one", Fraction(1, 2), True, True),
+    "exact-third": (3, "one", Fraction(1, 3), True, True),
+    "exact-seventh": (7, "one", Fraction(1, 7), True, True),
+    "third-plus": (3, "one", Fraction(1, 3) + NEAR, True, False),
+    "third-minus": (3, "one", Fraction(1, 3) - NEAR, False, True),
+    "half-plus": (2, "one", Fraction(1, 2) + NEAR, True, False),
+    "half-minus": (2, "one", Fraction(1, 2) - NEAR, False, True),
+    "float-below-half": (2, "float", 0.49999999999999994, False, True),
+    "float-above-half": (2, "float", 0.5000000000000001, True, False),
+    "float-half": (2, "float", 0.5, True, True),
+    "float-of-third": (3, "float", float(Fraction(1, 3)), False, True),
+    "two-intervals-exact": (2, "two", Fraction(1, 2), True, True),
+    "two-intervals-plus": (2, "two", Fraction(1, 2) + NEAR, True, False),
+    "two-intervals-minus": (2, "two", Fraction(1, 2) - NEAR, False, True),
+}
+
+
 class TestCheckers:
+    @pytest.mark.parametrize("mode", ["cake", "chore"])
+    @pytest.mark.parametrize("case", list(SHARES))
+    def test_share_boundary_at_zero_tolerance(self, case, mode):
+        n, shape, share, cake_ok, chore_ok = SHARES[case]
+        if shape == "two":
+            # player 0 holds [0, 1/4] and [1/2, 3/4], player 1 the rest
+            own = [(Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))]
+            pieces = [Piece.of(*own), Piece.of((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 4), 1))]
+        else:
+            # player i holds [i/n, (i+1)/n]
+            own = [(Fraction(0), Fraction(1, n))]
+            pieces = [Piece.of((Fraction(i, n), Fraction(i + 1, n))) for i in range(n)]
+        kind = FloatAnswers if shape == "float" else PiecewiseConstantValuation
+        owner = kind(*owner_of_share(Fraction(share), own))
+        valuations = [owner] + [UNIFORM] * (n - 1)
+        report = check_proportional(Allocation(tuple(pieces)), valuations, mode)
+        assert report.shares[0].value == share and type(report.shares[0].value) is type(share)
+        assert report.shares[0].ok is (cake_ok if mode == "cake" else chore_ok)
+        assert report.ok is report.shares[0].ok  # every uniform player holds exactly 1/n
+
+    def test_share_that_is_not_finite_is_refused_at_zero_tolerance(self):
+        class Broken(PiecewiseConstantValuation):
+            def eval(self, x, y):
+                return math.nan
+
+        allocation = Allocation((Piece.of((0, "1/2")), Piece.of(("1/2", 1))))
+        broken = Broken((0, 1), (1,))
+        with pytest.raises(InvalidInput, match="player 0: a share needs a finite value"):
+            check_proportional(allocation, [broken, UNIFORM], "cake")
+        assert not check_proportional(allocation, [broken, UNIFORM], "cake", tol=1e-9).ok
+
     def test_all_to_one_player_fails(self):
         allocation = Allocation((Piece.of((0, 1)), Piece()))
         report = check_proportional(allocation, [UNIFORM, UNIFORM], "chore")

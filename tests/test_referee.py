@@ -179,3 +179,41 @@ def test_log_normalizes_string_int_and_float_arguments():
     # one JSON-lines record per line
     assert "\n".join(lines).splitlines() == lines
     assert replay_log(ref.log, [STEP], tol=0)
+
+
+#: players that are not an int: a bool, a float, a string and None
+NOT_INT_PLAYERS = [True, 1.0, "0", None]
+NOT_INT_IDS = ["bool", "float", "str", "none"]
+
+
+@pytest.mark.parametrize("player", NOT_INT_PLAYERS, ids=NOT_INT_IDS)
+def test_eval_refuses_a_player_that_is_not_an_int(player):
+    ref = QueryReferee([UNIFORM, STEP])
+    with pytest.raises(UnknownPlayer, match="is not an int in 0..1"):
+        ref.eval(player, 0, 1)
+    assert ref.total == 0 and ref.counts == [0, 0]
+
+
+@pytest.mark.parametrize("player", NOT_INT_PLAYERS, ids=NOT_INT_IDS)
+def test_cut_refuses_a_player_that_is_not_an_int(player):
+    ref = QueryReferee([UNIFORM, STEP])
+    with pytest.raises(UnknownPlayer, match="is not an int in 0..1"):
+        ref.cut(player, 0, Fraction(1, 2))
+    assert ref.total == 0 and ref.counts == [0, 0]
+
+
+@pytest.mark.parametrize("player", NOT_INT_PLAYERS, ids=NOT_INT_IDS)
+def test_view_refuses_a_player_that_is_not_an_int(player):
+    ref = QueryReferee([UNIFORM, STEP])
+    with pytest.raises(UnknownPlayer, match="is not an int in 0..1"):
+        ref.view(player)
+
+
+@pytest.mark.parametrize("player", NOT_INT_PLAYERS, ids=NOT_INT_IDS)
+def test_replay_refuses_a_player_that_is_not_an_int(player):
+    ref = QueryReferee([UNIFORM, STEP])
+    ref.eval(1, 0, Fraction(1, 2))
+    ref.eval(1, 0, Fraction(1, 2))
+    moved = ref.log[1]._replace(player=player)
+    with pytest.raises(UnknownPlayer, match="record 1: player .* is not an int in 0..1"):
+        replay_log([ref.log[0], moved], [UNIFORM, STEP])
