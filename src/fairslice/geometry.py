@@ -162,6 +162,10 @@ class Piece:
 
     @property
     def width(self) -> Fraction:
+        """The total width; a one-interval piece's is that interval's, with
+        no sum to normalise."""
+        if len(self.intervals) == 1:
+            return self.intervals[0].width
         return sum((iv.width for iv in self.intervals), ZERO)
 
     def to_pairs(self) -> list[list[str]]:
@@ -179,7 +183,7 @@ def normalize_piece(raw: Iterable[Interval]) -> Piece:
     Sorts by left endpoint, drops empty intervals, and merges overlapping
     or touching neighbours, so equal point sets compare equal.  Idempotent.
     """
-    items = sorted((iv for iv in raw if iv.width > 0), key=lambda iv: (iv.left, iv.right))
+    items = sorted((iv for iv in raw if iv.left != iv.right), key=lambda iv: (iv.left, iv.right))
     merged: list[Interval] = []
     for iv in items:
         if merged and iv.left <= merged[-1].right:

@@ -97,3 +97,38 @@ def test_cut_edges(data):
     assert v.eval(x, end) == rest
     assert v.cut(1, 0) == 1
     assert v.cut(1, Fraction(1, DEEP)) is None
+
+
+@st.composite
+def edge_zero_valuations(draw):
+    """:func:`step_valuations`, with the first or last segment (or both)
+    often set to density 0, the valuation rescaled to total mass 1."""
+    v = draw(step_valuations())
+    dens = list(v.densities)
+    for i in draw(st.sampled_from(((0,), (-1,), (0, -1), ()))):
+        zeroed = dens.copy()
+        zeroed[i] = Fraction(0)
+        if any(zeroed):
+            dens = zeroed
+    total = sum(d * (b - a) for a, b, d in zip(v.breakpoints, v.breakpoints[1:], dens))
+    return PiecewiseConstantValuation(v.breakpoints, [d / total for d in dens])
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_queries_at_zero_and_one_equal_scans(data):
+    # positions 0 and 1 skip the segment search, the scans do not
+    v = data.draw(edge_zero_valuations())
+    x, y = data.draw(points(v)), data.draw(points(v))
+    rs = (data.draw(masses(Fraction(1))), scan_eval(v, 0, y))
+    cases = [
+        (v.eval(0, y), scan_eval(v, 0, y)),
+        (v.eval(x, 1), scan_eval(v, x, 1)),
+        (v.eval(0, 1), scan_eval(v, 0, 1)),
+        *((v.cut(0, r), scan_cut(v, 0, r)) for r in rs),
+        *((v.cut(1, r), scan_cut(v, 1, r)) for r in rs),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert type(got) is type(want)
+    assert v.eval(0, 1) == 1

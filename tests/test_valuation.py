@@ -157,6 +157,28 @@ class TestDensityBounds:
         assert not verify_dense(STEP, DensityBounds(Fraction(1, 2) + TINY, Fraction(3, 2)))
         assert not verify_dense(STEP, DensityBounds(Fraction(1, 2), Fraction(3, 2) - TINY))
 
+    @given(
+        weights=st.lists(st.integers(0, 9), min_size=2, max_size=6).filter(any).map(lambda w: [0, *w]),
+        floor=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)]),
+        ceiling=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7), None]),
+        data=st.data(),
+    )
+    def test_verify_dense_matches_segment_densities(self, weights, floor, ceiling, data):
+        # one segment of density 0, under a 0 floor (where no lower test
+        # runs), a positive floor and no ceiling; the oracle tests each
+        # segment's Fraction density against the band
+        weights = data.draw(st.permutations(weights))
+        interior = data.draw(st.sets(
+            st.fractions(min_value=0, max_value=1, max_denominator=97).filter(lambda b: 0 < b < 1),
+            min_size=len(weights) - 1, max_size=len(weights) - 1,
+        ))
+        bps = [Fraction(0), *sorted(interior), Fraction(1)]
+        total = sum(w * (b - a) for a, b, w in zip(bps, bps[1:], weights))
+        densities = [w / total for w in weights]
+        want = all(floor <= d and (ceiling is None or d <= ceiling) for d in densities)
+        valuation = PiecewiseConstantValuation(bps, densities)
+        assert verify_dense(valuation, DensityBounds(floor, ceiling)) == want
+
     @given(banded_steps())
     def test_verify_dense_matches_admits(self, case):
         valuation, bounds = case
