@@ -162,10 +162,6 @@ class Piece:
 
     @property
     def width(self) -> Fraction:
-        """The total width; a one-interval piece's is that interval's, with
-        no sum to normalise."""
-        if len(self.intervals) == 1:
-            return self.intervals[0].width
         return sum((iv.width for iv in self.intervals), ZERO)
 
     def to_pairs(self) -> list[list[str]]:

@@ -28,11 +28,7 @@ and once both pass calls only :func:`ask_eval` or :func:`ask_cut`.
 Records are built only by :func:`ask_eval` and :func:`ask_cut`, which
 normalize, answer, and take what the answer revealed from the valuation
 (:meth:`~fairslice.valuation.Valuation.take_reveals`; the ``(path,
-kinds)`` pairs an adversary session newly labeled).  Each builds its
-record in one C call, ``tuple.__new__(QueryRecord, fields)`` through
-``functools.partial``, not through the named tuple's Python ``__new__``;
-the record is the same ``QueryRecord``, field for field (a dual query
-makes three: its own and its two base queries').  The referee runs
+kinds)`` pairs an adversary session newly labeled).  The referee runs
 them after its player and budget checks; a session asked without a
 referee runs them through its ``answer_eval``/``answer_cut``.  So a
 query leaves one record, and :func:`replay_log` is the one replay loop:
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
@@ -71,11 +66,6 @@ class QueryRecord(NamedTuple):
         }
 
 
-#: ``_record((kind, player, args, answer, reveals))`` is a ``QueryRecord``
-#: built in one C call, without the named tuple's Python ``__new__``
-_record = partial(tuple.__new__, QueryRecord)
-
-
 def ask_eval(valuation: Valuation, player: int, x: ScalarLike, y: ScalarLike) -> QueryRecord:
     """Normalize an eval query's arguments, ask ``valuation``, and return
     the query's record with what the answer revealed.  Counts nothing."""
@@ -83,7 +73,7 @@ def ask_eval(valuation: Valuation, player: int, x: ScalarLike, y: ScalarLike) ->
     x = x if x.__class__ is Fraction else as_scalar(x)
     y = y if y.__class__ is Fraction else as_scalar(y)
     answer = valuation.eval(x, y)
-    return _record(("eval", player, (x, y), answer, valuation.take_reveals()))
+    return QueryRecord("eval", player, (x, y), answer, valuation.take_reveals())
 
 
 def ask_cut(valuation: Valuation, player: int, x: ScalarLike, r: Real) -> QueryRecord:
@@ -91,7 +81,7 @@ def ask_cut(valuation: Valuation, player: int, x: ScalarLike, r: Real) -> QueryR
     x = x if x.__class__ is Fraction else as_scalar(x)
     r = cut_mass(r)
     answer = valuation.cut(x, r)
-    return _record(("cut", player, (x, r), answer, valuation.take_reveals()))
+    return QueryRecord("cut", player, (x, r), answer, valuation.take_reveals())
 
 
 def check_player(player: int, n: int, context: str = "") -> None:

@@ -144,7 +144,7 @@ class PiecewiseConstantValuation(Valuation):
     segment masses (``_ckey[-1] == L`` is the mass check).  The prefix mass
     ``F(t) = eval(0, t)`` is linear between table entries, so ``eval`` and
     ``cut`` each take one ``bisect``, with no loop over segments, and
-    positions 0 and 1 take none: ``cut(0, r)`` inverts ``r`` itself and
+    position 0 takes none: ``cut(0, r)`` inverts ``r`` itself and
     ``eval(0, y)`` is ``y``'s prefix alone.  They read
     each argument's integer ratio once (positions through
     :func:`~fairslice.geometry.unit_ratios`, the one range rule, and the
@@ -222,11 +222,9 @@ class PiecewiseConstantValuation(Valuation):
 
     def _prefix(self, p: int, q: int) -> tuple[int, int]:
         """``eval(0, p/q)`` as an unreduced (numerator, denominator) pair;
-        ``(0, 1)`` at 0 and ``(1, 1)`` at 1, with no segment search."""
+        ``(0, 1)`` at 0, with no segment search."""
         if not p:
             return 0, 1
-        if p == q:
-            return 1, 1
         bkey, ckey = self._bkey, self._ckey
         # Segment i holds t: bkey[i] <= t * G < bkey[i + 1], or the last one.
         i = bisect_right(bkey, p * bkey[-1] // q, 0, len(bkey) - 1) - 1
@@ -314,18 +312,16 @@ def verify_dense(valuation: PiecewiseConstantValuation, bounds: DensityBounds) -
     single segment, so checking each segment density is exhaustive.  Segment
     i has density ``(dc / L) / (db / G)`` for its rows ``db``, ``dc`` of the
     breakpoint and mass tables, so each band test is one integer
-    cross-product against the band's numerator and denominator.  A floor of
-    0 makes no lower test: ``_store`` keeps every segment mass ``>= 0``.
+    cross-product against the band's numerator and denominator.
     """
     bkey, ckey = valuation._bkey, valuation._ckey
     alpha, beta = bounds.alpha, bounds.beta
-    has_floor = alpha.numerator > 0
     low_c, low_b = bkey[-1] * alpha.denominator, ckey[-1] * alpha.numerator
     # an unbounded band tests dc * 0 > db, which no segment passes
     high_c, high_b = (0, 1) if beta is None else (bkey[-1] * beta.denominator, ckey[-1] * beta.numerator)
     for b0, b1, c0, c1 in zip(bkey, bkey[1:], ckey, ckey[1:]):
         db, dc = b1 - b0, c1 - c0
-        if (has_floor and dc * low_c < db * low_b) or dc * high_c > db * high_b:
+        if dc * low_c < db * low_b or dc * high_c > db * high_b:
             return False
     return True
 

@@ -186,9 +186,20 @@ class TestReductionPipeline:
 
     def test_base_queries_exactly_double_dual_queries(self):
         vs = [random_positive_valuation(400 + i) for i in range(9)]
-        report = reduction_pipeline(vs, even_paz)
+        referees = []
+
+        def protocol(dual_referee, mode):
+            referees.append(dual_referee)
+            return even_paz(dual_referee, mode)
+
+        report = reduction_pipeline(vs, protocol)
         assert report.base_queries_protocol == 2 * report.dual_queries
         assert report.base_queries_dualization > 0
+        # and every one of them starts at 0, which a step valuation
+        # answers with no segment search
+        (dual_referee,) = referees
+        base_log = dual_referee.valuation(0).base._referee.log
+        assert all(rec.args[0] == 0 for rec in base_log[: report.base_queries_protocol])
 
     def test_rejects_out_of_band_input(self):
         spiky = PiecewiseConstantValuation(

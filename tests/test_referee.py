@@ -4,12 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.adversary import AdversarySession
-from fairslice.dual import reduction_pipeline
 from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch, UnknownPlayer
-from fairslice.protocols import even_paz
 from fairslice.referee import QueryRecord, QueryReferee, replay_log
-from fairslice.valuation import DensityBounds, PiecewiseConstantValuation, random_dense_valuation
+from fairslice.valuation import PiecewiseConstantValuation
 from fairslice.valuetree import BalancedValueTree, TreeParams
 
 UNIFORM = PiecewiseConstantValuation.uniform()
@@ -220,75 +217,3 @@ def test_replay_refuses_a_player_that_is_not_an_int(player):
     moved = ref.log[1]._replace(player=player)
     with pytest.raises(UnknownPlayer, match="record 1: player .* is not an int in 0..1"):
         replay_log([ref.log[0], moved], [UNIFORM, STEP])
-
-
-def keyword_built(records):
-    """Each record rebuilt through the named tuple's keyword constructor."""
-    return [
-        QueryRecord(kind=r.kind, player=r.player, args=r.args, answer=r.answer, reveals=r.reveals)
-        for r in records
-    ]
-
-
-def assert_plain_records(records):
-    """Every record is an exact QueryRecord, equal field for field to its
-    keyword-built twin, with named access and _replace intact."""
-    assert records
-    for rec, twin in zip(records, keyword_built(records), strict=True):
-        assert type(rec) is QueryRecord
-        assert rec == twin and rec._asdict() == twin._asdict()
-        assert len(rec) == len(QueryRecord._fields)
-        assert rec._replace(player=rec.player) == rec
-
-
-def test_records_are_query_records():
-    ref = QueryReferee([UNIFORM, STEP])
-    ref.eval(1, 0, Fraction(3, 4))
-    ref.cut(1, Fraction(3, 4), Fraction(1, 2))
-    ref.cut(0, "1/4", 0.5)
-    assert_plain_records(ref.log)
-    assert ref.log == [
-        QueryRecord(kind="eval", player=1, args=(Fraction(0), Fraction(3, 4)), answer=Fraction(7, 8)),
-        QueryRecord(kind="cut", player=1, args=(Fraction(3, 4), Fraction(1, 2)), answer=None),
-        QueryRecord(kind="cut", player=0, args=(Fraction(1, 4), 0.5), answer=Fraction(3, 4)),
-    ]
-    assert ref.log_lines() == [
-        '{"kind":"eval","player":1,"args":["0","3/4"],"answer":"7/8"}',
-        '{"kind":"cut","player":1,"args":["3/4","1/2"],"answer":null}',
-        '{"kind":"cut","player":0,"args":["1/4",0.5],"answer":"3/4"}',
-    ]
-
-
-def test_reduction_referees_log_query_records():
-    band = DensityBounds(0, 2)
-    valuations = [random_dense_valuation(8, band, seed=s) for s in range(9)]
-    referees = []
-
-    def protocol(dual_referee, mode):
-        referees.append(dual_referee)
-        return even_paz(dual_referee, mode)
-
-    report = reduction_pipeline(valuations, protocol)
-    (dual_referee,) = referees
-    base_referee = dual_referee.valuation(0).base._referee
-    for ref in (dual_referee, base_referee):
-        assert_plain_records(ref.log)
-        lines = ref.log_lines()
-        ref.log[:] = keyword_built(ref.log)
-        assert ref.log_lines() == lines
-    # every base query a dual query makes starts at position 0
-    protocol_base = base_referee.log[: report.base_queries_protocol]
-    assert len(protocol_base) == 2 * len(dual_referee.log)
-    assert all(rec.args[0] == 0 for rec in protocol_base)
-
-
-def test_session_answers_log_query_records():
-    session = AdversarySession(TreeParams.from_depth(11))
-    session.answer_eval(0, Fraction(1, 3))
-    session.answer_cut(Fraction(1, 9), 0.25)
-    session.answer_cut(Fraction(2, 3), 1.0)  # no answer
-    assert_plain_records(session.log)
-    assert session.log[0].reveals and session.log[2].answer is None
-    lines = session.transcript_lines()
-    session.log[:] = keyword_built(session.log)
-    assert session.transcript_lines() == lines

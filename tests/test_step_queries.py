@@ -117,7 +117,7 @@ def edge_zero_valuations(draw):
 @settings(deadline=None)
 @given(data=st.data())
 def test_queries_at_zero_and_one_equal_scans(data):
-    # positions 0 and 1 skip the segment search, the scans do not
+    # position 0 skips the segment search, the scans do not
     v = data.draw(edge_zero_valuations())
     x, y = data.draw(points(v)), data.draw(points(v))
     rs = (data.draw(masses(Fraction(1))), scan_eval(v, 0, y))

@@ -164,9 +164,9 @@ class TestDensityBounds:
         data=st.data(),
     )
     def test_verify_dense_matches_segment_densities(self, weights, floor, ceiling, data):
-        # one segment of density 0, under a 0 floor (where no lower test
-        # runs), a positive floor and no ceiling; the oracle tests each
-        # segment's Fraction density against the band
+        # one segment of density 0, under a 0 floor, a positive floor and
+        # no ceiling; the oracle tests each segment's Fraction density
+        # against the band
         weights = data.draw(st.permutations(weights))
         interior = data.draw(st.sets(
             st.fractions(min_value=0, max_value=1, max_denominator=97).filter(lambda b: 0 < b < 1),
