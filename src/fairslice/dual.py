@@ -22,13 +22,11 @@ line, so their dual widths sum to 1.  A piece's dual width is its image's
 value, so a light piece is under 1/(2n) wide, and a heavy one is at most
 2/n wide, since its image is at most 1/n wide and every density is at
 most 2.  With k heavy pieces, 1 < 2k/n + (n - k)/(2n), so k > n/3.
-``ReductionReport.required_certificates`` still checks only the weaker
-``ceil(n/3)``, which is one short whenever 3 divides n.
+``ReductionReport.required_certificates`` is that bound, ``n // 3 + 1``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -54,6 +52,7 @@ from .valuation import (
     PiecewiseConstantValuation,
     Real,
     Valuation,
+    dual_pwc_closed_form,  # re-exported: the closed-form dual swaps a step valuation's tables
     is_heavy,
     verify_dense,
 )
@@ -83,12 +82,11 @@ class DualValuation(Valuation):
         return True
 
     def _base_cut(self, t: Fraction) -> Real:
-        """The base's ``cut(0, t)``, which a positive normalized base answers."""
+        """The base's ``cut(0, t)``, which a positive normalized base answers;
+        a base that does not has broken its guarantee (exit 3)."""
         position = self.base.cut(ZERO, t)
         if position is None:
-            raise NonPositiveValuation(
-                "base cut(0, r) failed for r <= 1; base is not a positive normalized valuation"
-            )
+            raise ProtocolViolation(f"the dual endpoint {t} has no base cut point")
         return position
 
     def eval(self, x, y) -> Real:
@@ -109,25 +107,6 @@ class DualValuation(Valuation):
         # billed anyway too: x itself answers a zero mass, where a float base
         # can map x through its cut and eval to a point just below x
         return value if r else x
-
-
-def dual_pwc_closed_form(valuation: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
-    """Exact dual of a positive step valuation.
-
-    A segment of width w and density d turns into a segment of width d*w
-    (its mass) and density 1/d, in the same order.  Applying this twice
-    returns the original valuation exactly.
-    """
-    if not valuation.is_positive:
-        raise NonPositiveValuation("closed-form dual needs a positive valuation")
-    breakpoints = [ZERO]
-    densities = []
-    acc = ZERO
-    for left, right, density in valuation.segments():
-        acc += density * (right - left)
-        breakpoints.append(acc)
-        densities.append(1 / density)
-    return PiecewiseConstantValuation(breakpoints, densities)
 
 
 @dataclass(frozen=True)
@@ -167,7 +146,7 @@ class ReductionReport:
 
     @property
     def required_certificates(self) -> int:
-        return math.ceil(self.n / 3)
+        return self.n // 3 + 1
 
     @property
     def base_queries_total(self) -> int:
@@ -202,8 +181,7 @@ def reduction_pipeline(
     allocation.  More than n/3 of the returned pieces, so at least
     ``n // 3 + 1``, are verified heavy for their owners (the count is in
     the module docstring); heaviness is checked exactly and pieces may
-    overlap (this is a search result, not an allocation).  The report's
-    ``required_certificates`` still asks only for ``ceil(n/3)``.
+    overlap (this is a search result, not an allocation).
     """
     bounds = DensityBounds(Fraction(0), Fraction(2))
     for i, v in enumerate(valuations):
@@ -223,7 +201,7 @@ def reduction_pipeline(
     base_protocol = base_referee.total
 
     # Dualize each allocated piece: eval_{v*}(0, t) == cut_v(0, t), so each
-    # endpoint is one billed base cut.  For positive v that map is strictly
+    # endpoint is one billed base cut, through the dual's own guard.  For positive v that map is strictly
     # increasing, so a piece's chore cost under v* is exactly its image's
     # width.  The reduction guarantee rests on the protocol's
     # proportionality, so each width is checked against 1/n as soon as it
@@ -231,14 +209,8 @@ def reduction_pipeline(
     verify_partition(allocation)
     entries = []
     for i, piece in enumerate(allocation.pieces):
-        images = []
-        for iv in piece.intervals:
-            a = base_referee.cut(i, ZERO, iv.left)
-            b = base_referee.cut(i, ZERO, iv.right)
-            if a is None or b is None:
-                raise ProtocolViolation(f"player {i}: a dual endpoint has no base cut point")
-            images.append(Interval(a, b))
-        image = normalize_piece(images)
+        to_base = duals[i]._base_cut
+        image = normalize_piece(Interval(to_base(iv.left), to_base(iv.right)) for iv in piece.intervals)
         width = image.width
         if width.numerator * n > width.denominator:  # chore cost above 1/n
             raise ProtocolViolation(

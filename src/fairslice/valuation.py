@@ -20,12 +20,11 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NonPositiveValuation
 from .geometry import (
     CUT_START,
     EVAL_RANGE,
@@ -151,14 +150,16 @@ class PiecewiseConstantValuation(Valuation):
     mass through ``as_integer_ratio``), run ``_prefix`` and ``_inverse`` on
     integers, and build one ``Fraction``: the answer.
 
-    The tables have two sources: the constructor works them out from the
-    given breakpoints and densities, and :func:`random_dense_valuation`
-    hands over the integer grid indices and weights it drew.  Either way
-    they pass through ``_store``, which checks them on integers and is the
-    only place they are set.
+    The tables are the only state: ``breakpoints`` and ``densities`` are
+    derived from them, and ``==`` and ``hash`` compare them, which is exact
+    since every source hands over canonical tables (entries with no common
+    factor): the constructor's over the lcm of the given denominators,
+    :func:`random_dense_valuation`'s divided by their gcds, and
+    :func:`dual_pwc_closed_form`'s swapped.  All pass through ``_store``,
+    which checks them on integers and is the only place they are set.
     """
 
-    __slots__ = ("breakpoints", "densities", "_bkey", "_ckey", "_positive")
+    __slots__ = ("_bkey", "_ckey", "_positive")
 
     def __init__(self, breakpoints: Sequence[ScalarLike], densities: Sequence[ScalarLike]):
         bps = tuple(as_scalar(b) for b in breakpoints)
@@ -171,14 +172,12 @@ class PiecewiseConstantValuation(Valuation):
         masses = [d * (b - a) for a, b, d in zip(bps, bps[1:], dens)]
         mden = lcm(*(m.denominator for m in masses))
         self._store(
-            bps,
-            dens,
             tuple(b.numerator * (bden // b.denominator) for b in bps),
             (0, *accumulate(m.numerator * (mden // m.denominator) for m in masses)),
             mden,
         )
 
-    def _store(self, breakpoints, densities, bkey, ckey, mass_den: int) -> None:
+    def _store(self, bkey, ckey, mass_den: int) -> None:
         """Check the integer tables and set every slot.
 
         ``bkey`` must be strictly ascending, ``ckey`` must not descend (a
@@ -193,8 +192,6 @@ class PiecewiseConstantValuation(Valuation):
             raise InvalidInput("densities must be non-negative")
         if ckey[-1] != mass_den:
             raise InvalidInput(f"total mass must be exactly 1, got {Fraction(ckey[-1], mass_den)}")
-        self.breakpoints = breakpoints
-        self.densities = densities
         self._bkey = bkey
         self._ckey = ckey
         self._positive = lowest > 0
@@ -216,9 +213,26 @@ class PiecewiseConstantValuation(Valuation):
     def is_positive(self) -> bool:
         return self._positive
 
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """``0 = b_0 < b_1 < ... < b_k = 1``, each ``b_i = _bkey[i] / G``."""
+        bkey = self._bkey
+        return tuple(Fraction(b, bkey[-1]) for b in bkey)
+
+    @property
+    def densities(self) -> tuple[Fraction, ...]:
+        """Each segment's mass over its width, ``(dc * G) / (db * L)`` for its
+        rows ``db``, ``dc`` of the breakpoint and mass tables."""
+        bkey, ckey = self._bkey, self._ckey
+        return tuple(
+            Fraction((c1 - c0) * bkey[-1], (b1 - b0) * ckey[-1])
+            for b0, b1, c0, c1 in zip(bkey, bkey[1:], ckey, ckey[1:])
+        )
+
     def segments(self) -> list[tuple[Fraction, Fraction, Fraction]]:
         """(left, right, density) triples."""
-        return list(zip(self.breakpoints, self.breakpoints[1:], self.densities))
+        bps = self.breakpoints
+        return list(zip(bps, bps[1:], self.densities))
 
     def _prefix(self, p: int, q: int) -> tuple[int, int]:
         """``eval(0, p/q)`` as an unreduced (numerator, denominator) pair;
@@ -265,10 +279,10 @@ class PiecewiseConstantValuation(Valuation):
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseConstantValuation):
             return NotImplemented
-        return self.breakpoints == other.breakpoints and self.densities == other.densities
+        return self._bkey == other._bkey and self._ckey == other._ckey
 
     def __hash__(self) -> int:
-        return hash((self.breakpoints, self.densities))
+        return hash((self._bkey, self._ckey))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -281,7 +295,7 @@ class PiecewiseConstantValuation(Valuation):
             "type": "piecewise_constant",
             "segments": [
                 {"end": scalar_str(end), "density": scalar_str(d)}
-                for end, d in zip(self.breakpoints[1:], self.densities)
+                for _, end, d in self.segments()
             ],
         }
 
@@ -326,11 +340,19 @@ def verify_dense(valuation: PiecewiseConstantValuation, bounds: DensityBounds) -
     return True
 
 
-@lru_cache(maxsize=8)
-def _grid_points(grid: int) -> tuple[Fraction, ...]:
-    """``Fraction(k, grid)`` for k = 0..grid, shared by every valuation drawn
-    on that grid rather than rebuilt for each one."""
-    return tuple(Fraction(k, grid) for k in range(grid + 1))
+def dual_pwc_closed_form(valuation: PiecewiseConstantValuation) -> PiecewiseConstantValuation:
+    """Exact dual of a positive step valuation: its two tables swapped.
+
+    The dual's breakpoints are the base's prefix masses and the other way
+    round, so a segment of width w and density d turns into one of width
+    d*w and density 1/d, in the same order, and swapping twice is the
+    identity.
+    """
+    if not valuation.is_positive:
+        raise NonPositiveValuation("closed-form dual needs a positive valuation")
+    dual = object.__new__(PiecewiseConstantValuation)
+    dual._store(valuation._ckey, valuation._bkey, valuation._bkey[-1])
+    return dual
 
 
 #: draws :func:`random_dense_valuation` makes before it rejects the band
@@ -352,8 +374,8 @@ def random_dense_valuation(
     Breakpoint ``k / grid`` keeps its grid index ``k`` and segment ``i``
     the integer mass ``raw[i] * (k[i+1] - k[i])`` over their sum ``total``,
     so the band test runs in integers and the valuation's tables are these
-    integers reduced by their gcds, as the constructor would compute them;
-    only the breakpoints and densities are ``Fraction``s.
+    integers reduced by their gcds, as the constructor would compute them.
+    No ``Fraction`` is built.
     """
     if n_segments.__class__ is not int:
         raise InvalidInput(f"n_segments must be an int, got {n_segments!r}")
@@ -365,7 +387,6 @@ def random_dense_valuation(
         raise InvalidInput(f"bounds must be a DensityBounds, got {bounds!r}")
     rng = random.Random(seed)
     grid = max(8 * n_segments, 16)
-    points = _grid_points(grid)
     alpha, beta = bounds.alpha, bounds.beta
     for _ in range(MAX_DRAW_ATTEMPTS):
         ks = (0, *sorted(rng.sample(range(1, grid), n_segments - 1)), grid)
@@ -381,8 +402,6 @@ def random_dense_valuation(
         kg, mg = gcd(*ks), gcd(*masses)
         valuation = object.__new__(PiecewiseConstantValuation)
         valuation._store(
-            tuple(points[k] for k in ks),
-            tuple(Fraction(r * grid, total) for r in raw),
             tuple(k // kg for k in ks),
             (0, *accumulate(m // mg for m in masses)),
             total // mg,

@@ -29,7 +29,9 @@ record, which the session's fragment encoder must match line for line.
 cut as first written, reading every level down to a leaf, which the
 walks that stop once their float is settled must match float for float.
 ``dual_image`` and ``density`` are the piece dualization and the
-value-per-width of a piece, computed from ``eval`` alone.
+value-per-width of a piece, computed from ``eval`` alone, and
+``segment_loop_dual`` is the closed-form step dual as first written, a
+``Fraction`` loop over segments, which the table swap must match.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from fairslice.geometry import Interval, normalize_piece
+from fairslice.valuation import PiecewiseConstantValuation
 
 
 def grid_integral(segments, x, y, steps=200_000):
@@ -143,6 +146,18 @@ def dual_image(valuation, piece):
 def density(valuation, piece):
     """Value per width of a piece of positive width."""
     return valuation.value_of_piece(piece) / piece.width
+
+
+def segment_loop_dual(valuation):
+    """Exact dual of a positive step valuation, built segment by segment: a
+    segment of width w and density d becomes one of width d*w and density
+    1/d, in the same order."""
+    breakpoints = [Fraction(0)]
+    densities = []
+    for left, right, d in valuation.segments():
+        breakpoints.append(breakpoints[-1] + d * (right - left))
+        densities.append(1 / d)
+    return PiecewiseConstantValuation(breakpoints, densities)
 
 
 def bisect_cut(segments, x, r, tol=1e-12):

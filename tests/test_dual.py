@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fairslice.dual import (
     DualValuation,
+    ReductionReport,
     dual_pwc_closed_form,
     reduction_pipeline,
 )
@@ -20,7 +21,7 @@ from fairslice.valuation import (
     verify_dense,
 )
 
-from oracles import density, dual_image
+from oracles import density, dual_image, segment_loop_dual
 
 UNIFORM = PiecewiseConstantValuation.uniform()
 STEP = PiecewiseConstantValuation.from_segments(
@@ -38,6 +39,28 @@ unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
 def random_positive_valuation(seed, segments=6):
     return random_dense_valuation(segments, BAND, seed=seed)
+
+
+@st.composite
+def positive_steps(draw):
+    """A positive step valuation of 1..12 segments whose breakpoints and
+    densities have mixed denominators."""
+    k = draw(st.integers(1, 12))
+    interior = draw(st.lists(
+        st.fractions(Fraction(1, 97), Fraction(96, 97), max_denominator=97),
+        min_size=k - 1, max_size=k - 1, unique=True,
+    ))
+    bps = [Fraction(0), *sorted(interior), Fraction(1)]
+    weights = draw(st.lists(
+        st.builds(Fraction, st.integers(1, 9), st.sampled_from((1, 2, 7, 11))),
+        min_size=k, max_size=k,
+    ))
+    total = sum(w * (b - a) for a, b, w in zip(bps, bps[1:], weights))
+    return PiecewiseConstantValuation(bps, [w / total for w in weights])
+
+
+def tables(v):
+    return v._bkey, v._ckey
 
 
 class TestDualQueries:
@@ -91,6 +114,42 @@ class TestClosedForm:
         for seed in range(50):
             v = random_positive_valuation(seed, segments=1 + seed % 9)
             assert dual_pwc_closed_form(dual_pwc_closed_form(v)) == v
+
+    @settings(deadline=None)
+    @given(v=positive_steps())
+    def test_table_swap_matches_segment_loop(self, v):
+        dual = dual_pwc_closed_form(v)
+        oracle = segment_loop_dual(v)
+        assert tables(dual) == tables(oracle)
+        assert dual == oracle and hash(dual) == hash(oracle)
+        assert dual.segments() == oracle.segments()
+        back = dual_pwc_closed_form(dual)
+        assert tables(back) == tables(v)
+        assert back == v and hash(back) == hash(v)
+
+    def test_equality_and_hash_agree_across_table_sources(self):
+        cases = [
+            # the constructor on unreduced strings and on ints
+            (PiecewiseConstantValuation([0, "2/4", 1], ["6/4", "2/4"]), STEP),
+            (PiecewiseConstantValuation([0, 1], [1]), UNIFORM),
+            (PiecewiseConstantValuation(["0/3", "3/3"], ["5/5"]), UNIFORM),
+            # the swap
+            (dual_pwc_closed_form(STEP), PiecewiseConstantValuation([0, "6/8", 1], ["4/6", 2])),
+        ]
+        for seed in range(10):
+            # the generator
+            v = random_positive_valuation(seed, segments=1 + seed)
+            cases.append((v, PiecewiseConstantValuation(
+                [f"{3 * b.numerator}/{3 * b.denominator}" for b in v.breakpoints],
+                [f"{5 * d.numerator}/{5 * d.denominator}" for d in v.densities],
+            )))
+            dual = dual_pwc_closed_form(v)
+            cases.append((dual, PiecewiseConstantValuation(dual.breakpoints, dual.densities)))
+            cases.append((dual, segment_loop_dual(v)))
+        for a, b in cases:
+            assert tables(a) == tables(b)
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert dual_pwc_closed_form(STEP) != STEP
 
     def test_density_inversion_on_segments(self):
         for seed in range(20):
@@ -242,10 +301,17 @@ class TestReductionPipeline:
         with pytest.raises(ProtocolViolation, match="player 1: chore cost"):
             reduction_pipeline([valuation] * 3, protocol_with(Fraction(1, 10**30)))
 
+    def test_required_certificates_is_the_sharp_bound(self):
+        # more than n/3 heavy pieces, so the least integer above n/3
+        for n in range(1, 301):
+            report = ReductionReport(n, (), 0, 0, 0)
+            assert report.required_certificates == n // 3 + 1
+            assert 3 * report.required_certificates > n >= 3 * (report.required_certificates - 1)
+
     def test_report_json_shape(self):
         report = reduction_pipeline([UNIFORM] * 3, even_paz)
         obj = report.to_json()
-        assert obj["n"] == 3 and obj["required"] == 1
+        assert obj["n"] == 3 and obj["required"] == 2
         assert obj["certificates"] == 3
         assert len(obj["entries"]) == 3
         assert set(obj["query_counts"]) == {

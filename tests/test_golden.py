@@ -243,7 +243,7 @@ def test_even_paz_step_reports(n):
     assert digest(divide_lines(n, seed=n)) == DIVIDE_DIGESTS[n]
 
 
-REDUCTION_DIGEST = "cc7e07604d90bd0fa5cc8a58393f85595b65849c2e66810c6f349a19117f5290"
+REDUCTION_DIGEST = "41440f651c827dc67bfa8058d4b4a2709645519732303b015f691fca1ccf9fac"
 
 
 def test_reduction_report_and_logs():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.dual import reduction_pipeline
+from fairslice.dual import DualValuation, reduction_pipeline
 from fairslice.errors import (
     FairsliceError,
     InvalidInput,
@@ -85,6 +85,16 @@ def test_reduction_dualization_without_cut_point():
 
     with pytest.raises(ProtocolViolation, match="dual endpoint"):
         reduction_pipeline(valuations, protocol_then_break)
+
+
+@pytest.mark.parametrize("query,args", [("eval", (0, Fraction(1, 2))), ("cut", (Fraction(1, 4), Fraction(1, 2)))])
+def test_dual_query_on_a_base_that_stops_answering(query, args):
+    base = BreakableStep([Fraction(0), Fraction(1, 2), Fraction(1)], [Fraction(1, 2), Fraction(3, 2)])
+    dual = DualValuation(base)
+    getattr(dual, query)(*args)
+    base.broken = True
+    with pytest.raises(ProtocolViolation, match="dual endpoint"):
+        getattr(dual, query)(*args)
 
 
 def test_error_types_carry_their_exit_code():

@@ -243,7 +243,7 @@ class TestGenerator:
             v = random_dense_valuation(segments, bounds, seed=seed)
             bps, dens = fraction_dense_draw(segments, bounds, seed=seed)
             assert v.breakpoints == bps and v.densities == dens
-            # == reads only breakpoints and densities, not the query tables
+            # the generator's tables are the constructor's, which == compares
             built = PiecewiseConstantValuation(v.breakpoints, v.densities)
             assert (v._bkey, v._ckey, v.is_positive) == (built._bkey, built._ckey, built.is_positive)
 
