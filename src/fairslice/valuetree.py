@@ -26,7 +26,8 @@ by construction.
 A node path is the ``bytes`` of its base-3 digits, one byte per digit
 (the root is ``b""``), in and out: one object is the dict key and the
 blake2b label input, a session transcript writes its digits straight
-from it, and each level's path is a C slice of the leaf's bytes.
+from it, and each level's path that a walk hands its label reader is a C
+slice of the leaf's bytes.
 :func:`leaf_path` and :func:`index_path` make one from a position or a
 leaf index, and every public method that takes a path refuses anything
 else with :class:`InvalidInput`.  Each tree remembers the prefix mass of
@@ -58,7 +59,10 @@ masses ``value * label`` of children 0 and 1 and the three child
 signatures, built once per (signature, kinds) from ``step``.  Node values
 are per signature, so no walk multiplies values down a path; a prefix
 mass adds the stored masses of the left siblings one at a time, in path
-order.  A hashed tree copies one keyed blake2b state per node label.
+order.  A hashed tree's walk and descent keep one copy of its keyed
+blake2b state, read each node's heavy edge from its digest and feed it
+the digit taken; a single-node label read copies the keyed state and feeds
+it the whole path.  Both give the digest of a fresh keyed hash of the path.
 
 Answers are floats, but every criticality and richness verdict is exact
 and every node value is correctly rounded: both come from the rational
@@ -95,8 +99,9 @@ HEAVY = "H"
 LIGHT = "L"
 THIRD = "T"
 
-#: label kinds of an ordinary node whose heavy edge is child i
+#: label kinds of an ordinary node whose heavy edge is child i, and of a critical node
 _HEAVY_AT = ((HEAVY, LIGHT, LIGHT), (LIGHT, HEAVY, LIGHT), (LIGHT, LIGHT, HEAVY))
+_THIRDS = (THIRD, THIRD, THIRD)
 
 #: path bytes of one step to child 0, 1 or 2
 _STEP = (b"\x00", b"\x01", b"\x02")
@@ -370,12 +375,15 @@ _CHUNK_PATHS: list[bytes] = []
 
 def index_path(index: int, depth: int) -> bytes:
     """Node path of leaf ``index`` at ``depth``: its base-3 digits, most
-    significant first.  An index outside ``[0, 3**depth)``, or a bad depth, is refused.
+    significant first.  An index not an ``int`` (a bool is not) or outside
+    ``[0, 3**depth)``, or a bad depth, is refused.
 
     >>> index_path(5, 3)
     b'\\x00\\x01\\x02'
     """
     _check_depth(depth)
+    if index.__class__ is not int:
+        raise InvalidInput(f"leaf index must be an int, got {index!r}")
     if not 0 <= index < 3**depth:
         raise InvalidInput(f"leaf index {index} outside [0, 3**{depth})")
     return _index_path(index, depth)
@@ -464,11 +472,20 @@ class TernaryTreeValuation(Valuation, ABC):
     def _descent_labels(self, path: bytes, sig: Signature, remaining: float) -> tuple[str, str, str]:
         """Labels a mass descent reads at ``path`` with ``remaining`` mass to pass."""
 
+    def _running_state(self, labels):
+        """For a walk reading ``labels``: a blake2b state holding the keyed
+        hash of the path so far, whose digest gives a non-critical node's
+        heavy edge as :meth:`BalancedValueTree._labels` reads it, and which
+        the walk feeds one digit per level in place of calling ``labels``;
+        or None, the default, for a walk that calls ``labels`` at every node."""
+        return None
+
     # -- the two walks -------------------------------------------------------
 
     def _walk(self, node: bytes, labels, settle: Optional[int] = None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``, reading
-        each node passed through ``labels(path, sig, step)``; the mass
+        each node passed through ``labels(path, sig, step)``, or from the
+        :meth:`_running_state` the tree keeps for that reader; the mass
         adds, level by level, the stored masses of the left siblings from
         the node's :class:`ChildTable`, child 0 before child 1.
 
@@ -489,10 +506,20 @@ class TernaryTreeValuation(Valuation, ABC):
         mass = 0.0
         if settle is None:
             settle = len(node)
+        keyed = self._running_state(labels)
         for i, c in enumerate(node):
             if i >= settle and mass > 0 and sig.value * 2 < math.ulp(mass):
                 break
-            kinds = labels(node[:i], sig, c)
+            if keyed is None:
+                kinds = labels(node[:i], sig, c)
+            elif sig.critical:
+                kinds = _THIRDS
+            else:
+                # BalancedValueTree._labels of node[:i], which keyed has
+                # been fed; every node below a critical one is critical and
+                # reads no digest, so the state is fed only here
+                kinds = _HEAVY_AT[sum(keyed.digest()) % 3]
+                keyed.update(_STEP[c])
             # sig.table(kinds) with the lookup inlined, as it runs at every
             # level; entries by index
             table = sig.tables.get(kinds) or sig.table(kinds)
@@ -530,6 +557,8 @@ class TernaryTreeValuation(Valuation, ABC):
         index = 0
         path = b""
         settle = self._settle_level(target)
+        labels = self._descent_labels
+        keyed = self._running_state(labels)
         for i in range(depth):
             if i >= settle:
                 span = 3 ** (depth - i)
@@ -537,7 +566,12 @@ class TernaryTreeValuation(Valuation, ABC):
                 left = lo / n
                 if left == (lo + span - 1) / n and 2 * (1 / n) < math.ulp(left):
                     return left
-            kinds = self._descent_labels(path, sig, remaining)
+            if keyed is None:
+                kinds = labels(path, sig, remaining)
+            elif sig.critical:
+                kinds = _THIRDS
+            else:
+                kinds = _HEAVY_AT[sum(keyed.digest()) % 3]  # as in _walk
             table = sig.tables.get(kinds) or sig.table(kinds)  # as in _walk
             if table[0] >= remaining:
                 chosen = 0
@@ -549,7 +583,10 @@ class TernaryTreeValuation(Valuation, ABC):
                     remaining -= table[1]
                     chosen = 2
             sig = table[2 + chosen]
-            path += _STEP[chosen]
+            if keyed is None:
+                path += _STEP[chosen]
+            else:
+                keyed.update(_STEP[chosen])
             index = index * 3 + chosen
         within = min(max(remaining / sig.value, 0.0), 1.0) if sig.value > 0 else 0.0
         return index / n + (1 / n) * within
@@ -710,8 +747,12 @@ class BalancedValueTree(TernaryTreeValuation):
     path, so trees are reproducible from (depth, seed) without storing any
     per-node state.
 
-    The keyed hash state is built once; each node label copies it and feeds
-    it the path, which gives the digest of a fresh keyed hash bit for bit.
+    The keyed hash state is built once.  A walk or descent reading this
+    tree's own labels copies it once and feeds it one digit per level (see
+    :meth:`_running_state`); :meth:`_labels`, the one-node read that
+    lookups, completions and :func:`verify_labeling` call, copies it and
+    feeds it the path.  Either gives the digest of a fresh keyed hash bit
+    for bit.
     """
 
     def __init__(self, params: TreeParams, seed: int):
@@ -723,7 +764,7 @@ class BalancedValueTree(TernaryTreeValuation):
 
     def _labels(self, path, sig, step=None):
         if sig.critical:
-            return (THIRD, THIRD, THIRD)
+            return _THIRDS
         state = self._keyed.copy()
         state.update(path)
         # the digest's big-endian integer mod 3, as the sum of its bytes:
@@ -732,6 +773,15 @@ class BalancedValueTree(TernaryTreeValuation):
 
     # a fixed labeling ignores the walk's step
     _path_labels = _descent_labels = _labels
+
+    def _running_state(self, labels):
+        """A copy of the keyed state when ``labels`` is this tree's own
+        :meth:`_labels` (not an override), which :meth:`~TernaryTreeValuation._walk`
+        and :meth:`~TernaryTreeValuation._descend` then feed the path one digit
+        at a time: the digest at each node is the one :meth:`_labels` reads."""
+        if getattr(labels, "__func__", None) is BalancedValueTree._labels and labels.__self__ is self:
+            return self._keyed.copy()
+        return None
 
     def to_json(self) -> dict:
         return {

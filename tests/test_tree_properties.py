@@ -7,7 +7,8 @@ adversary session, at depth 11 and at depth 60.  A prefix walk to a
 position on the leaf grid stops at the node the position starts, and any
 prefix walk or descent stops once the rest of the tree can no longer
 change its float; prefix masses, eval and cut must be the full-depth
-oracle's, float for float, at depths 11, 60 and 200, and at 3^60 and
+oracle's, float for float, at depths 11, 60 and 200 and on a permissive
+depth-7 tree with critical nodes near the root, and at 3^60 and
 3^200 a walk or descent must read a number of labels that does not grow
 with the depth.
 A narrow piece's exact value, summed from ``leaf_masses``, must be the
@@ -99,6 +100,8 @@ def test_cut_is_monotone_in_mass(name):
 
 BOUNDARY_TREES = {
     **TREES,
+    # every heavy child of the root is critical: thirds a level down
+    "hashed-permissive-7": BalancedValueTree(TreeParams.from_depth(7, permissive=True), seed=11),
     "hashed-200": BalancedValueTree(TreeParams.from_depth(200), seed=9),
     "completed-200": completed_tree(200, seed=10),
 }
@@ -247,15 +250,17 @@ class CountingTree(BalancedValueTree):
 @pytest.mark.parametrize("depth", [60, 200])
 def test_settled_walks_read_labels_independent_of_depth(depth):
     """A walk to a position in [1/10, 9/10], and a descent to a target
-    mass there, settle their float about 35 levels down at any depth."""
+    mass there, settle their float about 35 levels down at any depth.  The
+    lower bound checks that an overriding reader is still called at every
+    node, as the hashed tree's running label state serves only its own rule."""
     tree = CountingTree(TreeParams.from_depth(depth), seed=depth)
     for k in range(100, 901, 8):
         tree.reads = 0
         fresh_prefix(tree, Fraction(k, 1000))
-        assert tree.reads <= 45
+        assert 20 <= tree.reads <= 45
         tree.reads = 0
         tree._descend(k / 1000)
-        assert tree.reads <= 45
+        assert 20 <= tree.reads <= 45
 
 
 def small_numerator(i: int, k: int) -> Fraction:

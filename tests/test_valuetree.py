@@ -119,6 +119,11 @@ class TestPaths:
         with pytest.raises(InvalidInput, match="outside"):
             index_path(index, depth)
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", True, False, None, Fraction(1)], ids=repr)
+    def test_non_int_index_is_invalid_input(self, index):
+        with pytest.raises(InvalidInput, match="leaf index must be an int"):
+            index_path(index, 3)
+
     @pytest.mark.parametrize("depth", [4, 5, 6, 7, 11, 60, 200])
     def test_digits_of_index_matches_divmod(self, depth):
         n = 3**depth
