@@ -23,27 +23,35 @@ masses, so the verdict does not rest on a float that cancels at 3^60.
 
 The session is itself a tree valuation, answering through the walks that
 hashed trees and completions use with a label source that reveals nodes as
-the walks reach them, so a referee can hold sessions as players.  The
+its queries reach them, so a referee can hold sessions as players.  The
 session builds no query record: the referee module's
 :func:`~fairslice.referee.ask_eval`/``ask_cut`` record each query with the
 reveals its answer made, for the referee's log in a game, or for the
 session's own :attr:`AdversarySession.log` when it is asked through
 ``answer_eval``/``answer_cut``.  A completion keeps every revealed label,
 so it replays those records exactly.  Only ``eval`` and ``cut`` reveal,
-by construction, as only a query's walks read the revealing label hooks:
-the node lookups a session inherits (``node``, ``classify_leaf``,
-``iter_nodes``) and ``verify_labeling`` read revealed nodes and raise
+by construction, as only a query's prefix and descent reveal: the node
+lookups a session inherits (``node``, ``classify_leaf``, ``iter_nodes``)
+and ``verify_labeling`` read revealed nodes and raise
 :class:`PreconditionViolation` at an unrevealed one; an internal node must
 be revealed itself, a leaf needs its parent revealed.
 
 Revealed labels are kept, in reveal order, in
 :attr:`AdversarySession.revealed`, a dict keyed by node-path bytes, the one
 path form of :mod:`.valuetree`; a query's reveals are the ``(path, kinds)``
-items it added.  The revealing hooks look each node up there, so a known
-node costs one dict lookup; only a new node goes to ``_reveal``, the one
-writer of ``revealed``, which keeps the heavy-edge maximum and the critical
-nodes as it reveals.  A node is revealed only after its parent, which
-``_reveal`` checks.
+items it added.  The session's walks read that dict inline, before any
+label hook, so a known node costs one dict lookup and no call.  New nodes
+are revealed a chain at a time by ``_reveal``, the one writer of
+``revealed``, in one dict update; it keeps the heavy-edge maximum and the
+critical nodes as it reveals.  ``revealed`` is prefix-closed, so the first
+ask of an eval endpoint reveals its leaf path below the first unrevealed
+node as one chain: every node there is new, with the on-path edge light,
+and the chain's books follow from its first node's signature.  A cut's
+descent decides each new node as it reaches it and reveals them together
+when the cut returns, each with its own signature: at permissive depths
+the heavy label can reach 1/2, and the descent can cross a heavy edge.  A
+node is revealed only after its parent, which ``_reveal`` checks at each
+chain's first node.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -71,12 +79,12 @@ from .valuetree import (
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
+    _NO_LABELS,
     _STEP,
     _index_path,
     _node_key,
     _piece_leaves,
     index_path,
-    leaf_path,
 )
 
 Kinds = tuple[str, str, str]
@@ -91,6 +99,14 @@ class AdversarySession(TernaryTreeValuation):
     reveals of the last ``eval``/``cut`` to the query's record.  Any other
     walk reads revealed labels only, and raises
     :class:`PreconditionViolation` at an unrevealed node.
+
+    An eval endpoint's new nodes are revealed as one chain, in level order,
+    below the last node its leaf path shares with earlier reveals:
+
+    >>> session = AdversarySession(TreeParams(4, permissive=True))
+    >>> _ = session.eval(Fraction(1, 3), Fraction(5, 9))
+    >>> [list(path) for path, _ in session.take_reveals()]
+    [[], [1], [1, 0], [1, 0, 0], [1, 2], [1, 2, 0]]
     """
 
     def __init__(self, params: TreeParams):
@@ -106,6 +122,9 @@ class AdversarySession(TernaryTreeValuation):
         self._heavy = 0  # most revealed heavy edges on a root path
         self._critical: list[bytes] = []  # revealed critical nodes
         self._orphans = 0  # revealed nodes whose parent was not revealed
+        # a cut's new nodes and their signatures, in descent order
+        self._descent: dict[bytes, Kinds] = {}
+        self._descent_sigs: list[Signature] = []
 
     @property
     def m(self) -> int:
@@ -122,11 +141,8 @@ class AdversarySession(TernaryTreeValuation):
             )
         return kinds
 
-    def _path_labels(self, path, sig, step=None):
-        kinds = self.revealed.get(path)
-        if kinds is None:
-            kinds = self._reveal(path, sig, _HEAVY_AT[1 if step == 0 else 0])
-        return kinds
+    # a prefix walk reads what _prefix has revealed
+    _path_labels = _labels
 
     def _descent_labels(self, path, sig, remaining):
         kinds = self.revealed.get(path)
@@ -135,45 +151,83 @@ class AdversarySession(TernaryTreeValuation):
             # compares; sig.table(_HEAVY_AT[0]) with the lookup inlined, as
             # in _walk
             table = sig.tables.get(_HEAVY_AT[0]) or sig.table(_HEAVY_AT[0])
-            kinds = self._reveal(path, sig, _HEAVY_AT[0 if table[0] < remaining else 2])
+            kinds = _HEAVY_AT[0 if table[0] < remaining else 2]
+            # revealed when the cut returns, with this node's own signature
+            self._descent[path] = kinds
+            self._descent_sigs.append(sig)
         return kinds
 
-    def _reveal(self, path: bytes, sig: Signature, kinds: Kinds) -> Kinds:
-        """Reveal ``kinds`` at the unrevealed node ``path`` and return them:
-        the one writer of :attr:`revealed`.  The query hooks look each node
-        up there first and hand only a new node here."""
-        if path and path[:-1] not in self.revealed:
+    def _known_labels(self, labels):
+        # the session's own readers return a revealed node's labels as they are
+        if getattr(labels, "__func__", None) in _SESSION_READERS and labels.__self__ is self:
+            return self.revealed
+        return _NO_LABELS
+
+    def _reveal(self, chain: dict[bytes, Kinds], sigs: Sequence[Signature]) -> None:
+        """Reveal ``chain``'s labels at its nodes, none of them revealed
+        yet: the one writer of :attr:`revealed`, in one ``update``.  The
+        nodes, in ``chain``'s order, form a chain, each the child of the one
+        before; ``sigs`` holds the signatures of its first nodes, and every
+        node past them is the light child of the one before and carries one
+        heavy edge, as on an eval endpoint's leaf path.  Only the first
+        node's parent is looked up for the connectivity check."""
+        revealed = self.revealed
+        first = next(iter(chain))
+        if first and first[:-1] not in revealed:
             self._orphans += 1
-        self.revealed[path] = kinds
-        # the node's parent is revealed, so its deepest heavy count is new
-        # only through its own heavy edge
-        h = sig.h + (HEAVY in kinds)
-        if h > self._heavy:
-            self._heavy = h
-        # the density test at the node itself, not the inherited flag; a
-        # signature without the flag fails it by definition
-        if sig.critical and sig.own_critical:
-            self._critical.append(path)
-        return kinds
+        revealed.update(chain)
+        for (path, kinds), sig in zip(chain.items(), sigs):
+            # a revealed parent, so the deepest heavy count is new only
+            # through the node's own heavy edge
+            h = sig.h + (HEAVY in kinds)
+            if h > self._heavy:
+                self._heavy = h
+            # the density test at the node itself, not the inherited flag; a
+            # signature without the flag fails it by definition
+            if sig.critical and sig.own_critical:
+                self._critical.append(path)
+        if len(chain) > len(sigs):
+            # the light tail: one heavy edge more than its first node's
+            # parent, the same heavy count all the way down; below a
+            # critical flag its nodes stay critical while the density test
+            # holds (density falls along light edges), and without the flag
+            # none is
+            sig = sigs[-1]
+            if sig.h + 1 > self._heavy:
+                self._heavy = sig.h + 1
+            if sig.critical:
+                h, q = sig.h, sig.q
+                for path in islice(chain, len(sigs), None):
+                    q += 1
+                    if not self.params.critical_counts(h, q):
+                        break
+                    self._critical.append(path)
 
     def _prefix(self, t: Fraction) -> float:
-        if 0 < t.numerator < t.denominator:
-            return super()._prefix(t)
-        # every endpoint path is revealed, even at t = 0 or 1 (mass exactly
-        # t), on its first walk; the memo keeps the ends walked
-        if (t.numerator, t.denominator) not in self._masses:
-            self._walk(leaf_path(t, self.params.depth), self._path_labels)
-            self._masses[t.numerator, t.denominator] = float(t)
-        return float(t)
-
-    def _prefix_node(self, index: int, rem: int) -> bytes:
-        # a session reveals an endpoint's whole leaf path, even where the
-        # walk could stop at the node the endpoint starts
-        return _index_path(index, self.params.depth)
+        key = (t.numerator, t.denominator)
+        mass = self._masses.get(key)
+        if mass is None:
+            # the first ask of t reveals its whole leaf path, even at t = 0
+            # or 1 (mass exactly t): revealed is prefix-closed, so below its
+            # first unrevealed node every node is new, with the on-path edge
+            # light; the mass walk then reads revealed labels only
+            num, den = key
+            n, depth = self.params.n, self.params.depth
+            leaf = _index_path(min(num * n // den, n - 1), depth)
+            revealed = self.revealed
+            if leaf[:-1] not in revealed:
+                level = 0
+                while leaf[:level] in revealed:
+                    level += 1
+                _, sig = self._walk(leaf[:level], self._labels)
+                chain = {leaf[:i]: _ENDPOINT_LABELS[leaf[i]] for i in range(level, depth)}
+                self._reveal(chain, (sig,))
+            mass = self._masses[key] = super()._prefix(t)
+        return mass
 
     def _settle_level(self, scale: float) -> int:
-        # a session's reveals are its transcript, so its walks and descents
-        # go the full depth even where the float is settled
+        # a session's reveals are its transcript, so its descents go the
+        # full depth even where the float is settled
         return self.params.depth
 
     # -- queries ----------------------------------------------------------
@@ -182,6 +236,9 @@ class AdversarySession(TernaryTreeValuation):
         # reveals a query left untaken go, so they never reach a later record
         self._taken = len(self.revealed)
         answer = query(self, x, arg)
+        if self._descent:
+            self._reveal(self._descent, self._descent_sigs)
+            self._descent, self._descent_sigs = {}, []
         self.heavy_trace.append(self._heavy)
         return answer
 
@@ -298,6 +355,13 @@ class AdversarySession(TernaryTreeValuation):
         return refutation(value=float(value), violated="value", completion=completion)
 
 
+#: the labels an eval endpoint's path reveals at a node it leaves by
+#: child 0, 1 or 2: the on-path edge light, the heavy edge leftmost off it
+_ENDPOINT_LABELS = (_HEAVY_AT[1], _HEAVY_AT[0], _HEAVY_AT[0])
+
+#: the readers whose revealed labels a session's walks read inline
+_SESSION_READERS = (AdversarySession._labels, AdversarySession._descent_labels)
+
 #: ASCII digit of each node-path byte
 _DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
 
@@ -392,6 +456,12 @@ class CompletedTree(TernaryTreeValuation):
         return self._hashed._labels(path, sig)
 
     _path_labels = _descent_labels = _labels
+
+    def _known_labels(self, labels):
+        # the completion's own reader returns a revealed node's labels as they are
+        if getattr(labels, "__func__", None) is CompletedTree._labels and labels.__self__ is self:
+            return self._revealed
+        return _NO_LABELS
 
 
 @dataclass(frozen=True)

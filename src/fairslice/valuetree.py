@@ -45,8 +45,8 @@ walk and a descent also stop at the first node below which no label can
 change their float, by the rounding arguments of :meth:`~TernaryTreeValuation._walk`
 and :meth:`~TernaryTreeValuation._descend`: for a position or mass in
 [1/10, 9/10] that is about 35 levels down, at depth 60 or 200 alike.  An
-adversary session still walks, and reveals, every endpoint's whole leaf
-path and every descent down to a leaf.
+adversary session still reveals every endpoint's whole leaf path before
+its prefix walk, and descends to a leaf.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, the density and its log, the density tests, the adversary's query
@@ -63,6 +63,11 @@ order.  A hashed tree's walk and descent keep one copy of its keyed
 blake2b state, read each node's heavy edge from its digest and feed it
 the digit taken; a single-node label read copies the keyed state and feeds
 it the whole path.  Both give the digest of a fresh keyed hash of the path.
+Any other walk reads first the labels its tree keeps by path -- a
+session's revealed labels, or a completion's -- and calls its reader only
+for a node not among them, when the reader is the tree's own
+(:meth:`~TernaryTreeValuation._known_labels`); a checker, or a reader a
+subclass overrides, is called at every node.
 
 Answers are floats, but every criticality and richness verdict is exact
 and every node value is correctly rounded: both come from the rational
@@ -85,7 +90,8 @@ from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidInput, PreconditionViolation
 from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, above_one, cut_mass, unit_span
@@ -105,6 +111,9 @@ _THIRDS = (THIRD, THIRD, THIRD)
 
 #: path bytes of one step to child 0, 1 or 2
 _STEP = (b"\x00", b"\x01", b"\x02")
+
+#: no known labels: what a walk reads first when its reader is not a tree's own
+_NO_LABELS: Mapping[bytes, tuple[str, str, str]] = MappingProxyType({})
 
 #: minimum depth for the density guarantees to hold (gives beta/3 < 1/2)
 STRICT_MIN_DEPTH = 11
@@ -480,13 +489,23 @@ class TernaryTreeValuation(Valuation, ABC):
         or None, the default, for a walk that calls ``labels`` at every node."""
         return None
 
+    def _known_labels(self, labels) -> Mapping[bytes, tuple[str, str, str]]:
+        """For a walk reading ``labels`` without a running state: the labels
+        by node path that ``labels`` returns as they are, which the walk
+        reads first and calls ``labels`` only for a node not in it -- a
+        session's revealed labels, or a completion's, when ``labels`` is the
+        tree's own reader.  Empty, the default, for any other reader, so a
+        checker or an override still sees every node."""
+        return _NO_LABELS
+
     # -- the two walks -------------------------------------------------------
 
     def _walk(self, node: bytes, labels, settle: Optional[int] = None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``, reading
-        each node passed through ``labels(path, sig, step)``, or from the
-        :meth:`_running_state` the tree keeps for that reader; the mass
-        adds, level by level, the stored masses of the left siblings from
+        each node passed from the :meth:`_running_state` the tree keeps for
+        ``labels``, or else from its :meth:`_known_labels` for that reader,
+        calling ``labels(path, sig, step)`` only for a node not there; the
+        mass adds, level by level, the stored masses of the left siblings from
         the node's :class:`ChildTable`, child 0 before child 1.
 
         Given a level ``settle``, the walk stops at the first node at that
@@ -507,11 +526,13 @@ class TernaryTreeValuation(Valuation, ABC):
         if settle is None:
             settle = len(node)
         keyed = self._running_state(labels)
+        if keyed is None:
+            known = self._known_labels(labels)
         for i, c in enumerate(node):
             if i >= settle and mass > 0 and sig.value * 2 < math.ulp(mass):
                 break
             if keyed is None:
-                kinds = labels(node[:i], sig, c)
+                kinds = known.get(path := node[:i]) or labels(path, sig, c)
             elif sig.critical:
                 kinds = _THIRDS
             else:
@@ -559,6 +580,8 @@ class TernaryTreeValuation(Valuation, ABC):
         settle = self._settle_level(target)
         labels = self._descent_labels
         keyed = self._running_state(labels)
+        if keyed is None:
+            known = self._known_labels(labels)
         for i in range(depth):
             if i >= settle:
                 span = 3 ** (depth - i)
@@ -567,7 +590,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 if left == (lo + span - 1) / n and 2 * (1 / n) < math.ulp(left):
                     return left
             if keyed is None:
-                kinds = labels(path, sig, remaining)
+                kinds = known.get(path) or labels(path, sig, remaining)  # as in _walk
             elif sig.critical:
                 kinds = _THIRDS
             else:

@@ -28,6 +28,9 @@ record, which the session's fragment encoder must match line for line.
 ``full_depth_prefix`` and ``full_depth_cut`` are a tree's prefix walk and
 cut as first written, reading every level down to a leaf, which the
 walks that stop once their float is settled must match float for float.
+``PerNodeSession`` is an adversary session with its reveal rule as first
+written, one reader call and one reveal per new node as a walk reaches
+it, which the chain reveals must match reveal for reveal.
 ``dual_image`` and ``density`` are the piece dualization and the
 value-per-width of a piece, computed from ``eval`` alone, and
 ``segment_loop_dual`` is the closed-form step dual as first written, a
@@ -43,8 +46,10 @@ import weakref
 from bisect import bisect_right
 from fractions import Fraction
 
+from fairslice.adversary import AdversarySession
 from fairslice.geometry import Interval, normalize_piece
 from fairslice.valuation import PiecewiseConstantValuation
+from fairslice.valuetree import _HEAVY_AT, HEAVY, TernaryTreeValuation, index_path, leaf_path
 
 
 def grid_integral(segments, x, y, steps=200_000):
@@ -446,3 +451,47 @@ def full_depth_cut(tree, x, r):
         index = index * 3 + chosen
     within = min(max(remaining / sig.value, 0.0), 1.0) if sig.value > 0 else 0.0
     return max(index / n + (1 / n) * within, float(x))
+
+
+class PerNodeSession(AdversarySession):
+    """An adversary session revealing level by level, as first written:
+    every walk calls its reader at every node, and the reader reveals a new
+    node on its own -- an eval endpoint's with the on-path edge light and
+    the heavy edge leftmost off it, a descent's with the heavy edge left of
+    the answer when the heavy child's mass falls short of the remaining
+    mass, right of it otherwise -- keeping the books from that node's own
+    signature.  Every endpoint walks its whole leaf path, even at t = 0 or
+    1 and on the leaf grid."""
+
+    def _path_labels(self, path, sig, step=None):
+        kinds = self.revealed.get(path)
+        if kinds is None:
+            kinds = self._reveal_node(path, sig, _HEAVY_AT[1 if step == 0 else 0])
+        return kinds
+
+    def _descent_labels(self, path, sig, remaining):
+        kinds = self.revealed.get(path)
+        if kinds is None:
+            heavy_first = sig.table(_HEAVY_AT[0])
+            kinds = self._reveal_node(path, sig, _HEAVY_AT[0 if heavy_first[0] < remaining else 2])
+        return kinds
+
+    def _reveal_node(self, path, sig, kinds):
+        if path and path[:-1] not in self.revealed:
+            self._orphans += 1
+        self.revealed[path] = kinds
+        self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
+        if sig.critical and self.params.critical_counts(sig.h, sig.q):
+            self._critical.append(path)
+        return kinds
+
+    def _prefix(self, t):
+        if 0 < t.numerator < t.denominator:
+            return TernaryTreeValuation._prefix(self, t)
+        if (t.numerator, t.denominator) not in self._masses:
+            self._walk(leaf_path(t, self.params.depth), self._path_labels)
+            self._masses[t.numerator, t.denominator] = float(t)
+        return float(t)
+
+    def _prefix_node(self, index, rem):
+        return index_path(index, self.params.depth)

@@ -68,21 +68,24 @@ class TestAnswers:
         assert session.m == 1
 
     def test_endpoint_paths_are_walked_once(self):
-        """t = 0 and t = 1 are remembered after their first whole-leaf walk,
-        like any other position; the answers and records are those of a
-        session that forgets every walked position before each query."""
+        """t = 0 and t = 1 are remembered after their first ask, which
+        reveals their whole leaf paths, like any other position; every node
+        of those paths is revealed once, and the answers and records are
+        those of a session that forgets every walked position before each
+        query."""
         session, forgetful = AdversarySession(P60), AdversarySession(P60)
-        walked = []
-        walk = session._walk
-        session._walk = lambda node, *args: walked.append(node) or walk(node, *args)
+        revealed = []
+        reveal = session._reveal
+        session._reveal = lambda chain, *args: revealed.extend(chain) or reveal(chain, *args)
         for j in range(1, 11):
             forgetful._masses.clear()
             assert session.answer_cut(0, j / 11) == forgetful.answer_cut(0, j / 11)
             forgetful._masses.clear()
             y = Fraction(j, 3**j)
             assert session.answer_eval(y, 1) == forgetful.answer_eval(y, 1)
-        assert walked.count(index_path(0, 60)) == 1
-        assert walked.count(index_path(P60.n - 1, 60)) == 1
+        for leaf in (index_path(0, 60), index_path(P60.n - 1, 60)):
+            assert [revealed.count(leaf[:i]) for i in range(60)] == [1] * 60
+        assert len(revealed) == len(set(revealed)) == len(session.revealed)
         assert session.log == forgetful.log
         assert session.heavy_trace == forgetful.heavy_trace
 
@@ -323,7 +326,7 @@ class TestOracles:
         assert session.revealed_is_connected()
         # no walk reveals a node before its parent; force one past the walks
         three_light = P60.root.step(LIGHT).step(LIGHT).step(LIGHT)  # h = 0, q = 3
-        session._reveal(bytes((2, 2, 2)), three_light, (HEAVY, LIGHT, LIGHT))
+        session._reveal({bytes((2, 2, 2)): (HEAVY, LIGHT, LIGHT)}, [three_light])
         assert not oracles.revealed_is_connected(session.revealed)
         assert not session.revealed_is_connected()
 
@@ -338,13 +341,13 @@ class TestOracles:
         sigs = [P60.root]
         for _ in path:
             sigs.append(sigs[-1].step(HEAVY))
-        session._reveal(path, sigs[-1], kinds)
+        session._reveal({path: kinds}, [sigs[-1]])
         session.answer_eval(0, Fraction(1, 3))  # reveals nothing; records the maximum
         assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
         # reveal the orphan's missing ancestors as its signature counts them
         for i in range(depth):
             if path[:i] not in session.revealed:
-                session._reveal(path[:i], sigs[i], (LIGHT, HEAVY, LIGHT))
+                session._reveal({path[:i]: (LIGHT, HEAVY, LIGHT)}, [sigs[i]])
         session.answer_eval(0, Fraction(1, 3))
         assert session.heavy_trace[-1] == oracles.max_revealed_heavy(session.revealed)
         assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
@@ -400,6 +403,57 @@ def test_known_and_new_nodes_keep_the_books_the_oracles_keep(depth):
     check()
 
 
+def chain_queries(depth):
+    """Lists of eval and cut queries on grid positions (the 3^9 lattice
+    and the leaf grid) and off it, with r = 0, r = 1 and r > 1 among the
+    cut masses."""
+    position = st.one_of(
+        st.sampled_from(REPEATED),
+        st.integers(0, 3**9).map(lambda i: Fraction(i, 3**9)),
+        st.integers(0, 3**depth).map(lambda i: Fraction(i, 3**depth)),
+        st.fractions(0, 1, max_denominator=10**6),
+    )
+    mass = st.one_of(st.sampled_from((0, 1, 1.5)), st.floats(0, 1.5))
+    query = st.one_of(
+        st.tuples(st.just("eval"), position, position),
+        st.tuples(st.just("cut"), position, mass),
+    )
+    return st.lists(query, min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [P60, P11, TreeParams.from_depth(6, permissive=True), TreeParams.from_depth(7, permissive=True)],
+    ids=["60", "11", "permissive-6", "permissive-7"],
+)
+def test_chain_reveals_match_the_per_node_session(params):
+    """A session reveals each walk's new nodes as one chain; the session
+    that reveals level by level must give the same answers, the same
+    reveals in the same order, transcripts, heavy trace, critical nodes and
+    connectivity verdict after every query.  At permissive depths a
+    descent can cross a heavy edge, so its chain keeps each node's own
+    books."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(queries=chain_queries(params.depth))
+    def check(queries):
+        session, reference = AdversarySession(params), oracles.PerNodeSession(params)
+        for kind, x, arg in queries:
+            if kind == "eval":
+                x, arg = sorted((x, arg))
+                answers = session.answer_eval(x, arg), reference.answer_eval(x, arg)
+            else:
+                answers = session.answer_cut(x, arg), reference.answer_cut(x, arg)
+            assert repr(answers[0]) == repr(answers[1])
+            assert list(session.revealed.items()) == list(reference.revealed.items())
+            assert session.transcript_lines() == reference.transcript_lines()
+            assert session.heavy_trace == reference.heavy_trace
+            assert session.revealed_critical_nodes() == reference.revealed_critical_nodes()
+            assert session.revealed_is_connected() == reference.revealed_is_connected()
+
+    check()
+
+
 class TestInspection:
     """Only eval and cut reveal nodes; the node lookups a session inherits
     read revealed nodes and refuse the others."""
@@ -449,6 +503,29 @@ class TestInspection:
             verify_labeling(session, [b"\x02" * 60], sample_count=0)
         assert list(session.revealed.items()) == revealed and session.m == m
         assert session.take_reveals() == tuple(revealed)
+
+    @pytest.mark.parametrize("source", ["session", "completion"])
+    def test_a_checker_sees_every_revealed_label(self, source):
+        """Walks read a session's or a completion's revealed labels inline
+        only for the tree's own readers: a counting checker is called at
+        every level, and verify_labeling's checker refuses a revealed label
+        flipped to thirds on a non-critical node."""
+        session = AdversarySession(P60)
+        x = Fraction(11, 3**5)
+        session.answer_eval(x, Fraction(1, 2))
+        tree = session if source == "session" else session.complete_labeling(seed=0)
+        revealed = session.revealed if source == "session" else tree._revealed
+        leaves = [leaf_path(x, 60), leaf_path(Fraction(1, 2), 60)]
+        for leaf in leaves:
+            seen = []
+            tree._walk(leaf, lambda path, sig, step=None: seen.append(path) or tree._labels(path, sig))
+            assert seen == [leaf[:i] for i in range(60)]
+        assert verify_labeling(tree, leaves, sample_count=0) == 120
+        node = leaves[0][:7]
+        assert not tree.node(node).critical
+        revealed[node] = (THIRD, THIRD, THIRD)
+        with pytest.raises(InvalidInput, match="non-critical node"):
+            verify_labeling(tree, leaves, sample_count=0)
 
     def test_leaf_masses_read_revealed_leaves_only(self):
         session = AdversarySession(P60)
