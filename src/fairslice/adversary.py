@@ -59,7 +59,6 @@ happily at n = 3^60 and beyond; only touched nodes are stored.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +68,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
-from .referee import PlayerView, QueryRecord, QueryReferee, ask_cut, ask_eval, replay_log
+from .referee import PlayerView, QueryRecord, QueryReferee, ask_cut, ask_eval, compact_json, replay_log
 from .valuation import is_heavy
 from .valuetree import (
     HEAVY,
@@ -81,7 +80,6 @@ from .valuetree import (
     _HEAVY_AT,
     _NO_LABELS,
     _STEP,
-    _index_path,
     _node_key,
     _piece_leaves,
     index_path,
@@ -210,10 +208,18 @@ class AdversarySession(TernaryTreeValuation):
             # the first ask of t reveals its whole leaf path, even at t = 0
             # or 1 (mass exactly t): revealed is prefix-closed, so below its
             # first unrevealed node every node is new, with the on-path edge
-            # light; the mass walk then reads revealed labels only
+            # light; the mass walk then reads revealed labels only, down to
+            # where its float is settled
             num, den = key
             n, depth = self.params.n, self.params.depth
-            leaf = _index_path(min(num * n // den, n - 1), depth)
+            if num <= 0:
+                leaf = bytes(depth)
+            elif num >= den:
+                leaf = _STEP[2] * depth
+            else:
+                # the leaf itself, or on the leaf grid the node t starts,
+                # whose leaf path goes on by 0 digits
+                leaf = self._prefix_node(num, den, *divmod(num * n, den)).ljust(depth, _STEP[0])
             revealed = self.revealed
             if leaf[:-1] not in revealed:
                 level = 0
@@ -225,10 +231,9 @@ class AdversarySession(TernaryTreeValuation):
             mass = self._masses[key] = super()._prefix(t)
         return mass
 
-    def _settle_level(self, scale: float) -> int:
-        # a session's reveals are its transcript, so its descents go the
-        # full depth even where the float is settled
-        return self.params.depth
+    # a session's reveals are its transcript, so its descents go the full
+    # depth even where the float is settled
+    _descends_to_leaf = True
 
     # -- queries ----------------------------------------------------------
 
@@ -301,7 +306,7 @@ class AdversarySession(TernaryTreeValuation):
             obj = rec.to_json_obj()
             del obj["player"]
             # the record head without its closing brace, then the reveals
-            head = json.dumps(obj, separators=(",", ":"))[:-1]
+            head = compact_json(obj)[:-1]
             reveals = _reveals_json(rec.reveals)
             lines.append(f'{head},"reveals":[{reveals}]}}')
         return lines
@@ -368,7 +373,7 @@ _DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
 #: what follows a reveal's path digits: the path's close, then the compact
 #: JSON array of the label-kind triple, for each triple a node can carry
 _LABELS_TAIL = {
-    kinds: '],"labels":' + json.dumps(list(kinds), separators=(",", ":")) + "}"
+    kinds: '],"labels":' + compact_json(list(kinds)) + "}"
     for kinds in (*_HEAVY_AT, (THIRD, THIRD, THIRD))
 }
 
@@ -390,16 +395,20 @@ def _reveals_json(reveals: Iterable[tuple[bytes, Kinds]]) -> str:
     fragments.  A walk reveals each node after its parent, so a reveal
     whose path extends the one before by a digit extends that one's digit
     string by the same digit; any other reveal, such as the first of a
-    walk, is written from scratch.
+    walk, is written from scratch.  Each reveal adds its digits and tail;
+    the ``{"path":[`` that opens it comes with the separator of the join.
 
     >>> _reveals_json([(b"", ("H", "L", "L")), (b"\\x02\\x00", ("L", "H", "L"))])
     '{"path":[],"labels":["H","L","L"]},{"path":[2,0],"labels":["L","H","L"]}'
+    >>> import json
     >>> walk = [(b"", _HEAVY_AT[1]), (b"\\x01", _HEAVY_AT[0]), (b"\\x01\\x02", _HEAVY_AT[0])]
     >>> reveals = walk + [(b"\\x00", _HEAVY_AT[1])]
     >>> _reveals_json(reveals) == ",".join(
     ...     json.dumps({"path": list(p), "labels": list(k)}, separators=(",", ":")) for p, k in reveals
     ... )
     True
+    >>> _reveals_json([])
+    ''
     """
     parts = []
     last, digits = None, ""
@@ -408,9 +417,9 @@ def _reveals_json(reveals: Iterable[tuple[bytes, Kinds]]) -> str:
             digits = digits + _NEXT_DIGIT[path[-1]] if last else _FIRST_DIGIT[path[-1]]
         else:
             digits = _path_digits(path)
-        parts.append('{"path":[' + digits + _LABELS_TAIL[kinds])
+        parts.append(digits + _LABELS_TAIL[kinds])
         last = path
-    return ",".join(parts)
+    return '{"path":[' + ',{"path":['.join(parts) if parts else ""
 
 
 def claim_leaves(piece: Piece, params: TreeParams) -> list[bytes]:

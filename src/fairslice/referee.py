@@ -38,12 +38,18 @@ exact by default, or within a tolerance for float-valued trees.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
 from .geometry import ScalarLike, as_scalar, cut_mass
 from .valuation import Real, Valuation, encode_real
+
+#: compact JSON text of an object, the referee log's and a transcript's
+#: record format, from one encoder: ``json.dumps`` with separators builds
+#: a new encoder on every call
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class QueryRecord(NamedTuple):
@@ -175,7 +181,7 @@ class QueryReferee:
 
     def log_lines(self) -> list[str]:
         """The query log as JSON-lines, one record per query in wall order."""
-        return [json.dumps(rec.to_json_obj(), separators=(",", ":")) for rec in self.log]
+        return [compact_json(rec.to_json_obj()) for rec in self.log]
 
 
 def replay_log(
@@ -183,10 +189,15 @@ def replay_log(
 ) -> bool:
     """Re-issue a logged query sequence and demand the logged answers.
 
-    A ``None`` answer matches only ``None``; any other must be within
-    ``tol``, and the default 0 demands equality.  Returns True, or raises
-    :class:`ReplayMismatch` naming the first divergence.
+    A ``None`` answer matches only ``None``; any other must equal the
+    logged one or lie within ``tol`` of it, and the default 0 demands
+    equality, so a NaN on either side never matches.  A ``tol`` that is not
+    a finite number ``>= 0`` is refused with :class:`InvalidInput`.
+    Returns True, or raises :class:`ReplayMismatch` naming the first
+    divergence.
     """
+    if tol.__class__ not in (int, float, Fraction) or not 0 <= tol < math.inf:
+        raise InvalidInput(f"replay tolerance must be a finite number >= 0, got {tol!r}")
     for i, rec in enumerate(records):
         check_player(rec.player, len(valuations), f"record {i}: ")
         val = valuations[rec.player]
@@ -199,7 +210,7 @@ def replay_log(
         if answer is None or rec.answer is None:
             diverged = answer is not rec.answer
         else:
-            diverged = abs(answer - rec.answer) > tol if tol else answer != rec.answer
+            diverged = answer != rec.answer and not abs(answer - rec.answer) <= tol
         if diverged:
             raise ReplayMismatch(
                 f"record {i} ({rec.kind} {rec.args}): logged {rec.answer!r}, replayed {answer!r}"

@@ -39,14 +39,17 @@ a walk reveals, so a second walk to the same point would return the same
 float.  A prefix walk goes down t's leaf path, except that a t on the
 leaf grid (``t * 3**depth`` an integer) stops at the largest node t is the
 left end of, whose path is the leaf path without its trailing 0 digits:
-a digit-0 level adds no mass, so the float is the full walk's.  A
-coarse position like ``k / 3**9`` thus walks at most 9 levels.  A prefix
-walk and a descent also stop at the first node below which no label can
-change their float, by the rounding arguments of :meth:`~TernaryTreeValuation._walk`
-and :meth:`~TernaryTreeValuation._descend`: for a position or mass in
-[1/10, 9/10] that is about 35 levels down, at depth 60 or 200 alike.  An
-adversary session still reveals every endpoint's whole leaf path before
-its prefix walk, and descends to a leaf.
+a digit-0 level adds no mass, so the float is the full walk's.  In lowest
+terms such a t is ``k / 3**j`` with ``j <= depth``, and that node's path
+is made from k's own j base-3 digits, so a coarse position like
+``k / 3**9`` converts 9 digits, not the depth's, and walks at most 9
+levels.  A prefix walk and a descent also stop at the first node below
+which no label can change their float, by the rounding arguments of
+:meth:`~TernaryTreeValuation._walk` and :meth:`~TernaryTreeValuation._descend`:
+for a position or mass in [1/10, 9/10] that is about 35 levels down, at
+depth 60 or 200 alike.  An adversary session still reveals every
+endpoint's whole leaf path before its prefix walk, which then stops
+where its float is settled, and descends to a leaf.
 
 What depends only on the tree's size is :class:`TreeParams`'s: label
 values, the density and its log, the density tests, the adversary's query
@@ -194,6 +197,13 @@ class TreeParams:
         while not (self.critical_counts(h, 0) or self.rich_counts(h, self.depth - h)):
             h += 2
         return h // 2 - 1
+
+    @cached_property
+    def _grid_levels(self) -> dict[int, int]:
+        """The level j of each denominator ``3**j`` with ``1 <= j <= depth``,
+        the denominators in lowest terms of the positions inside (0, 1) on
+        the leaf grid."""
+        return {3**j: j for j in range(1, self.depth + 1)}
 
     @cached_property
     def _density_factors(self) -> tuple[int, int, int]:
@@ -459,6 +469,11 @@ class TernaryTreeValuation(Valuation, ABC):
     made themselves, unchecked.
     """
 
+    #: whether :meth:`_descend` reads every level down to a leaf, as an
+    #: adversary session's must to reveal the answer's leaf path, and not
+    #: only down to where its float is settled
+    _descends_to_leaf = False
+
     def __init__(self, params: TreeParams):
         self.params = params
         #: prefix mass of each position walked, keyed by (numerator, denominator)
@@ -563,13 +578,13 @@ class TernaryTreeValuation(Valuation, ABC):
         so this is the float of the leaf's exact left end plus its width
         times the fraction ``within``.
 
-        From level :meth:`_settle_level` of the target on, the descent
-        stops at the node covering leaves ``[lo, lo + span)`` once ``lo / n
-        == (lo + span - 1) / n`` and ``2 * (1 / n) < ulp(lo / n)``, and
-        answers ``lo / n``: int true division is correctly rounded and
-        monotone, so ``index / n`` is that float for every leaf below, and
-        ``(1 / n) * within <= 1 / n`` is under half its ulp, so the sum
-        rounds back to it.
+        Unless :attr:`_descends_to_leaf`, from level :meth:`_settle_level`
+        of the target on, the descent stops at the node covering leaves
+        ``[lo, lo + span)`` once ``lo / n == (lo + span - 1) / n`` and ``2 *
+        (1 / n) < ulp(lo / n)``, and answers ``lo / n``: int true division
+        is correctly rounded and monotone, so ``index / n`` is that float
+        for every leaf below, and ``(1 / n) * within <= 1 / n`` is under
+        half its ulp, so the sum rounds back to it.
         """
         params = self.params
         n, depth = params.n, params.depth
@@ -577,7 +592,7 @@ class TernaryTreeValuation(Valuation, ABC):
         remaining = target
         index = 0
         path = b""
-        settle = self._settle_level(target)
+        settle = depth if self._descends_to_leaf else self._settle_level(target)
         labels = self._descent_labels
         keyed = self._running_state(labels)
         if keyed is None:
@@ -651,21 +666,25 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            settle = self._settle_level(num / den)
-            mass, sig = self._walk(self._prefix_node(index, rem), self._path_labels, settle)
+            node = self._prefix_node(num, den, index, rem)
+            mass, sig = self._walk(node, self._path_labels, self._settle_level(num / den))
             mass += sig.value * (rem / den)
             self._masses[num, den] = mass
         return mass
 
-    def _prefix_node(self, index: int, rem: int) -> bytes:
-        """Path of the node a prefix walk ends at, for a position ``rem /
-        den`` of the way into leaf cell ``index``: the leaf, or, for the
-        left end of the leaf (``rem == 0``), the largest node that position
-        starts -- the leaf path without its trailing 0 digits.  Both walks
-        give the same float: a digit-0 level adds no mass, and the term
-        after the walk is ``sig.value * 0.0`` either way."""
-        path = _index_path(index, self.params.depth)
-        return path if rem else path.rstrip(b"\x00")
+    def _prefix_node(self, num: int, den: int, index: int, rem: int) -> bytes:
+        """Path of the node a prefix walk ends at, for ``t = num / den`` in
+        lowest terms, ``0 < t < 1``, lying ``rem / den`` of the way into
+        leaf cell ``index``: the leaf, or, for the left end of the leaf
+        (``rem == 0``), the largest node t starts -- the leaf path without
+        its trailing 0 digits.  There ``den == 3**j`` with ``j <= depth``,
+        and that path is num's own j base-3 digits, whose last is not 0, as
+        3 does not divide num.  Both walks give the same float: a digit-0
+        level adds no mass, and the term after the walk is ``sig.value *
+        0.0`` either way."""
+        if rem:
+            return _index_path(index, self.params.depth)
+        return _index_path(num, self.params._grid_levels[den])
 
     def _settle_level(self, scale: float) -> int:
         """Level from which a prefix walk to a position near ``scale``, or a

@@ -493,5 +493,9 @@ class PerNodeSession(AdversarySession):
             self._masses[t.numerator, t.denominator] = float(t)
         return float(t)
 
-    def _prefix_node(self, index, rem):
+    def _prefix_node(self, num, den, index, rem):
         return index_path(index, self.params.depth)
+
+    def _settle_level(self, scale):
+        # the walk reveals as it goes, so it reads every level
+        return self.params.depth

@@ -223,7 +223,7 @@ class TestInvariants:
     def test_walks_go_the_full_depth_where_the_float_is_settled(self):
         """A tree's prefix walk and descent stop about 35 levels down at
         3^60, once the rest cannot change the float; a session's reveals
-        are its transcript, so it still walks every new eval endpoint's
+        are its transcript, so it still reveals every new eval endpoint's
         whole leaf path, and a fresh session's first cut reveals ``depth``
         nodes down to the leaf cell of its answer."""
         depth, n = P60.depth, P60.n
@@ -452,6 +452,96 @@ def test_chain_reveals_match_the_per_node_session(params):
             assert session.revealed_is_connected() == reference.revealed_is_connected()
 
     check()
+
+
+GRID_PARAMS = [
+    P11,
+    P60,
+    TreeParams.from_depth(200),
+    TreeParams.from_depth(4, permissive=True),
+    TreeParams.from_depth(7, permissive=True),
+]
+GRID_IDS = ["11", "60", "200", "permissive-4", "permissive-7"]
+
+
+@st.composite
+def coprime_to_three(draw, j):
+    """A numerator in [1, 3**j) not divisible by 3, or 1 at j = 0."""
+    if j == 0:
+        return 1
+    return 3 * draw(st.integers(0, 3 ** (j - 1) - 1)) + draw(st.sampled_from((1, 2)))
+
+
+def endpoint_chain(leaf: bytes) -> list:
+    """The reveals of a fresh session's first ask of a position whose leaf
+    path is ``leaf``: every node above the leaf, the on-path edge light."""
+    return [(leaf[:i], adversary._ENDPOINT_LABELS[c]) for i, c in enumerate(leaf)]
+
+
+@pytest.mark.parametrize("params", GRID_PARAMS, ids=GRID_IDS)
+def test_grid_positions_make_their_paths_from_their_own_digits(params):
+    """t = num / 3^j in lowest terms, j <= depth, starts the node whose
+    path is num's j digits: that is the leaf path of t without its
+    trailing 0 digits, and a fresh session reveals t's whole leaf path.
+    A denominator 3^j with j > depth, or one that is not a power of 3,
+    takes the leaf path of t's cell, for the walk and the reveals alike."""
+    depth, n = params.depth, params.n
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        j = data.draw(st.integers(0, depth))
+        num = data.draw(coprime_to_three(j))
+        t = Fraction(num, 3**j)
+        leaf = index_path(min(math.floor(t * n), n - 1), depth)
+        if t < 1:
+            assert num == t.numerator
+            node = AdversarySession(params)._prefix_node(num, 3**j, *divmod(num * n, 3**j))
+            assert node == leaf.rstrip(b"\x00")
+        session = AdversarySession(params)
+        session.eval(t, t)
+        assert list(session.take_reveals()) == endpoint_chain(leaf)
+
+        # off the grid: too fine a power of 3, or another denominator
+        k = data.draw(st.integers(1, 5))
+        fine = Fraction(data.draw(coprime_to_three(depth + k)), 3 ** (depth + k))
+        other = Fraction(data.draw(st.integers(1, 10**30)), data.draw(st.integers(2, 10**30)))
+        for off in (fine, other % 1):
+            if off == 0 or off.denominator in {3**i for i in range(depth + 1)}:
+                continue
+            num, den = off.numerator, off.denominator
+            index, rem = divmod(num * n, den)
+            assert rem
+            session = AdversarySession(params)
+            assert session._prefix_node(num, den, index, rem) == index_path(index, depth)
+            session.eval(off, off)
+            assert list(session.take_reveals()) == endpoint_chain(index_path(index, depth))
+
+    check()
+
+
+@pytest.mark.parametrize("depth", [60, 200])
+def test_a_session_prefix_walk_settles_off_the_grid(depth):
+    """A session reveals an off-grid endpoint's whole leaf path, then walks
+    it only down to where its float is settled: fewer levels than the
+    depth, for the full-depth oracle's mass."""
+    params = TreeParams.from_depth(depth)
+    for t in (Fraction(1, 7), Fraction(2, 5), Fraction(123456, 1000003), Fraction(9, 10)):
+        session = AdversarySession(params)
+        walked = []
+        walk = session._walk
+
+        def counting_walk(node, labels, settle=None):
+            mass, sig = walk(node, labels, settle)
+            if settle is not None:
+                walked.append(sig.h + sig.q + sig.z)
+            return mass, sig
+
+        session._walk = counting_walk
+        mass = session._prefix(t)
+        assert len(session.revealed) == depth
+        assert len(walked) == 1 and walked[0] < depth
+        assert mass == oracles.full_depth_prefix(session, t)
 
 
 class TestInspection:

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from fairslice.errors import BudgetExhausted, FairsliceError, ReplayMismatch, UnknownPlayer
+from fairslice.errors import BudgetExhausted, FairsliceError, InvalidInput, ReplayMismatch, UnknownPlayer
 from fairslice.referee import QueryRecord, QueryReferee, replay_log
-from fairslice.valuation import PiecewiseConstantValuation
+from fairslice.valuation import PiecewiseConstantValuation, Valuation
 from fairslice.valuetree import BalancedValueTree, TreeParams
 
 UNIFORM = PiecewiseConstantValuation.uniform()
@@ -158,6 +158,39 @@ def test_replay_tolerance():
     with pytest.raises(ReplayMismatch, match="record 0"):
         replay_log([off_by_an_ulp], [tree])
     assert replay_log([off_by_an_ulp], [tree], tol=1e-9)
+
+
+class NanValuation(Valuation):
+    """Answers NaN to every query."""
+
+    def eval(self, x, y):
+        return math.nan
+
+    def cut(self, x, r):
+        return math.nan
+
+
+def test_replay_refuses_a_nan_replayed_answer():
+    logged = QueryRecord("eval", 0, (Fraction(0), Fraction(1, 2)), 0.5)
+    with pytest.raises(ReplayMismatch, match="record 0"):
+        replay_log([logged], [NanValuation()], tol=1e-9)
+
+
+def test_replay_refuses_a_nan_logged_answer():
+    logged = QueryRecord("eval", 0, (Fraction(0), Fraction(1, 2)), math.nan)
+    with pytest.raises(ReplayMismatch, match="record 0"):
+        replay_log([logged], [UNIFORM], tol=1e-9)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1, -1e-9, math.inf, "0", None, True])
+def test_replay_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(tol):
+    ref = QueryReferee([UNIFORM])
+    ref.eval(0, 0, Fraction(1, 2))
+    with pytest.raises(InvalidInput, match="replay tolerance"):
+        replay_log(ref.log, [UNIFORM], tol)
+    diverged = ref.log[0]._replace(answer=Fraction(1, 3))
+    with pytest.raises(InvalidInput, match="replay tolerance"):
+        replay_log([diverged], [UNIFORM], tol)
 
 
 def test_log_normalizes_string_int_and_float_arguments():

@@ -146,7 +146,8 @@ def test_grid_positions_walk_to_the_node_they_start(name):
             return
         assert fresh_prefix(tree, t) == full_leaf_walk(tree, t)
         # t in lowest terms, a / 3^r, starts a node at depth r exactly
-        node = tree._prefix_node(t.numerator * tree.params.n // t.denominator, 0)
+        num, den = t.numerator, t.denominator
+        node = tree._prefix_node(num, den, num * tree.params.n // den, 0)
         assert 3 ** len(node) == t.denominator
         assert node == leaf_path(t, depth)[: len(node)]
 
@@ -176,7 +177,8 @@ def test_positions_inside_a_leaf_walk_the_whole_leaf_path(name):
     def check(index, num, gap):
         t = (index + Fraction(num, num + gap)) / n
         assert fresh_prefix(tree, t) == full_leaf_walk(tree, t)
-        assert tree._prefix_node(index, 1) == index_path(index, depth)
+        rem = t.numerator * n % t.denominator
+        assert tree._prefix_node(t.numerator, t.denominator, index, rem) == index_path(index, depth)
 
     check()
 
