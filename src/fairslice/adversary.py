@@ -219,7 +219,9 @@ class AdversarySession(TernaryTreeValuation):
             else:
                 # the leaf itself, or on the leaf grid the node t starts,
                 # whose leaf path goes on by 0 digits
-                leaf = self._prefix_node(num, den, *divmod(num * n, den)).ljust(depth, _STEP[0])
+                index, rem = divmod(num * n, den)
+                node = self._prefix_node(num, den, index, rem)
+                leaf = node.ljust(depth, _STEP[0])
             revealed = self.revealed
             if leaf[:-1] not in revealed:
                 level = 0
@@ -228,7 +230,10 @@ class AdversarySession(TernaryTreeValuation):
                 _, sig = self._walk(leaf[:level], self._labels)
                 chain = {leaf[:i]: _ENDPOINT_LABELS[leaf[i]] for i in range(level, depth)}
                 self._reveal(chain, (sig,))
-            mass = self._masses[key] = super()._prefix(t)
+            if 0 < num < den:
+                mass = self._walk_prefix(num, den, rem, node)  # the node found above
+            else:
+                mass = self._masses[key] = super()._prefix(t)
         return mass
 
     # a session's reveals are its transcript, so its descents go the full

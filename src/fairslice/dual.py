@@ -8,7 +8,10 @@ constant number of queries on the base valuation,
 * ``cut_{v*}(x, r)  = eval_v(0, cut_v(0, x) + r)`` (one base cut, one eval),
 
 so a protocol run against duals costs exactly twice its dual-level query
-count on the base valuations.  A dual cut checks ``r`` by the one mass rule,
+count on the base valuations.  A dual asks the same endpoints
+``cut_v(0, t)`` over and over: a step base computes each one once and
+remembers it, and the referee bills it every time it is asked.  A dual
+cut checks ``r`` by the one mass rule,
 :func:`~fairslice.geometry.cut_mass`, before any base query, has no answer
 for an exact ``r > 1``, and answers ``x`` itself for ``r == 0``.  Dualizing
 is an involution (v** = v).

@@ -243,12 +243,18 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
     _check_mode(mode)
     n = referee.n_players
     pieces: list[Piece] = [Piece()] * n
-    values = {player: ONE for player in range(n)}  # eval(0,1)=1: no query needed
-
-    def divide(players: list[int], a: Fraction, b: Fraction, values: dict[int, Fraction]) -> None:
+    # blocks left to divide, the next one last: (players, a, b, each
+    # player's value of [a, b]; eval(0,1)=1 needs no query).  A block's
+    # right half goes below its left half, so blocks are divided depth
+    # first, left first.  A loop, not a recursive closure: a closure that
+    # calls itself is a reference cycle, which would keep the referee and
+    # its log alive until the cyclic collector ran.
+    blocks = [(list(range(n)), ZERO, ONE, {player: ONE for player in range(n)})]
+    while blocks:
+        players, a, b, values = blocks.pop()
         if len(players) == 1:
             pieces[players[0]] = _single(a, b)
-            return
+            continue
         size = len(players)
         k = size // 2
         marks = {}
@@ -275,10 +281,8 @@ def even_paz(referee: QueryReferee, mode: str) -> Allocation:
             for player in right_group:
                 value = referee.eval(player, x, b)
                 right_values[player] = value if value.__class__ is Fraction else as_scalar(value)
-        divide(left_group, a, x, left_values)
-        divide(right_group, x, b, right_values)
-
-    divide(list(range(n)), ZERO, ONE, values)
+        blocks.append((right_group, x, b, right_values))
+        blocks.append((left_group, a, x, left_values))
     return Allocation(tuple(pieces))
 
 

@@ -8,7 +8,8 @@ reports always come from referee counters, never from protocol self-reports.
 Counting rules:
 
 * a ``cut`` that declares "no answer" still costs one query;
-* repeated identical queries are re-counted (no memoization);
+* a repeated identical query is counted and logged again, every time; a
+  leaf valuation may answer the repeat from memory, below the referee;
 * a query that would exceed the budget is rejected *before* it reaches the
   valuation, so the log never exceeds the budget;
 * a player is an ``int`` in range, by the one rule :func:`check_player`

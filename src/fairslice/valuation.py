@@ -124,10 +124,9 @@ class DensityBounds:
         if beta is not None and beta < ONE:
             raise InvalidInput("need beta >= 1 (or None for unbounded)")
 
-    def admits(self, density: Fraction) -> bool:
-        if density < self.alpha:
-            return False
-        return self.beta is None or density <= self.beta
+
+#: what a step valuation's cut memo holds for a mass not asked yet
+_UNASKED = object()
 
 
 class PiecewiseConstantValuation(Valuation):
@@ -150,16 +149,24 @@ class PiecewiseConstantValuation(Valuation):
     mass through ``as_integer_ratio``), run ``_prefix`` and ``_inverse`` on
     integers, and build one ``Fraction``: the answer.
 
-    The tables are the only state: ``breakpoints`` and ``densities`` are
-    derived from them, and ``==`` and ``hash`` compare them, which is exact
-    since every source hands over canonical tables (entries with no common
-    factor): the constructor's over the lcm of the given denominators,
+    The tables are the only state that answers, ``==`` and ``hash`` depend
+    on: ``breakpoints`` and ``densities`` are derived from them, and ``==``
+    and ``hash`` compare them, which is exact since every source hands over
+    canonical tables (entries with no common factor): the constructor's
+    over the lcm of the given denominators,
     :func:`random_dense_valuation`'s divided by their gcds, and
     :func:`dual_pwc_closed_form`'s swapped.  All pass through ``_store``,
     which checks them on integers and is the only place they are set.
+
+    Beside them ``_cuts`` remembers each ``cut(0, r)`` answer, ``None``
+    included, by ``r``'s exact ratio: an answer never changes, and a dual
+    asks its endpoints ``cut(0, t)`` over and over.  ``cut`` is its only
+    writer, and nothing but ``cut`` reads it, so a warmed valuation
+    compares, hashes and serializes as a fresh one.  It sits below the
+    referee, which still counts and logs every repeated query.
     """
 
-    __slots__ = ("_bkey", "_ckey", "_positive")
+    __slots__ = ("_bkey", "_ckey", "_positive", "_cuts")
 
     def __init__(self, breakpoints: Sequence[ScalarLike], densities: Sequence[ScalarLike]):
         bps = tuple(as_scalar(b) for b in breakpoints)
@@ -195,6 +202,8 @@ class PiecewiseConstantValuation(Valuation):
         self._bkey = bkey
         self._ckey = ckey
         self._positive = lowest > 0
+        #: cut(0, r) answers by the pairing of r's ratio (see cut)
+        self._cuts: dict[int, Optional[Fraction]] = {}
 
     @classmethod
     def from_segments(cls, segments: Iterable[tuple[ScalarLike, ScalarLike]]) -> "PiecewiseConstantValuation":
@@ -266,15 +275,24 @@ class PiecewiseConstantValuation(Valuation):
         return Fraction(yn * xd - xn * yd, yd * xd)
 
     def cut(self, x: ScalarLike, r: Real) -> Optional[Fraction]:
-        xn, xd, _, _ = unit_ratios(x, ONE, CUT_START)
+        # a dual asks every base cut from the constant ZERO, in range by construction
+        xn, xd, _, _ = (0, 1, 0, 1) if x is ZERO else unit_ratios(x, ONE, CUT_START)
         # exact for a float too, so an r above 1 runs past the total mass in _inverse
         rn, rd = cut_mass(r).as_integer_ratio()
         if not rn:
             # x itself: the smallest t with eval(0, t) == eval(0, x) lies
             # before x when a zero-density run ends at x.
             return Fraction(xn, xd)
-        xn, xd = self._prefix(xn, xd)
-        return self._inverse(xn * rd + rn * xd, xd * rd)
+        if xn:
+            xn, xd = self._prefix(xn, xd)
+            return self._inverse(xn * rd + rn * xd, xd * rd)
+        # cut(0, r) from memory: the Cantor pairing of (rn, rd) is one int
+        # per ratio, a key that holds no container for the collector to track
+        key = (rn + rd) * (rn + rd + 1) // 2 + rd
+        answer = self._cuts.get(key, _UNASKED)
+        if answer is _UNASKED:
+            answer = self._cuts[key] = self._inverse(rn, rd)
+        return answer
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseConstantValuation):

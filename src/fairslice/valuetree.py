@@ -103,6 +103,9 @@ from .valuation import Valuation, is_heavy
 LN3 = math.log(3.0)
 #: tree levels per binary order of magnitude
 _LOG3_2 = math.log(2.0) / LN3
+#: the lowest level :meth:`TernaryTreeValuation._settle_level` gives a
+#: position below 1, whose float has a binary exponent of at most 0
+_SETTLE_FLOOR = int(53 * _LOG3_2) - 2
 
 HEAVY = "H"
 LIGHT = "L"
@@ -666,10 +669,18 @@ class TernaryTreeValuation(Valuation, ABC):
             # t * n = index + rem / den: t lies rem / den of the way into
             # leaf cell ``index``
             index, rem = divmod(num * self.params.n, den)
-            node = self._prefix_node(num, den, index, rem)
-            mass, sig = self._walk(node, self._path_labels, self._settle_level(num / den))
-            mass += sig.value * (rem / den)
-            self._masses[num, den] = mass
+            mass = self._walk_prefix(num, den, rem, self._prefix_node(num, den, index, rem))
+        return mass
+
+    def _walk_prefix(self, num: int, den: int, rem: int, node: bytes) -> float:
+        """The prefix mass of ``t = num / den``, ``0 < t < 1``, walked to
+        ``node``, its :meth:`_prefix_node`, and remembered: the node's
+        prefix mass plus the part ``rem / den`` of its leaf cell left of t."""
+        # a node above the lowest settle level is read to its end anyway
+        settle = self._settle_level(num / den) if len(node) > _SETTLE_FLOOR else None
+        mass, sig = self._walk(node, self._path_labels, settle)
+        mass += sig.value * (rem / den)
+        self._masses[num, den] = mass
         return mass
 
     def _prefix_node(self, num: int, den: int, index: int, rem: int) -> bytes:
@@ -694,7 +705,9 @@ class TernaryTreeValuation(Valuation, ABC):
         can pass much before the level where ``3**-i`` falls under an ulp
         of ``scale``: ``log3(2**53 / scale)``, taken here two levels early.
         Only the tests decide where a walk stops; this level only spares
-        the levels above it from them."""
+        the levels above it from them.  For a position below 1 it is at
+        least ``_SETTLE_FLOOR``, so a prefix walk to a shorter node skips
+        it; an override may raise the level, not lower it."""
         return int((53 - math.frexp(scale)[1]) * _LOG3_2) - 2
 
     def eval(self, x, y) -> float:

@@ -17,7 +17,8 @@ heavy label, exactly), ``L = (1 - H)/2`` and ``T = 1/3``, which sum to 1.
 of a step valuation, kept as the reference its table lookups must match
 answer for answer, and ``fraction_dense_draw`` is
 the step generator as first written in ``Fraction`` arithmetic, which the
-integer generator must match draw for draw.  ``divmod_digits_of_index``
+integer generator must match draw for draw, with ``admits``, the band test
+of one density, which ``verify_dense``'s integer test must match.  ``divmod_digits_of_index``
 is the digit conversion as first written, one ``divmod`` per digit, which
 the chunked ``index_path`` must match.  ``even_paz_order`` and
 ``reference_even_paz`` are Even-Paz's mark order and block recursion as
@@ -121,6 +122,12 @@ def scan_cut(valuation, x, r):
     return None
 
 
+def admits(bounds, density):
+    """Whether one density lies in the band: ``alpha <= density``, and
+    ``density <= beta`` unless the band is unbounded."""
+    return bounds.alpha <= density and (bounds.beta is None or density <= bounds.beta)
+
+
 def fraction_dense_draw(n_segments, bounds, seed, max_attempts=10_000):
     """(breakpoints, densities) of ``random_dense_valuation``'s draw, with
     the total mass, the rescaling and the band test done in ``Fraction``s."""
@@ -135,7 +142,7 @@ def fraction_dense_draw(n_segments, bounds, seed, max_attempts=10_000):
         raw = [Fraction(rng.randint(60, 140)) for _ in range(n_segments)]
         total = sum(r * (b - a) for a, b, r in zip(bps, bps[1:], raw))
         dens = [r / total for r in raw]
-        if all(bounds.admits(d) for d in dens):
+        if all(admits(bounds, d) for d in dens):
             return bps, tuple(dens)
     raise ValueError(f"no draw inside {bounds} after {max_attempts} attempts")
 

@@ -195,6 +195,20 @@ class TestQueryCost:
                 d.cut(x, Fraction(rng.randrange(0, 61), 40))  # sometimes no answer
             assert base_ref.total - before == 2
 
+    def test_repeated_base_cuts_are_each_billed_and_logged(self):
+        # the base answers a repeated cut(0, t) from memory, below the
+        # referee, which still counts and logs every one
+        base = PiecewiseConstantValuation(STEP.breakpoints, STEP.densities)
+        base_ref = QueryReferee([base])
+        d = DualValuation(base_ref.view(0))
+        answers = [d.eval(Fraction(1, 4), Fraction(3, 4)) for _ in range(5)]
+        assert answers == [STEP.cut(0, Fraction(3, 4)) - STEP.cut(0, Fraction(1, 4))] * 5
+        assert base_ref.total == base_ref.counts[0] == 10
+        assert [(rec.kind, rec.args) for rec in base_ref.log] == [
+            ("cut", (0, Fraction(1, 4))), ("cut", (0, Fraction(3, 4)))
+        ] * 5
+        assert [rec.answer for rec in base_ref.log] == [STEP.cut(0, Fraction(1, 4)), STEP.cut(0, Fraction(3, 4))] * 5
+
     def test_cost_split_one_cut_one_eval(self):
         base_ref = QueryReferee([STEP])
         d = DualValuation(base_ref.view(0))
@@ -259,6 +273,10 @@ class TestReductionPipeline:
         (dual_referee,) = referees
         base_log = dual_referee.valuation(0).base._referee.log
         assert all(rec.args[0] == 0 for rec in base_log[: report.base_queries_protocol])
+        # the duals ask their endpoints over and over, and every repeat is
+        # billed, though a step valuation answers it from memory
+        cuts = [(rec.player, rec.args) for rec in base_log if rec.kind == "cut"]
+        assert len(set(cuts)) < len(cuts)
 
     def test_rejects_out_of_band_input(self):
         spiky = PiecewiseConstantValuation(

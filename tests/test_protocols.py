@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,20 @@ class TestEvenPaz:
         assume(len(set(players)) == n)
         allocation = even_paz(QueryReferee(players), mode)
         assert allocation.pieces == tuple(Piece.of((a, b)) for a, b in reference_even_paz(players, mode))
+
+    @pytest.mark.parametrize("mode", ["cake", "chore"])
+    def test_the_referee_is_freed_when_the_protocol_returns(self, mode):
+        # no reference cycle holds the referee and its log for the cyclic
+        # collector: reference counting frees them at once
+        gc.disable()
+        try:
+            referee = QueryReferee(random_players(9, seed=3))
+            freed = weakref.ref(referee)
+            even_paz(referee, mode)
+            del referee
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_chore_costs_bounded_at_81(self):
         players = random_players(81, seed=5)

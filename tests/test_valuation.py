@@ -14,7 +14,7 @@ from fairslice.valuation import (
     verify_dense,
 )
 
-from oracles import bisect_cut, density, fraction_dense_draw, grid_integral
+from oracles import admits, bisect_cut, density, fraction_dense_draw, grid_integral
 
 # The worked example used throughout: density 3/2 on [0, 1/2], 1/2 on [1/2, 1].
 STEP = PiecewiseConstantValuation.from_segments(
@@ -111,6 +111,76 @@ class TestCut:
             assert STEP.eval(x, y) == r
 
 
+@st.composite
+def memo_steps(draw):
+    """A drawn step valuation of 1..64 segments, positive, or with a drawn
+    set of its segments (not all) at density 0."""
+    v = random_dense_valuation(draw(st.integers(1, 64)), DensityBounds(0, None), seed=draw(st.integers(0, 2**32)))
+    dens = list(v.densities)
+    zeros = draw(st.sets(st.integers(0, len(dens) - 1), max_size=len(dens) - 1))
+    if not zeros:
+        return v
+    widths = [b - a for a, b in zip(v.breakpoints, v.breakpoints[1:])]
+    total = sum(w * d for i, (w, d) in enumerate(zip(widths, dens)) if i not in zeros)
+    return PiecewiseConstantValuation(v.breakpoints, [0 if i in zeros else d / total for i, d in enumerate(dens)])
+
+
+#: cut masses: 0, 1, past the total mass, exact and float
+memo_masses = st.one_of(
+    st.sampled_from([0, Fraction(0), Fraction(1), 1, 1.0, Fraction(3, 2), 2.5, Fraction(10**40 + 1, 10**40)]),
+    st.fractions(min_value=0, max_value=Fraction(5, 4), max_denominator=12),
+    st.fractions(min_value=0, max_value=Fraction(5, 4), max_denominator=10**6),
+    st.floats(min_value=0, max_value=1.25),
+)
+
+
+def fresh_copy(v):
+    return PiecewiseConstantValuation(v.breakpoints, v.densities)
+
+
+class TestCutMemo:
+    """A step valuation remembers its cut(0, r) answers; a warmed one must
+    answer, compare, hash and serialize as a fresh one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(v=memo_steps(), warm=st.lists(memo_masses, min_size=1, max_size=12), data=st.data())
+    def test_warmed_valuation_answers_as_a_fresh_one(self, v, warm, data):
+        # each warm-up mass asked twice, from 0 in every form a caller may pass
+        for r in warm + warm:
+            v.cut(data.draw(st.sampled_from([0, Fraction(0), 0.0, "0"])), r)
+        fresh = fresh_copy(v)
+        assert v == fresh and hash(v) == hash(fresh)
+        assert v.to_json() == fresh.to_json()
+        assert v.breakpoints == fresh.breakpoints and v.densities == fresh.densities
+        for r in warm + data.draw(st.lists(memo_masses, max_size=4)):
+            assert v.cut(0, r) == fresh_copy(v).cut(0, r)
+            x = data.draw(unit_fractions)
+            assert v.cut(x, r) == fresh_copy(v).cut(x, r)
+            assert v.eval(0, x) == fresh_copy(v).eval(0, x)
+
+    def test_a_repeated_cut_from_0_is_answered_from_memory(self):
+        v = fresh_copy(STEP)
+        first = v.cut(0, Fraction(3, 4))
+        assert v.cut(0, Fraction(3, 4)) is first
+        # the same exact ratio as a float, and from an int 0
+        assert v.cut(0, 0.75) is first
+        assert v.cut(0, Fraction(3, 2)) is None and v.cut(0, Fraction(3, 2)) is None
+
+    def test_every_small_ratio_keeps_its_own_answer(self):
+        # masses p/q, q <= 24, up to 3/2 asked twice, all on one valuation:
+        # a key that two ratios share would answer one with the other's cut
+        v = random_dense_valuation(64, DensityBounds(0, 2), seed=11)
+        masses = sorted({Fraction(p, q) for q in range(1, 25) for p in range(0, 3 * q // 2 + 1)})
+        want = [fresh_copy(v).cut(0, r) for r in masses]
+        assert [v.cut(0, r) for r in masses] == want
+        assert [v.cut(0, r) for r in reversed(masses)] == want[::-1]
+
+    def test_a_cut_from_elsewhere_is_not_remembered(self):
+        v = fresh_copy(STEP)
+        assert v.cut(Fraction(1, 4), Fraction(1, 4)) == v.cut(Fraction(1, 4), Fraction(1, 4))
+        assert v == fresh_copy(STEP) and not v._cuts
+
+
 class TestDensity:
     def test_uniform_density_one(self):
         assert density(UNIFORM, Piece.of(("1/8", "3/8"), ("1/2", "5/8"))) == 1
@@ -182,7 +252,7 @@ class TestDensityBounds:
     @given(banded_steps())
     def test_verify_dense_matches_admits(self, case):
         valuation, bounds = case
-        assert verify_dense(valuation, bounds) == all(bounds.admits(d) for d in valuation.densities)
+        assert verify_dense(valuation, bounds) == all(admits(bounds, d) for d in valuation.densities)
 
 
 class TestGenerator:
