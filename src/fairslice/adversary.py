@@ -60,11 +60,10 @@ happily at n = 3^60 and beyond; only touched nodes are stored.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BudgetExhausted, InvalidInput, PreconditionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
@@ -478,8 +477,7 @@ class CompletedTree(TernaryTreeValuation):
         return _NO_LABELS
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """Evidence that a claimed piece is not heavy: either its width exceeds
     1/n outright, or the targeted completion gives it a value below
     1/(2n); ``value`` is the correctly rounded float of that exact value."""
@@ -504,8 +502,7 @@ class Refutation:
         }
 
 
-@dataclass(frozen=True)
-class CannotRefute:
+class CannotRefute(NamedTuple):
     """The piece stayed heavy under the targeted completion (a truthful
     negative past the threshold, not a proof of heaviness)."""
 
@@ -587,8 +584,7 @@ STRATEGIES = {
 }
 
 
-@dataclass(frozen=True)
-class GameReport:
+class GameReport(NamedTuple):
     """Outcome of one finder-vs-adversary game; ``threshold`` is the tree
     size's :attr:`TreeParams.threshold`."""
 

@@ -30,9 +30,8 @@ most 2.  With k heavy pieces, 1 < 2k/n + (n - k)/(2n), so k > n/3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidInput, NonPositiveValuation, ProtocolViolation
 from .geometry import (
@@ -112,8 +111,7 @@ class DualValuation(Valuation):
         return value if r else x
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     """Per-player outcome of the reduction: the dualized piece and whether
     it certifies heaviness (width <= 1/n and value >= 1/(2n), by
     :func:`~fairslice.valuation.is_heavy`)."""
@@ -134,8 +132,7 @@ class CertificateEntry:
         }
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     n: int
     entries: tuple[CertificateEntry, ...]
     dual_queries: int

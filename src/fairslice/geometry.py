@@ -9,9 +9,8 @@ with touching neighbours merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InvalidInput
 
@@ -106,20 +105,23 @@ def scalar_str(value: Fraction) -> str:
     return str(value) if value.__class__ is Fraction else str(Fraction(value))
 
 
-@dataclass(frozen=True)
-class Interval:
+def checked_make(cls, fields: Iterable):
+    """``_make`` of a checked record type: it builds through ``cls.__new__``,
+    so ``_make`` and ``_replace`` refuse what the constructor refuses."""
+    return cls(*fields)
+
+
+class Interval(NamedTuple("IntervalFields", [("left", Fraction), ("right", Fraction)])):
     """A closed subinterval of [0, 1]; empty iff ``left == right``."""
 
-    left: Fraction
-    right: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        left, right = unit_span(
-            self.left, self.right, "invalid interval [{x}, {y}]: need 0 <= left <= right <= 1"
+    def __new__(cls, left: ScalarLike, right: ScalarLike) -> "Interval":
+        return tuple.__new__(
+            cls, unit_span(left, right, "invalid interval [{x}, {y}]: need 0 <= left <= right <= 1")
         )
-        if left is not self.left or right is not self.right:
-            object.__setattr__(self, "left", left)
-            object.__setattr__(self, "right", right)
+
+    _make = classmethod(checked_make)
 
     @property
     def width(self) -> Fraction:
@@ -129,19 +131,22 @@ class Interval:
         return f"Interval({self.left}, {self.right})"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(NamedTuple("PieceFields", [("intervals", tuple[Interval, ...])])):
     """A finite union of disjoint intervals in canonical form.
 
     Construct via :func:`normalize_piece` (or :meth:`Piece.of`) unless the
-    intervals are already sorted, non-empty and non-touching.
+    intervals are already sorted, non-empty and non-touching.  The
+    intervals are kept as a tuple of :class:`Interval`.
     """
 
-    intervals: tuple[Interval, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, intervals: Iterable[Interval] = ()) -> "Piece":
+        intervals = tuple(intervals)
         prev = None
-        for iv in self.intervals:
+        for iv in intervals:
+            if not isinstance(iv, Interval):
+                raise InvalidInput(f"a piece holds Intervals, got {iv!r}")
             if iv.left == iv.right:
                 raise InvalidInput("canonical pieces contain no empty intervals")
             if prev is not None and iv.left <= prev.right:
@@ -150,6 +155,9 @@ class Piece:
                     f"got [{prev.left}, {prev.right}] then [{iv.left}, {iv.right}]"
                 )
             prev = iv
+        return tuple.__new__(cls, (intervals,))
+
+    _make = classmethod(checked_make)
 
     @classmethod
     def of(cls, *endpoints: tuple[ScalarLike, ScalarLike]) -> "Piece":

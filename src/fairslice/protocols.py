@@ -13,9 +13,8 @@ valuations directly (verification is free in the query model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, PartitionViolation, ProtocolViolation
 from .geometry import ONE, ZERO, Interval, Piece, as_scalar
@@ -30,8 +29,7 @@ def _check_mode(mode: str) -> None:
         raise InvalidInput(f"mode must be one of {MODES}, got {mode!r}")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """One piece per player; a valid allocation partitions [0, 1]."""
 
     pieces: tuple[Piece, ...]
@@ -81,16 +79,14 @@ def verify_partition(allocation: Allocation) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PlayerShare:
+class PlayerShare(NamedTuple):
     player: int
     value: Real
     bound: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class ProportionalityReport:
+class ProportionalityReport(NamedTuple):
     mode: str
     ok: bool
     shares: tuple[PlayerShare, ...]

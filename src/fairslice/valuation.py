@@ -18,11 +18,10 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInput, NonPositiveValuation
 from .geometry import (
@@ -33,6 +32,7 @@ from .geometry import (
     Piece,
     ScalarLike,
     as_scalar,
+    checked_make,
     cut_mass,
     scalar_str,
     unit_ratios,
@@ -107,22 +107,23 @@ class Valuation(ABC):
         return total
 
 
-@dataclass(frozen=True)
-class DensityBounds:
+class DensityBounds(
+    NamedTuple("DensityBoundsFields", [("alpha", Fraction), ("beta", Optional[Fraction])])
+):
     """An admissible density band [alpha, beta]; ``beta=None`` means +inf."""
 
-    alpha: Fraction
-    beta: Optional[Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        alpha = as_scalar(self.alpha)
-        beta = None if self.beta is None else as_scalar(self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+    def __new__(cls, alpha: ScalarLike, beta: Optional[ScalarLike]) -> "DensityBounds":
+        alpha = as_scalar(alpha)
+        beta = None if beta is None else as_scalar(beta)
         if not (ZERO <= alpha <= ONE):
             raise InvalidInput("need 0 <= alpha <= 1")
         if beta is not None and beta < ONE:
             raise InvalidInput("need beta >= 1 (or None for unbounded)")
+        return tuple.__new__(cls, (alpha, beta))
+
+    _make = classmethod(checked_make)
 
 
 #: what a step valuation's cut memo holds for a mass not asked yet

@@ -88,7 +88,6 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import blake2b
@@ -97,7 +96,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .errors import InvalidInput, PreconditionViolation
-from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, above_one, cut_mass, unit_span
+from .geometry import CUT_START, EVAL_RANGE, ONE, Piece, above_one, checked_make, cut_mass, unit_span
 from .valuation import Valuation, is_heavy
 
 LN3 = math.log(3.0)
@@ -134,33 +133,35 @@ EAGER_MAX_DEPTH = 11
 LOW_HEAVY_DENSITY_LIMIT = 2.0 ** (1.5 - 3.0 / LN3)
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(NamedTuple("TreeParamsFields", [("depth", int), ("permissive", bool)])):
     """Size-derived constants and density tests of a balanced value tree.
 
     The depth fixes everything else: the leaf count ``n``, ``beta``, the
     label values, log density factors, threshold and root signature are made on
-    first use and kept on the instance; equality and hashing see only the
-    two fields, so equal params share one root signature.
+    first use and cached in the instance's ``__dict__``.  The two fields,
+    ``depth`` and the bool ``permissive``, are read-only, and equality and
+    hashing see only them, so equal params share one root signature.
     """
 
-    depth: int
-    permissive: bool = False
-
-    def __post_init__(self):
-        depth = self.depth
+    def __new__(cls, depth: int, permissive: bool = False) -> "TreeParams":
         _check_depth(depth)
+        if permissive.__class__ is not bool:
+            raise InvalidInput(f"permissive must be a bool, got {permissive!r}")
         if depth < PERMISSIVE_MIN_DEPTH:
             raise InvalidInput(
                 f"depth {depth} < {PERMISSIVE_MIN_DEPTH}: edge labels would not be positive"
             )
-        if depth < STRICT_MIN_DEPTH and not self.permissive:
+        if depth < STRICT_MIN_DEPTH and not permissive:
             raise InvalidInput(
                 f"depth {depth} < {STRICT_MIN_DEPTH}: density guarantees need "
                 f"n >= 3^{STRICT_MIN_DEPTH} (pass permissive=True for unit-test sizes)"
             )
-        if not self.permissive and not (1.0 / 3.0 <= self.heavy_label < 0.5):
+        self = tuple.__new__(cls, (depth, permissive))
+        if not permissive and not (1.0 / 3.0 <= self.heavy_label < 0.5):
             raise InvalidInput(f"heavy label beta/3 = {self.heavy_label} outside [1/3, 1/2)")
+        return self
+
+    _make = classmethod(checked_make)
 
     @classmethod
     def from_depth(cls, depth: int, permissive: bool = False) -> "TreeParams":  # only the benchmark and tests call this
@@ -869,8 +870,7 @@ def build_tree(params: TreeParams, seed: int) -> BalancedValueTree:
     return BalancedValueTree(params, seed)
 
 
-@dataclass(frozen=True)
-class LeafProfileClass:
+class LeafProfileClass(NamedTuple):
     """A realizable (h, q, z) leaf signature and its classification."""
 
     h: int

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fairslice.errors import InvalidInput
 from fairslice.geometry import (
     Interval,
     Piece,
@@ -69,6 +70,28 @@ def test_canonical_constructor_rejects_disorder():
         Piece((Interval(Fraction(1, 2), Fraction(1)), Interval(Fraction(0), Fraction(1, 4))))
     with pytest.raises(ValueError):
         Piece((Interval(Fraction(0), Fraction(1, 2)), Interval(Fraction(1, 2), Fraction(1))))
+
+
+@pytest.mark.parametrize("member", [(0, 1), [0, 1], Fraction(1, 2), None], ids=repr)
+def test_piece_refuses_a_member_that_is_not_an_interval(member):
+    with pytest.raises(InvalidInput, match="Interval"):
+        Piece((member,))
+
+
+def test_piece_from_a_list_is_the_piece_from_a_tuple():
+    iv = Interval(0, Fraction(1, 2))
+    listed = Piece([iv])
+    assert listed.intervals.__class__ is tuple
+    assert listed == Piece((iv,)) and hash(listed) == hash(Piece((iv,)))
+
+
+def test_piece_keeps_no_caller_list():
+    ivs = [Interval(0, Fraction(1, 2))]
+    piece = Piece(ivs)
+    ivs.append(Interval(Fraction(3, 4), 1))
+    with pytest.raises(AttributeError):
+        piece.intervals.append(Interval(Fraction(1, 4), 1))
+    assert piece == Piece.of((0, "1/2")) and piece.width == Fraction(1, 2)
 
 
 def test_piece_json_pairs_roundtrip():

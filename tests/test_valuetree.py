@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -77,10 +76,22 @@ class TestParams:
         with pytest.raises(InvalidInput):
             TreeParams(depth)
 
+    @pytest.mark.parametrize("permissive", ["false", "", None, 0, 1, 1.0], ids=repr)
+    def test_permissive_must_be_a_bool(self, permissive):
+        # a truthy non-bool built a permissive tree whose to_json from_json
+        # refused; a falsy one gave one size a second root signature
+        for depth in (7, 11):
+            with pytest.raises(InvalidInput, match="permissive must be a bool"):
+                TreeParams(depth, permissive)
+
     def test_depth_fixes_every_constant(self):
-        assert [f.name for f in dataclasses.fields(TreeParams)] == ["depth", "permissive"]
+        assert TreeParams._fields == ("depth", "permissive")
         assert TreeParams(11) == P11 and TreeParams(11).beta == P11.beta
         assert TreeParams(7, permissive=True).n == 3**7
+        # the cached constants live in __dict__, outside equality and hashing
+        used = TreeParams(11)
+        used.root, used.threshold, used._grid_levels
+        assert used == TreeParams(11) and hash(used) == hash(TreeParams(11))
 
 
 class TestPaths:
