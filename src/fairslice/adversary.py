@@ -77,7 +77,6 @@ from .valuetree import (
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
-    _NO_LABELS,
     _STEP,
     _node_key,
     _piece_leaves,
@@ -108,8 +107,9 @@ class AdversarySession(TernaryTreeValuation):
 
     def __init__(self, params: TreeParams):
         super().__init__(params)
-        #: the revealed labels by node path
+        #: the revealed labels by node path, which the walks read first
         self.revealed: dict[bytes, Kinds] = {}
+        self._known = self.revealed
         #: the records of the queries asked through answer_eval/answer_cut;
         #: a referee keeps those asked through it
         self.log: list[QueryRecord] = []
@@ -130,7 +130,7 @@ class AdversarySession(TernaryTreeValuation):
 
     # -- labels: revealed, or revealed now --------------------------------
 
-    def _labels(self, path, sig, step=None):
+    def _labels(self, path, sig):
         kinds = self.revealed.get(path)
         if kinds is None:
             raise PreconditionViolation(
@@ -138,27 +138,16 @@ class AdversarySession(TernaryTreeValuation):
             )
         return kinds
 
-    # a prefix walk reads what _prefix has revealed
-    _path_labels = _labels
-
     def _descent_labels(self, path, sig, remaining):
-        kinds = self.revealed.get(path)
-        if kinds is None:
-            # gamma > beta/3, on the very heavy-child mass the descent
-            # compares; sig.table(_HEAVY_AT[0]) with the lookup inlined, as
-            # in _walk
-            table = sig.tables.get(_HEAVY_AT[0]) or sig.table(_HEAVY_AT[0])
-            kinds = _HEAVY_AT[0 if table[0] < remaining else 2]
-            # revealed when the cut returns, with this node's own signature
-            self._descent[path] = kinds
-            self._descent_sigs.append(sig)
+        # a node the descent reads past revealed: gamma > beta/3, on the
+        # very heavy-child mass the descent compares; sig.table(_HEAVY_AT[0])
+        # with the lookup inlined, as in _walk
+        table = sig.tables.get(_HEAVY_AT[0]) or sig.table(_HEAVY_AT[0])
+        kinds = _HEAVY_AT[0 if table[0] < remaining else 2]
+        # revealed when the cut returns, with this node's own signature
+        self._descent[path] = kinds
+        self._descent_sigs.append(sig)
         return kinds
-
-    def _known_labels(self, labels):
-        # the session's own readers return a revealed node's labels as they are
-        if getattr(labels, "__func__", None) in _SESSION_READERS and labels.__self__ is self:
-            return self.revealed
-        return _NO_LABELS
 
     def _reveal(self, chain: dict[bytes, Kinds], sigs: Sequence[Signature]) -> None:
         """Reveal ``chain``'s labels at its nodes, none of them revealed
@@ -226,7 +215,7 @@ class AdversarySession(TernaryTreeValuation):
                 level = 0
                 while leaf[:level] in revealed:
                     level += 1
-                _, sig = self._walk(leaf[:level], self._labels)
+                _, sig = self._walk(leaf[:level])
                 chain = {leaf[:i]: _ENDPOINT_LABELS[leaf[i]] for i in range(level, depth)}
                 self._reveal(chain, (sig,))
             if 0 < num < den:
@@ -368,9 +357,6 @@ class AdversarySession(TernaryTreeValuation):
 #: child 0, 1 or 2: the on-path edge light, the heavy edge leftmost off it
 _ENDPOINT_LABELS = (_HEAVY_AT[1], _HEAVY_AT[0], _HEAVY_AT[0])
 
-#: the readers whose revealed labels a session's walks read inline
-_SESSION_READERS = (AdversarySession._labels, AdversarySession._descent_labels)
-
 #: ASCII digit of each node-path byte
 _DIGITS = bytes.maketrans(b"\x00\x01\x02", b"012")
 
@@ -438,7 +424,8 @@ class CompletedTree(TernaryTreeValuation):
     critical node takes thirds; otherwise, if the node sits on a preferred
     light path, the heavy edge moves to the leftmost child off every such
     path (when one exists); otherwise heavy placement is the keyed hash of
-    the node path.  ``revealed`` is keyed by node-path bytes.
+    the node path.  ``revealed``, keyed by node-path bytes, is the
+    completion's known labels, read first by its walks.
     """
 
     def __init__(
@@ -449,7 +436,7 @@ class CompletedTree(TernaryTreeValuation):
         light_leaves: Iterable[bytes] = (),
     ):
         super().__init__(params)
-        self._revealed = revealed
+        self._known = revealed
         self.seed = seed
         self._hashed = BalancedValueTree(params, seed)
         self._light_prefixes: set[bytes] = set()
@@ -458,8 +445,8 @@ class CompletedTree(TernaryTreeValuation):
             for i in range(1, len(leaf) + 1):
                 self._light_prefixes.add(leaf[:i])
 
-    def _labels(self, path, sig, step=None):
-        kinds = self._revealed.get(path)
+    def _labels(self, path, sig):
+        kinds = self._known.get(path)
         if kinds is not None:
             return kinds
         if self._light_prefixes and not sig.critical:
@@ -467,14 +454,6 @@ class CompletedTree(TernaryTreeValuation):
             if protected and len(protected) < 3:
                 return _HEAVY_AT[min(c for c in (0, 1, 2) if c not in protected)]
         return self._hashed._labels(path, sig)
-
-    _path_labels = _descent_labels = _labels
-
-    def _known_labels(self, labels):
-        # the completion's own reader returns a revealed node's labels as they are
-        if getattr(labels, "__func__", None) is CompletedTree._labels and labels.__self__ is self:
-            return self._revealed
-        return _NO_LABELS
 
 
 class Refutation(NamedTuple):

@@ -94,6 +94,14 @@ def cut_mass(r) -> Union[Fraction, float]:
     raise InvalidInput(f"cut needs a finite r >= 0, got {r}")
 
 
+def check_tolerance(tol, what: str) -> None:
+    """The one tolerance rule, of replay and proportionality checks: an
+    ``int``, ``float`` or ``Fraction`` (not a ``bool``), finite and ``>= 0``,
+    or refused with an :class:`InvalidInput` whose message starts with ``what``."""
+    if tol.__class__ not in (int, float, Fraction) or not 0 <= tol < math.inf:
+        raise InvalidInput(f"{what} must be a finite number >= 0, got {tol!r}")
+
+
 def above_one(mass: Union[Fraction, float]) -> bool:
     """``mass > 1``, exact for a float or a ``Fraction``, with no ``Fraction`` comparison."""
     return mass.numerator > mass.denominator if mass.__class__ is Fraction else mass > 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInput, PartitionViolation, ProtocolViolation
-from .geometry import ONE, ZERO, Interval, Piece, as_scalar
+from .geometry import ONE, ZERO, Interval, Piece, as_scalar, check_tolerance
 from .referee import QueryReferee
 from .valuation import Real, Valuation, encode_real, is_heavy
 
@@ -120,9 +120,10 @@ def check_proportional(
     each share is decided on its integer ratio against ``1/n``, as
     :func:`~fairslice.valuation.is_heavy` decides, so a float share is
     decided exactly too; a NaN or infinity is refused with
-    :class:`InvalidInput`.
+    :class:`InvalidInput`, as is a ``tol`` that is not a finite number ``>= 0``.
     """
     _check_mode(mode)
+    check_tolerance(tol, "proportionality tolerance")
     if len(valuations) != allocation.n:
         raise InvalidInput("one valuation per piece required")
     verify_partition(allocation)

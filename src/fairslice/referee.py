@@ -10,7 +10,8 @@ Counting rules:
 * a ``cut`` that declares "no answer" still costs one query;
 * a repeated identical query is counted and logged again, every time; a
   leaf valuation may answer the repeat from memory, below the referee;
-* a query that would exceed the budget is rejected *before* it reaches the
+* a budget is ``None`` or an ``int >= 0`` (a ``bool`` is not one), and a
+  query that would exceed it is rejected *before* it reaches the
   valuation, so the log never exceeds the budget;
 * a player is an ``int`` in range, by the one rule :func:`check_player`
   (so ``True``, ``1.0``, ``"0"`` and ``None`` are refused with
@@ -39,12 +40,11 @@ exact by default, or within a tolerance for float-valued trees.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, InvalidInput, ReplayMismatch, UnknownPlayer
-from .geometry import ScalarLike, as_scalar, cut_mass
+from .geometry import ScalarLike, as_scalar, check_tolerance, cut_mass
 from .valuation import Real, Valuation, encode_real
 
 #: compact JSON text of an object, the referee log's and a transcript's
@@ -133,8 +133,8 @@ class QueryReferee:
     def __init__(self, valuations: Sequence[Valuation], budget: Optional[int] = None):
         if not valuations:
             raise InvalidInput("referee needs at least one valuation")
-        if budget is not None and budget < 0:
-            raise InvalidInput(f"budget must be non-negative, got {budget}")
+        if budget is not None and (budget.__class__ is not int or budget < 0):
+            raise InvalidInput(f"budget must be None or an int >= 0, got {budget!r}")
         self._valuations = tuple(valuations)
         self.budget = budget
         self.counts = [0] * len(self._valuations)
@@ -193,12 +193,11 @@ def replay_log(
     A ``None`` answer matches only ``None``; any other must equal the
     logged one or lie within ``tol`` of it, and the default 0 demands
     equality, so a NaN on either side never matches.  A ``tol`` that is not
-    a finite number ``>= 0`` is refused with :class:`InvalidInput`.
+    a finite number ``>= 0`` is refused by :func:`~fairslice.geometry.check_tolerance`.
     Returns True, or raises :class:`ReplayMismatch` naming the first
     divergence.
     """
-    if tol.__class__ not in (int, float, Fraction) or not 0 <= tol < math.inf:
-        raise InvalidInput(f"replay tolerance must be a finite number >= 0, got {tol!r}")
+    check_tolerance(tol, "replay tolerance")
     for i, rec in enumerate(records):
         check_player(rec.player, len(valuations), f"record {i}: ")
         val = valuations[rec.player]

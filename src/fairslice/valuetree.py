@@ -17,17 +17,16 @@ criticality) when its path carries more than ``ln(n)/6 - 1`` heavy edges.
 That threshold is what the adversary module exploits.
 
 The node lookup, prefix masses, eval and cut all come from two walks of
-:class:`TernaryTreeValuation`: a path walk along known digits, reading
-labels through the reader its caller hands it, and a descent to a target
-prefix mass.  Hashed trees, completions and the adversary session differ
-only in their label source, so on shared labels they give the same floats
-by construction.
+:class:`TernaryTreeValuation`: a path walk along known digits and a
+descent to a target prefix mass.  Hashed trees, completions and the
+adversary session differ only in their label source, so on shared labels
+they give the same floats by construction.
 
 A node path is the ``bytes`` of its base-3 digits, one byte per digit
 (the root is ``b""``), in and out: one object is the dict key and the
 blake2b label input, a session transcript writes its digits straight
-from it, and each level's path that a walk hands its label reader is a C
-slice of the leaf's bytes.
+from it, and each level's path that a walk reads labels at is a C slice
+of the leaf's bytes.
 :func:`leaf_path` and :func:`index_path` make one from a position or a
 leaf index, and every public method that takes a path refuses anything
 else with :class:`InvalidInput`.  Each tree remembers the prefix mass of
@@ -66,11 +65,11 @@ order.  A hashed tree's walk and descent keep one copy of its keyed
 blake2b state, read each node's heavy edge from its digest and feed it
 the digit taken; a single-node label read copies the keyed state and feeds
 it the whole path.  Both give the digest of a fresh keyed hash of the path.
-Any other walk reads first the labels its tree keeps by path -- a
-session's revealed labels, or a completion's -- and calls its reader only
-for a node not among them, when the reader is the tree's own
-(:meth:`~TernaryTreeValuation._known_labels`); a checker, or a reader a
-subclass overrides, is called at every node.
+Any other walk reads first the labels its tree already holds by path
+(:attr:`~TernaryTreeValuation._known`: a session's revealed labels, or a
+completion's) and calls the tree's own reader only for a node not among
+them; :func:`verify_labeling` hands the walk a checker, called at every
+node in place of both.
 
 Answers are floats, but every criticality and richness verdict is exact
 and every node value is correctly rounded: both come from the rational
@@ -102,9 +101,6 @@ from .valuation import Valuation, is_heavy
 LN3 = math.log(3.0)
 #: tree levels per binary order of magnitude
 _LOG3_2 = math.log(2.0) / LN3
-#: the lowest level :meth:`TernaryTreeValuation._settle_level` gives a
-#: position below 1, whose float has a binary exponent of at most 0
-_SETTLE_FLOOR = int(53 * _LOG3_2) - 2
 
 HEAVY = "H"
 LIGHT = "L"
@@ -117,7 +113,7 @@ _THIRDS = (THIRD, THIRD, THIRD)
 #: path bytes of one step to child 0, 1 or 2
 _STEP = (b"\x00", b"\x01", b"\x02")
 
-#: no known labels: what a walk reads first when its reader is not a tree's own
+#: no known labels: a hashed tree's, and a checker walk's
 _NO_LABELS: Mapping[bytes, tuple[str, str, str]] = MappingProxyType({})
 
 #: minimum depth for the density guarantees to hold (gives beta/3 < 1/2)
@@ -464,19 +460,22 @@ class TernaryTreeValuation(Valuation, ABC):
     :meth:`_labels`, from its path and :class:`Signature`; everything else
     (the per-node lookup :meth:`node`, prefix masses, query answering) is
     derived here from two walks: :meth:`_walk` follows a known node path,
-    reading the labels its caller hands it (:meth:`_path_labels` for a
-    query, the read-only :meth:`_labels` for :meth:`node`, a checker for
-    :func:`verify_labeling`), and :meth:`_descend` a target prefix mass,
-    reading :meth:`_descent_labels`.  Fixed labelings alias both query
-    hooks to :meth:`_labels`.  The public methods check a path once with
-    :func:`_node_key`; the walks and their readers pass paths the walks
-    made themselves, unchecked.
+    reading :meth:`_labels` (or a checker, for :func:`verify_labeling`),
+    and :meth:`_descend` a target prefix mass, reading
+    :meth:`_descent_labels`, which is :meth:`_labels` unless a subclass
+    decides new nodes there.  Both read :attr:`_known` first.  The public
+    methods check a path once with :func:`_node_key`; the walks and their
+    readers pass paths the walks made themselves, unchecked.
     """
 
     #: whether :meth:`_descend` reads every level down to a leaf, as an
     #: adversary session's must to reveal the answer's leaf path, and not
     #: only down to where its float is settled
     _descends_to_leaf = False
+
+    #: labels by node path that :meth:`_labels` would return as they are,
+    #: which the walks read before calling it
+    _known: Mapping[bytes, tuple[str, str, str]] = _NO_LABELS
 
     def __init__(self, params: TreeParams):
         self.params = params
@@ -486,46 +485,34 @@ class TernaryTreeValuation(Valuation, ABC):
     # -- labeling ----------------------------------------------------------
 
     @abstractmethod
-    def _labels(self, path: bytes, sig: Signature, step=None) -> tuple[str, str, str]:
+    def _labels(self, path: bytes, sig: Signature) -> tuple[str, str, str]:
         """Edge-label kinds (HEAVY/LIGHT/THIRD) of the three children of the
         node at ``path``, whose :class:`Signature` is ``sig``: the label
-        source, read-only; a path walk's ``step`` is ignored."""
+        source, read-only."""
 
-    @abstractmethod
-    def _path_labels(self, path: bytes, sig: Signature, step=None) -> tuple[str, str, str]:
-        """Labels a query's prefix walk reads at ``path`` before stepping
-        to child ``step``."""
-
-    @abstractmethod
     def _descent_labels(self, path: bytes, sig: Signature, remaining: float) -> tuple[str, str, str]:
-        """Labels a mass descent reads at ``path`` with ``remaining`` mass to pass."""
+        """Labels a mass descent reads at ``path``, not in :attr:`_known`,
+        with ``remaining`` mass to pass: :meth:`_labels`, by default."""
+        return self._labels(path, sig)
 
-    def _running_state(self, labels):
-        """For a walk reading ``labels``: a blake2b state holding the keyed
-        hash of the path so far, whose digest gives a non-critical node's
-        heavy edge as :meth:`BalancedValueTree._labels` reads it, and which
-        the walk feeds one digit per level in place of calling ``labels``;
-        or None, the default, for a walk that calls ``labels`` at every node."""
+    def _running_state(self):
+        """A blake2b state holding the keyed hash of the path so far, whose
+        digest gives a non-critical node's heavy edge as
+        :meth:`BalancedValueTree._labels` reads it, and which a walk feeds
+        one digit per level in place of reading labels; or None, the
+        default, for a walk that reads :attr:`_known` and a reader."""
         return None
-
-    def _known_labels(self, labels) -> Mapping[bytes, tuple[str, str, str]]:
-        """For a walk reading ``labels`` without a running state: the labels
-        by node path that ``labels`` returns as they are, which the walk
-        reads first and calls ``labels`` only for a node not in it -- a
-        session's revealed labels, or a completion's, when ``labels`` is the
-        tree's own reader.  Empty, the default, for any other reader, so a
-        checker or an override still sees every node."""
-        return _NO_LABELS
 
     # -- the two walks -------------------------------------------------------
 
-    def _walk(self, node: bytes, labels, settle: Optional[int] = None) -> tuple[float, Signature]:
+    def _walk(self, node: bytes, check=None, settle: Optional[int] = None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``, reading
-        each node passed from the :meth:`_running_state` the tree keeps for
-        ``labels``, or else from its :meth:`_known_labels` for that reader,
-        calling ``labels(path, sig, step)`` only for a node not there; the
-        mass adds, level by level, the stored masses of the left siblings from
-        the node's :class:`ChildTable`, child 0 before child 1.
+        each node passed from the tree's :meth:`_running_state`, or else
+        from :attr:`_known`, calling :meth:`_labels` only for a node not
+        there; given a checker, calling ``check(path, sig)`` at every node
+        and reading nothing else.  The mass adds, level by level, the
+        stored masses of the left siblings from the node's
+        :class:`ChildTable`, child 0 before child 1.
 
         Given a level ``settle``, the walk stops at the first node at that
         level or deeper with ``sig.value * 2 < ulp(mass)`` and ``mass > 0``,
@@ -544,14 +531,15 @@ class TernaryTreeValuation(Valuation, ABC):
         mass = 0.0
         if settle is None:
             settle = len(node)
-        keyed = self._running_state(labels)
-        if keyed is None:
-            known = self._known_labels(labels)
+        if check is None:
+            keyed, known, labels = self._running_state(), self._known, self._labels
+        else:
+            keyed, known, labels = None, _NO_LABELS, check
         for i, c in enumerate(node):
             if i >= settle and mass > 0 and sig.value * 2 < math.ulp(mass):
                 break
             if keyed is None:
-                kinds = known.get(path := node[:i]) or labels(path, sig, c)
+                kinds = known.get(path := node[:i]) or labels(path, sig)
             elif sig.critical:
                 kinds = _THIRDS
             else:
@@ -597,10 +585,7 @@ class TernaryTreeValuation(Valuation, ABC):
         index = 0
         path = b""
         settle = depth if self._descends_to_leaf else self._settle_level(target)
-        labels = self._descent_labels
-        keyed = self._running_state(labels)
-        if keyed is None:
-            known = self._known_labels(labels)
+        keyed, known, labels = self._running_state(), self._known, self._descent_labels
         for i in range(depth):
             if i >= settle:
                 span = 3 ** (depth - i)
@@ -638,7 +623,7 @@ class TernaryTreeValuation(Valuation, ABC):
         path walk reading :meth:`_labels`, plus the node's own labels unless
         it is a leaf."""
         node = _node_key(path, self.params.depth)
-        _, sig = self._walk(node, self._labels)
+        _, sig = self._walk(node)
         kinds = None if len(node) == self.params.depth else self._labels(node, sig)
         return NodeVisit(len(node), sig.h, sig.q, sig.z, sig.critical, sig.value, kinds)
 
@@ -677,9 +662,7 @@ class TernaryTreeValuation(Valuation, ABC):
         """The prefix mass of ``t = num / den``, ``0 < t < 1``, walked to
         ``node``, its :meth:`_prefix_node`, and remembered: the node's
         prefix mass plus the part ``rem / den`` of its leaf cell left of t."""
-        # a node above the lowest settle level is read to its end anyway
-        settle = self._settle_level(num / den) if len(node) > _SETTLE_FLOOR else None
-        mass, sig = self._walk(node, self._path_labels, settle)
+        mass, sig = self._walk(node, settle=self._settle_level(num / den))
         mass += sig.value * (rem / den)
         self._masses[num, den] = mass
         return mass
@@ -706,9 +689,8 @@ class TernaryTreeValuation(Valuation, ABC):
         can pass much before the level where ``3**-i`` falls under an ulp
         of ``scale``: ``log3(2**53 / scale)``, taken here two levels early.
         Only the tests decide where a walk stops; this level only spares
-        the levels above it from them.  For a position below 1 it is at
-        least ``_SETTLE_FLOOR``, so a prefix walk to a shorter node skips
-        it; an override may raise the level, not lower it."""
+        the levels above it from them.  An override may raise the level,
+        not lower it."""
         return int((53 - math.frexp(scale)[1]) * _LOG3_2) - 2
 
     def eval(self, x, y) -> float:
@@ -772,7 +754,7 @@ class TernaryTreeValuation(Valuation, ABC):
                 max(min(iv.right, right) - max(iv.left, left), 0) for iv in piece.intervals
             )
             path = _index_path(i, depth)
-            _, sig = self._walk(path, self._labels)
+            _, sig = self._walk(path)
             out.append((path, sig, sig.exact_value * overlap * n))
         return out
 
@@ -803,9 +785,9 @@ class BalancedValueTree(TernaryTreeValuation):
     path, so trees are reproducible from (depth, seed) without storing any
     per-node state.
 
-    The keyed hash state is built once.  A walk or descent reading this
-    tree's own labels copies it once and feeds it one digit per level (see
-    :meth:`_running_state`); :meth:`_labels`, the one-node read that
+    The keyed hash state is built once.  A walk or descent copies it once
+    and feeds it one digit per level (see :meth:`_running_state`), unless a
+    subclass overrides a reader; :meth:`_labels`, the one-node read that
     lookups, completions and :func:`verify_labeling` call, copies it and
     feeds it the path.  Either gives the digest of a fresh keyed hash bit
     for bit.
@@ -818,7 +800,7 @@ class BalancedValueTree(TernaryTreeValuation):
         self.seed = seed
         self._keyed = blake2b(key=(seed & (2**64 - 1)).to_bytes(8, "little"), digest_size=8)
 
-    def _labels(self, path, sig, step=None):
+    def _labels(self, path, sig):
         if sig.critical:
             return _THIRDS
         state = self._keyed.copy()
@@ -827,15 +809,14 @@ class BalancedValueTree(TernaryTreeValuation):
         # 256 is 1 mod 3
         return _HEAVY_AT[sum(state.digest()) % 3]
 
-    # a fixed labeling ignores the walk's step
-    _path_labels = _descent_labels = _labels
-
-    def _running_state(self, labels):
-        """A copy of the keyed state when ``labels`` is this tree's own
-        :meth:`_labels` (not an override), which :meth:`~TernaryTreeValuation._walk`
-        and :meth:`~TernaryTreeValuation._descend` then feed the path one digit
-        at a time: the digest at each node is the one :meth:`_labels` reads."""
-        if getattr(labels, "__func__", None) is BalancedValueTree._labels and labels.__self__ is self:
+    def _running_state(self):
+        """A copy of the keyed state, which the walks feed one digit per
+        level, so the digest at each node is the one :meth:`_labels` reads;
+        None when this tree's class overrides :meth:`_labels` or
+        :meth:`_descent_labels`, so that the override is called at every node."""
+        cls = self.__class__
+        own = cls._labels is BalancedValueTree._labels
+        if own and cls._descent_labels is TernaryTreeValuation._descent_labels:
             return self._keyed.copy()
         return None
 
@@ -931,7 +912,7 @@ def verify_labeling(
 
     label_of = params.label_values
 
-    def check(path, sig, step=None):
+    def check(path, sig):
         # the walk's label reader: the label source's own kinds, checked
         # before the walk uses them, so an unknown kind is a typed error
         kinds = source._labels(path, sig)

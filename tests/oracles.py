@@ -30,8 +30,8 @@ record, which the session's fragment encoder must match line for line.
 cut as first written, reading every level down to a leaf, which the
 walks that stop once their float is settled must match float for float.
 ``PerNodeSession`` is an adversary session with its reveal rule as first
-written, one reader call and one reveal per new node as a walk reaches
-it, which the chain reveals must match reveal for reveal.
+written, one call and one reveal per new node as a walk reaches it,
+which the chain reveals must match reveal for reveal.
 ``dual_image`` and ``density`` are the piece dualization and the
 value-per-width of a piece, computed from ``eval`` alone, and
 ``segment_loop_dual`` is the closed-form step dual as first written, a
@@ -462,26 +462,18 @@ def full_depth_cut(tree, x, r):
 
 class PerNodeSession(AdversarySession):
     """An adversary session revealing level by level, as first written:
-    every walk calls its reader at every node, and the reader reveals a new
-    node on its own -- an eval endpoint's with the on-path edge light and
-    the heavy edge leftmost off it, a descent's with the heavy edge left of
-    the answer when the heavy child's mass falls short of the remaining
-    mass, right of it otherwise -- keeping the books from that node's own
-    signature.  Every endpoint walks its whole leaf path, even at t = 0 or
-    1 and on the leaf grid."""
-
-    def _path_labels(self, path, sig, step=None):
-        kinds = self.revealed.get(path)
-        if kinds is None:
-            kinds = self._reveal_node(path, sig, _HEAVY_AT[1 if step == 0 else 0])
-        return kinds
+    each new node is revealed on its own, as a walk reaches it -- an eval
+    endpoint's by a checker walking the endpoint's leaf path, with the
+    on-path edge light and the heavy edge leftmost off it, a descent's by
+    its reader, with the heavy edge left of the answer when the heavy
+    child's mass falls short of the remaining mass, right of it otherwise
+    -- keeping the books from that node's own signature.  Every endpoint
+    walks its whole leaf path, even at t = 0 or 1 and on the leaf grid,
+    independent of the session's chain reveals."""
 
     def _descent_labels(self, path, sig, remaining):
-        kinds = self.revealed.get(path)
-        if kinds is None:
-            heavy_first = sig.table(_HEAVY_AT[0])
-            kinds = self._reveal_node(path, sig, _HEAVY_AT[0 if heavy_first[0] < remaining else 2])
-        return kinds
+        heavy_first = sig.table(_HEAVY_AT[0])
+        return self._reveal_node(path, sig, _HEAVY_AT[0 if heavy_first[0] < remaining else 2])
 
     def _reveal_node(self, path, sig, kinds):
         if path and path[:-1] not in self.revealed:
@@ -493,16 +485,25 @@ class PerNodeSession(AdversarySession):
         return kinds
 
     def _prefix(self, t):
+        key = (t.numerator, t.denominator)
+        if key not in self._masses:
+            leaf = leaf_path(t, self.params.depth)
+
+            def reveal(path, sig):
+                kinds = self.revealed.get(path)
+                if kinds is None:
+                    kinds = self._reveal_node(path, sig, _HEAVY_AT[1 if leaf[len(path)] == 0 else 0])
+                return kinds
+
+            self._walk(leaf, reveal)
         if 0 < t.numerator < t.denominator:
             return TernaryTreeValuation._prefix(self, t)
-        if (t.numerator, t.denominator) not in self._masses:
-            self._walk(leaf_path(t, self.params.depth), self._path_labels)
-            self._masses[t.numerator, t.denominator] = float(t)
+        self._masses[key] = float(t)
         return float(t)
 
     def _prefix_node(self, num, den, index, rem):
         return index_path(index, self.params.depth)
 
     def _settle_level(self, scale):
-        # the walk reveals as it goes, so it reads every level
+        # the mass walk reads every level, as first written
         return self.params.depth

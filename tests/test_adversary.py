@@ -531,8 +531,8 @@ def test_a_session_prefix_walk_settles_off_the_grid(depth):
         walked = []
         walk = session._walk
 
-        def counting_walk(node, labels, settle=None):
-            mass, sig = walk(node, labels, settle)
+        def counting_walk(node, check=None, settle=None):
+            mass, sig = walk(node, check, settle)
             if settle is not None:
                 walked.append(sig.h + sig.q + sig.z)
             return mass, sig
@@ -596,19 +596,19 @@ class TestInspection:
 
     @pytest.mark.parametrize("source", ["session", "completion"])
     def test_a_checker_sees_every_revealed_label(self, source):
-        """Walks read a session's or a completion's revealed labels inline
-        only for the tree's own readers: a counting checker is called at
-        every level, and verify_labeling's checker refuses a revealed label
-        flipped to thirds on a non-critical node."""
+        """A checker handed to a walk replaces a session's or a
+        completion's revealed labels, read inline otherwise: a counting
+        checker is called at every level, and verify_labeling's checker
+        refuses a revealed label flipped to thirds on a non-critical node."""
         session = AdversarySession(P60)
         x = Fraction(11, 3**5)
         session.answer_eval(x, Fraction(1, 2))
         tree = session if source == "session" else session.complete_labeling(seed=0)
-        revealed = session.revealed if source == "session" else tree._revealed
+        revealed = session.revealed if source == "session" else tree._known
         leaves = [leaf_path(x, 60), leaf_path(Fraction(1, 2), 60)]
         for leaf in leaves:
             seen = []
-            tree._walk(leaf, lambda path, sig, step=None: seen.append(path) or tree._labels(path, sig))
+            tree._walk(leaf, lambda path, sig: seen.append(path) or tree._labels(path, sig))
             assert seen == [leaf[:i] for i in range(60)]
         assert verify_labeling(tree, leaves, sample_count=0) == 120
         node = leaves[0][:7]
@@ -616,6 +616,29 @@ class TestInspection:
         revealed[node] = (THIRD, THIRD, THIRD)
         with pytest.raises(InvalidInput, match="non-critical node"):
             verify_labeling(tree, leaves, sample_count=0)
+
+    def test_a_completion_override_reads_revealed_labels_without_a_call(self):
+        """A completion's walks read its revealed labels before its
+        reader, even one a subclass overrides: walks down fully revealed
+        leaf paths call ``_labels`` nowhere, and answer as the completion
+        does."""
+
+        class CountingCompletion(CompletedTree):
+            calls = 0
+
+            def _labels(self, path, sig):
+                self.calls += 1
+                return CompletedTree._labels(self, path, sig)
+
+        session = AdversarySession(P60)
+        x, y = Fraction(11, 3**5), Fraction(1, 2)
+        answer = session.answer_eval(x, y)
+        tree = CountingCompletion(P60, dict(session.revealed), seed=0)
+        leaf = leaf_path(x, 60)
+        assert all(leaf[:i] in session.revealed for i in range(60))
+        assert tree.node(leaf) == session.complete_labeling(seed=0).node(leaf)
+        assert tree.eval(x, y) == answer
+        assert tree.calls == 0
 
     def test_leaf_masses_read_revealed_leaves_only(self):
         session = AdversarySession(P60)

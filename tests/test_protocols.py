@@ -327,6 +327,16 @@ class TestCheckers:
             check_proportional(allocation, [broken, UNIFORM], "cake")
         assert not check_proportional(allocation, [broken, UNIFORM], "cake", tol=1e-9).ok
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, "x", -1e-9, True])
+    def test_a_tolerance_that_is_not_a_finite_number_at_least_0_is_refused(self, tol):
+        """replay_log's tolerance rule: an infinite tol would pass a 1/10
+        piece of a uniform cake as proportional, and a NaN would fail every
+        share."""
+        allocation = Allocation((Piece.of((0, "1/10")), Piece.of(("1/10", 1))))
+        with pytest.raises(InvalidInput, match="proportionality tolerance"):
+            check_proportional(allocation, [UNIFORM, UNIFORM], "cake", tol=tol)
+        assert check_proportional(allocation, [UNIFORM, UNIFORM], "cake", tol=Fraction(1, 10**9)).ok is False
+
     def test_all_to_one_player_fails(self):
         allocation = Allocation((Piece.of((0, 1)), Piece()))
         report = check_proportional(allocation, [UNIFORM, UNIFORM], "chore")

@@ -61,6 +61,14 @@ def test_budget_rejects_before_forwarding():
     assert ref.total == 2
 
 
+@pytest.mark.parametrize("budget", [math.nan, "3", True, 1.5, 2.0, -1])
+def test_a_budget_that_is_not_an_int_at_least_0_is_refused(budget):
+    """A NaN budget would switch the budget off, and True or 1.5 act as
+    1; each is refused before any query."""
+    with pytest.raises(InvalidInput, match="budget must be None or an int >= 0"):
+        QueryReferee([UNIFORM], budget=budget)
+
+
 def test_player_index_checked():
     ref = QueryReferee([UNIFORM])
     with pytest.raises(IndexError):

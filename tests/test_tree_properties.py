@@ -242,11 +242,9 @@ class CountingTree(BalancedValueTree):
 
     reads = 0
 
-    def _labels(self, path, sig, step=None):
+    def _labels(self, path, sig):
         self.reads += 1
         return BalancedValueTree._labels(self, path, sig)
-
-    _path_labels = _descent_labels = _labels
 
 
 @pytest.mark.parametrize("depth", [60, 200])
@@ -263,6 +261,34 @@ def test_settled_walks_read_labels_independent_of_depth(depth):
         tree.reads = 0
         tree._descend(k / 1000)
         assert 20 <= tree.reads <= 45
+
+
+class DescentRecordingTree(BalancedValueTree):
+    """A hashed tree that overrides only its descent reader, recording the
+    path of each node a descent reads."""
+
+    def __init__(self, params, seed):
+        super().__init__(params, seed)
+        self.read = []
+
+    def _descent_labels(self, path, sig, remaining):
+        self.read.append(path)
+        return self._labels(path, sig)
+
+
+@pytest.mark.parametrize("depth", [60, 200])
+def test_an_overriding_descent_reader_is_called_at_every_level(depth):
+    """A hashed tree keeps its running label state only while its class
+    overrides neither reader: one that overrides only ``_descent_labels``
+    has it called at every level a descent reads, from the root down, and
+    answers as the plain tree does."""
+    params = TreeParams.from_depth(depth)
+    tree, plain = DescentRecordingTree(params, seed=depth), BalancedValueTree(params, seed=depth)
+    for k in range(100, 901, 40):
+        tree.read = []
+        assert tree._descend(k / 1000) == plain._descend(k / 1000)
+        last = tree.read[-1]
+        assert len(tree.read) >= 20 and tree.read == [last[:i] for i in range(len(last) + 1)]
 
 
 def small_numerator(i: int, k: int) -> Fraction:
