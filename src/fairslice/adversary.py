@@ -42,16 +42,16 @@ path form of :mod:`.valuetree`; a query's reveals are the ``(path, kinds)``
 items it added.  The session's walks read that dict inline, before any
 label hook, so a known node costs one dict lookup and no call.  New nodes
 are revealed a chain at a time by ``_reveal``, the one writer of
-``revealed``, in one dict update; it keeps the heavy-edge maximum and the
-critical nodes as it reveals.  ``revealed`` is prefix-closed, so the first
-ask of an eval endpoint reveals its leaf path below the first unrevealed
-node as one chain: every node there is new, with the on-path edge light,
-and the chain's books follow from its first node's signature.  A cut's
+``revealed``, in one dict update; it keeps the heavy-edge maximum, read
+off the chain's deepest node, as every revealed node carries one heavy
+edge.  ``revealed`` is prefix-closed, so the first ask of an eval
+endpoint reveals its leaf path below the first unrevealed node as one
+chain: every node there is new, with the on-path edge light.  A cut's
 descent decides each new node as it reaches it and reveals them together
-when the cut returns, each with its own signature: at permissive depths
-the heavy label can reach 1/2, and the descent can cross a heavy edge.  A
-node is revealed only after its parent, which ``_reveal`` checks at each
-chain's first node.
+when the cut returns: at permissive depths the heavy label can reach 1/2,
+and the descent can cross a heavy edge.  A node is revealed only after its
+parent, which ``_reveal`` checks at each chain's first node.  The critical
+nodes, which no answer reads, are derived from ``revealed`` when asked.
 
 Coordinates stay exact rationals (denominators 3^depth), so sessions run
 happily at n = 3^60 and beyond; only touched nodes are stored.
@@ -70,10 +70,8 @@ from .geometry import ONE, ZERO, Piece, as_scalar, scalar_str
 from .referee import PlayerView, QueryRecord, QueryReferee, ask_cut, ask_eval, compact_json, replay_log
 from .valuation import is_heavy
 from .valuetree import (
-    HEAVY,
     THIRD,
     BalancedValueTree,
-    Signature,
     TernaryTreeValuation,
     TreeParams,
     _HEAVY_AT,
@@ -117,11 +115,10 @@ class AdversarySession(TernaryTreeValuation):
         self.heavy_trace: list[int] = []
         self._taken = 0  # len(revealed) when the last answer began, or its reveals were taken
         self._heavy = 0  # most revealed heavy edges on a root path
-        self._critical: list[bytes] = []  # revealed critical nodes
         self._orphans = 0  # revealed nodes whose parent was not revealed
-        # a cut's new nodes and their signatures, in descent order
+        # a cut's new nodes in descent order, and the heavy count of the last
         self._descent: dict[bytes, Kinds] = {}
-        self._descent_sigs: list[Signature] = []
+        self._descent_heavy = 0
 
     @property
     def m(self) -> int:
@@ -144,50 +141,25 @@ class AdversarySession(TernaryTreeValuation):
         # with the lookup inlined, as in _walk
         table = sig.tables.get(_HEAVY_AT[0]) or sig.table(_HEAVY_AT[0])
         kinds = _HEAVY_AT[0 if table[0] < remaining else 2]
-        # revealed when the cut returns, with this node's own signature
+        # revealed when the cut returns
         self._descent[path] = kinds
-        self._descent_sigs.append(sig)
+        self._descent_heavy = sig.h + 1
         return kinds
 
-    def _reveal(self, chain: dict[bytes, Kinds], sigs: Sequence[Signature]) -> None:
+    def _reveal(self, chain: dict[bytes, Kinds], heavy: int) -> None:
         """Reveal ``chain``'s labels at its nodes, none of them revealed
         yet: the one writer of :attr:`revealed`, in one ``update``.  The
         nodes, in ``chain``'s order, form a chain, each the child of the one
-        before; ``sigs`` holds the signatures of its first nodes, and every
-        node past them is the light child of the one before and carries one
-        heavy edge, as on an eval endpoint's leaf path.  Only the first
-        node's parent is looked up for the connectivity check."""
+        before, and ``heavy`` is the heavy-edge count of the deepest, its
+        own heavy edge counted: along a chain the count never falls.  Only
+        the first node's parent is looked up for the connectivity check."""
         revealed = self.revealed
         first = next(iter(chain))
         if first and first[:-1] not in revealed:
             self._orphans += 1
         revealed.update(chain)
-        for (path, kinds), sig in zip(chain.items(), sigs):
-            # a revealed parent, so the deepest heavy count is new only
-            # through the node's own heavy edge
-            h = sig.h + (HEAVY in kinds)
-            if h > self._heavy:
-                self._heavy = h
-            # the density test at the node itself, not the inherited flag; a
-            # signature without the flag fails it by definition
-            if sig.critical and sig.own_critical:
-                self._critical.append(path)
-        if len(chain) > len(sigs):
-            # the light tail: one heavy edge more than its first node's
-            # parent, the same heavy count all the way down; below a
-            # critical flag its nodes stay critical while the density test
-            # holds (density falls along light edges), and without the flag
-            # none is
-            sig = sigs[-1]
-            if sig.h + 1 > self._heavy:
-                self._heavy = sig.h + 1
-            if sig.critical:
-                h, q = sig.h, sig.q
-                for path in islice(chain, len(sigs), None):
-                    q += 1
-                    if not self.params.critical_counts(h, q):
-                        break
-                    self._critical.append(path)
+        if heavy > self._heavy:
+            self._heavy = heavy
 
     def _prefix(self, t: Fraction) -> float:
         key = (t.numerator, t.denominator)
@@ -217,7 +189,7 @@ class AdversarySession(TernaryTreeValuation):
                     level += 1
                 _, sig = self._walk(leaf[:level])
                 chain = {leaf[:i]: _ENDPOINT_LABELS[leaf[i]] for i in range(level, depth)}
-                self._reveal(chain, (sig,))
+                self._reveal(chain, sig.h + 1)  # on-path edges light
             if 0 < num < den:
                 mass = self._walk_prefix(num, den, rem, node)  # the node found above
             else:
@@ -235,8 +207,8 @@ class AdversarySession(TernaryTreeValuation):
         self._taken = len(self.revealed)
         answer = query(self, x, arg)
         if self._descent:
-            self._reveal(self._descent, self._descent_sigs)
-            self._descent, self._descent_sigs = {}, []
+            self._reveal(self._descent, self._descent_heavy)
+            self._descent = {}
         self.heavy_trace.append(self._heavy)
         return answer
 
@@ -283,13 +255,26 @@ class AdversarySession(TernaryTreeValuation):
 
     def revealed_critical_nodes(self) -> list[bytes]:
         """Revealed nodes whose own density test says critical (not the
-        inherited flag), in reveal order.
+        inherited flag), in reveal order, each node's signature read from
+        its parent's child table; a node revealed before its parent, which
+        no walk does, is skipped with the nodes below it.
 
         Empty while the heavy-edge budget holds; the reveal strategy never
         labels a node's edges as thirds, so a critical node here means the
         session was driven past its guarantee.
         """
-        return list(self._critical)
+        params, tables, critical = self.params, {}, []
+        for path, kinds in self.revealed.items():
+            if not path:
+                sig = params.root
+            elif path[:-1] in tables:
+                sig = tables[path[:-1]][2 + path[-1]]
+            else:
+                continue  # revealed before its parent
+            tables[path] = sig.table(kinds)
+            if sig.critical and params.critical_counts(sig.h, sig.q):
+                critical.append(path)
+        return critical
 
     def transcript_lines(self) -> list[str]:
         """The log as JSON-lines: the referee's record format without the
@@ -334,8 +319,11 @@ class AdversarySession(TernaryTreeValuation):
         revealed labels and the claim alone fix it.  The piece's value under
         it is the exact sum of :meth:`~TernaryTreeValuation.leaf_masses`.
         Within ``params.threshold`` queries that value always falls short;
-        past it the piece may stay heavy, and ``CannotRefute`` says so.
+        past it the piece may stay heavy, and ``CannotRefute`` says so.  A
+        claim that is not a ``Piece`` is refused with :class:`InvalidInput`.
         """
+        if not isinstance(piece, Piece):
+            raise InvalidInput(f"a heavy-piece claim must be a Piece, got {piece!r}")
         n = self.params.n
         width = piece.width
         refutation = partial(
@@ -600,9 +588,12 @@ def run_heavy_piece_game(
     params: TreeParams, strategy: str, budget: int, seed: int
 ) -> GameReport:
     """Play one game: the finder queries the adversary, claims a piece, and
-    the adversary tries to refute the claim."""
+    the adversary tries to refute the claim.  A budget that is not an
+    ``int >= 0`` (a bool is not one) is refused before any query."""
     if strategy not in STRATEGIES:
         raise InvalidInput(f"unknown strategy {strategy!r}; have {sorted(STRATEGIES)}")
+    if budget.__class__ is not int or budget < 0:
+        raise InvalidInput(f"budget must be an int >= 0, got {budget!r}")
     session = AdversarySession(params)
     referee = QueryReferee([session], budget=budget)
     try:

@@ -285,7 +285,7 @@ class Signature:
     read here (at most four: three heavy placements and the thirds).
     """
 
-    __slots__ = ("h", "q", "z", "critical", "value", "children", "tables", "_params", "_interned", "_own")
+    __slots__ = ("h", "q", "z", "critical", "value", "children", "tables", "_params", "_interned")
 
     def __init__(self, params: TreeParams, h: int, q: int, z: int, critical: bool, interned: dict):
         self.h, self.q, self.z, self.critical = h, q, z, critical
@@ -294,20 +294,7 @@ class Signature:
         self.children: dict[str, Signature] = {}
         self.tables: dict[tuple[str, str, str], ChildTable] = {}
         self._params, self._interned = params, interned
-        self._own: Optional[bool] = None
         interned[h, q, z, critical] = self
-
-    @property
-    def own_critical(self) -> bool:
-        """The density test at this node's own counts, not the inherited
-        flag; run at most once per signature.  A flag that is not set was
-        decided by that very test (in :meth:`step`, or at the root), so only
-        a critical signature runs it here: below a critical node a lighter
-        child inherits the flag but may fail the test itself."""
-        own = self._own
-        if own is None:
-            own = self._own = self.critical and self._params.critical_counts(self.h, self.q)
-        return own
 
     @property
     def exact_value(self) -> Fraction:
@@ -507,12 +494,12 @@ class TernaryTreeValuation(Valuation, ABC):
 
     def _walk(self, node: bytes, check=None, settle: Optional[int] = None) -> tuple[float, Signature]:
         """(prefix mass, signature) of the node at path ``node``, reading
-        each node passed from the tree's :meth:`_running_state`, or else
-        from :attr:`_known`, calling :meth:`_labels` only for a node not
-        there; given a checker, calling ``check(path, sig)`` at every node
-        and reading nothing else.  The mass adds, level by level, the
-        stored masses of the left siblings from the node's
-        :class:`ChildTable`, child 0 before child 1.
+        each node passed from the tree's :meth:`_running_state`, which calls
+        no reader, or, without one, from :attr:`_known`, calling
+        :meth:`_labels` only for a node not there; given a checker, calling
+        ``check(path, sig)`` at every node and reading nothing else.  The
+        mass adds, level by level, the stored masses of the left siblings
+        from the node's :class:`ChildTable`, child 0 before child 1.
 
         Given a level ``settle``, the walk stops at the first node at that
         level or deeper with ``sig.value * 2 < ulp(mass)`` and ``mass > 0``,
@@ -786,11 +773,10 @@ class BalancedValueTree(TernaryTreeValuation):
     per-node state.
 
     The keyed hash state is built once.  A walk or descent copies it once
-    and feeds it one digit per level (see :meth:`_running_state`), unless a
-    subclass overrides a reader; :meth:`_labels`, the one-node read that
-    lookups, completions and :func:`verify_labeling` call, copies it and
-    feeds it the path.  Either gives the digest of a fresh keyed hash bit
-    for bit.
+    and feeds it one digit per level (see :meth:`_running_state`), in place
+    of calling a reader; :meth:`_labels`, the one-node read that lookups,
+    completions and :func:`verify_labeling` call, copies it and feeds it
+    the path.  Either gives the digest of a fresh keyed hash bit for bit.
     """
 
     def __init__(self, params: TreeParams, seed: int):
@@ -811,14 +797,10 @@ class BalancedValueTree(TernaryTreeValuation):
 
     def _running_state(self):
         """A copy of the keyed state, which the walks feed one digit per
-        level, so the digest at each node is the one :meth:`_labels` reads;
-        None when this tree's class overrides :meth:`_labels` or
-        :meth:`_descent_labels`, so that the override is called at every node."""
-        cls = self.__class__
-        own = cls._labels is BalancedValueTree._labels
-        if own and cls._descent_labels is TernaryTreeValuation._descent_labels:
-            return self._keyed.copy()
-        return None
+        level, so the digest at each node is the one :meth:`_labels` reads.
+        A subclass that overrides a reader and wants it called at every
+        node returns None here too."""
+        return self._keyed.copy()
 
     def to_json(self) -> dict:
         return {

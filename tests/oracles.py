@@ -480,8 +480,6 @@ class PerNodeSession(AdversarySession):
             self._orphans += 1
         self.revealed[path] = kinds
         self._heavy = max(self._heavy, sig.h + (HEAVY in kinds))
-        if sig.critical and self.params.critical_counts(sig.h, sig.q):
-            self._critical.append(path)
         return kinds
 
     def _prefix(self, t):

@@ -23,6 +23,7 @@ from fairslice.geometry import Piece
 from fairslice.protocols import check_proportional, even_paz
 from fairslice.referee import QueryReferee, replay_log
 from fairslice.valuetree import (
+    _HEAVY_AT,
     HEAVY,
     LIGHT,
     THIRD,
@@ -326,7 +327,7 @@ class TestOracles:
         assert session.revealed_is_connected()
         # no walk reveals a node before its parent; force one past the walks
         three_light = P60.root.step(LIGHT).step(LIGHT).step(LIGHT)  # h = 0, q = 3
-        session._reveal({bytes((2, 2, 2)): (HEAVY, LIGHT, LIGHT)}, [three_light])
+        session._reveal({bytes((2, 2, 2)): (HEAVY, LIGHT, LIGHT)}, three_light.h + 1)
         assert not oracles.revealed_is_connected(session.revealed)
         assert not session.revealed_is_connected()
 
@@ -341,13 +342,13 @@ class TestOracles:
         sigs = [P60.root]
         for _ in path:
             sigs.append(sigs[-1].step(HEAVY))
-        session._reveal({path: kinds}, [sigs[-1]])
+        session._reveal({path: kinds}, sigs[-1].h + (HEAVY in kinds))
         session.answer_eval(0, Fraction(1, 3))  # reveals nothing; records the maximum
         assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
         # reveal the orphan's missing ancestors as its signature counts them
         for i in range(depth):
             if path[:i] not in session.revealed:
-                session._reveal({path[:i]: (LIGHT, HEAVY, LIGHT)}, [sigs[i]])
+                session._reveal({path[:i]: (LIGHT, HEAVY, LIGHT)}, sigs[i].h + 1)
         session.answer_eval(0, Fraction(1, 3))
         assert session.heavy_trace[-1] == oracles.max_revealed_heavy(session.revealed)
         assert session.heavy_trace[-1] == depth + (HEAVY in kinds)
@@ -394,6 +395,9 @@ def test_known_and_new_nodes_keep_the_books_the_oracles_keep(depth):
             else:
                 session.answer_cut(x, arg)
             revealed = session.revealed
+            # _reveal counts a chain's heavy edges from its deepest node,
+            # which holds as every revealed node carries one heavy edge
+            assert all(kinds in _HEAVY_AT for kinds in revealed.values())
             assert session.heavy_trace[-1] == oracles.max_revealed_heavy(revealed)
             critical = oracles.revealed_critical_nodes(revealed, params)
             TestOracles.assert_critical_matches(session, critical)
@@ -751,6 +755,12 @@ class TestRefutation:
         with pytest.raises(Exception):
             session.refute_claim(Piece())
 
+    @pytest.mark.parametrize("claim", [(0, 1), [(0, Fraction(1, 3))], None])
+    def test_a_claim_that_is_not_a_piece_is_refused(self, claim):
+        session = AdversarySession(P60)
+        with pytest.raises(InvalidInput, match="must be a Piece"):
+            session.refute_claim(claim)
+
     def test_refutation_consistent_with_transcript(self):
         rng = random.Random(31)
         session = AdversarySession(P60)
@@ -936,6 +946,21 @@ class TestStrategiesAndGame:
         [session] = sessions
         assert session.m == 1
         assert session.revealed == first_reveals
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("budget", [None, -1, True, 1.5, "3"])
+    def test_a_budget_that_is_not_an_int_at_least_0_is_refused(self, monkeypatch, name, budget):
+        sessions = []
+
+        class RecordedSession(AdversarySession):
+            def __init__(self, params):
+                super().__init__(params)
+                sessions.append(self)
+
+        monkeypatch.setattr(adversary, "AdversarySession", RecordedSession)
+        with pytest.raises(InvalidInput, match="budget must be an int >= 0"):
+            run_heavy_piece_game(P60, name, budget, 0)
+        assert sessions == []
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

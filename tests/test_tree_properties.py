@@ -246,13 +246,17 @@ class CountingTree(BalancedValueTree):
         self.reads += 1
         return BalancedValueTree._labels(self, path, sig)
 
+    def _running_state(self):
+        # no running label state, so the walks call the reader at every node
+        return None
+
 
 @pytest.mark.parametrize("depth", [60, 200])
 def test_settled_walks_read_labels_independent_of_depth(depth):
     """A walk to a position in [1/10, 9/10], and a descent to a target
     mass there, settle their float about 35 levels down at any depth.  The
     lower bound checks that an overriding reader is still called at every
-    node, as the hashed tree's running label state serves only its own rule."""
+    node of a tree that keeps no running label state."""
     tree = CountingTree(TreeParams.from_depth(depth), seed=depth)
     for k in range(100, 901, 8):
         tree.reads = 0
@@ -275,13 +279,16 @@ class DescentRecordingTree(BalancedValueTree):
         self.read.append(path)
         return self._labels(path, sig)
 
+    def _running_state(self):
+        # no running label state, so the descent calls the reader at every level
+        return None
+
 
 @pytest.mark.parametrize("depth", [60, 200])
 def test_an_overriding_descent_reader_is_called_at_every_level(depth):
-    """A hashed tree keeps its running label state only while its class
-    overrides neither reader: one that overrides only ``_descent_labels``
-    has it called at every level a descent reads, from the root down, and
-    answers as the plain tree does."""
+    """A hashed tree that overrides only ``_descent_labels`` and keeps no
+    running label state has it called at every level a descent reads, from
+    the root down, and answers as the plain tree does."""
     params = TreeParams.from_depth(depth)
     tree, plain = DescentRecordingTree(params, seed=depth), BalancedValueTree(params, seed=depth)
     for k in range(100, 901, 40):
